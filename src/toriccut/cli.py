@@ -2,8 +2,8 @@
 
 Input is a JSON document describing the facets of a polyhedral set; every
 subcommand echoes that document, adds its own payload, and exits with a
-contract code: 0 success, 2 malformed input, 3 validation failure, 4 desk
-scale exceeded, 5 no convergence.
+contract code: 0 success, 2 malformed input or configuration, 3 validation
+failure, 4 desk scale exceeded, 5 no convergence.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, contactcone, cutmodel, kahlerpotential, polylattice
-from .errors import (EmptyFace, NoConvergence, NotInterior,
+from .errors import (ConfigError, EmptyFace, NoConvergence, NotInterior,
                      ScaleLimitExceeded, ToricError)
 
 EXIT_OK = 0
@@ -472,6 +472,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
+        # checked first, so that a bad setting cannot end up inside a report
+        polylattice.max_dim_limit()
         doc = load_document(args.input)
         if args.command == "validate":
             return cmd_validate(doc)
@@ -484,7 +486,7 @@ def main(argv=None) -> int:
         if args.command == "invert":
             return cmd_invert(doc, args.target)
         return cmd_cut(doc, args.ambient)
-    except InputError as exc:
+    except (InputError, ConfigError) as exc:
         print(f"toric: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ScaleLimitExceeded as exc:

@@ -13,6 +13,10 @@ class ConeWithNonzeroOffset(ToricError):
     """A set declared as a cone carries a facet with nonzero offset."""
 
 
+class ConfigError(ToricError):
+    """An environment setting holds a value that does not parse."""
+
+
 class ScaleLimitExceeded(ToricError):
     """Input exceeds the supported dimension or constraint count."""
 

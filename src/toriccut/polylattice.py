@@ -12,11 +12,12 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import intlinalg
 from .errors import (
     ConeWithNonzeroOffset,
+    ConfigError,
     NotACone,
     NotUnimodular,
     ScaleLimitExceeded,
@@ -38,14 +39,21 @@ LT = "<"
 
 
 def max_dim_limit() -> int:
-    """Supported ambient dimension; raised via the TORIC_MAX_DIM env var."""
+    """Supported ambient dimension; raised via the TORIC_MAX_DIM env var.
+
+    Raises:
+        ConfigError: when TORIC_MAX_DIM is set but is not a positive integer.
+    """
     raw = os.environ.get("TORIC_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_DIM
     try:
-        return max(1, int(raw))
+        value = int(raw)
     except ValueError:
-        return DEFAULT_MAX_DIM
+        value = 0
+    if value < 1:
+        raise ConfigError(f"TORIC_MAX_DIM must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,7 @@ class FaceIndexSet:
 class FeasibilityResult:
     feasible: bool
     witness: tuple[Fraction, ...] | None
+    certificate: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -209,133 +218,163 @@ def require_normalized(p: PolyhedralSet) -> None:
 # exact feasibility kernel
 # ---------------------------------------------------------------------------
 #
-# Rows are (coeffs, rhs, strict) meaning sum(c*x) <= rhs, or < if strict.
-# Variables are eliminated last to first; witnesses come back by choosing a
-# value inside the exact interval at each level.
+# One simplex routine settles every feasibility question. Its tableau is
+# fraction-free (Edmonds 1967): every entry is an integer over one common
+# denominator d, and each pivot divides exactly by the previous d. Row i
+# reads  d*basic_i + sum_k tab[i][k] * nonbasic_k = tab[i][0]. Variables are
+# numbered x_1..x_n (free), the margin t, the row slacks in row order, then
+# the Phase-I artificial; Bland's rule breaks every tie by that number.
 
 
-def _canonical_row(coeffs, rhs, strict):
-    denom_lcm = 1
-    for v in list(coeffs) + [rhs]:
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(v * denom_lcm) for v in coeffs]
-    r = int(rhs * denom_lcm)
-    g = intlinalg.vector_gcd(ints + [r])
-    if g > 1:
-        ints = [v // g for v in ints]
-        r //= g
-    return tuple(ints), r, strict
+class _Tableau:
+    """Integer dictionary over the rows (a, c, b) of _simplex."""
 
+    def __init__(self, rows, n, margin):
+        self.n = n
+        self.d = 1
+        self.tab = [[b, *a, c] if margin else [b, *a] for a, c, b in rows]
+        self.nonbasic = [None, *range(n + 1 if margin else n)]
+        self.basic = [n + 1 + i for i in range(len(rows))]
 
-def _tighten(rows):
-    """Drop trivial rows and duplicates; return None on an obvious conflict."""
-    seen = set()
-    out = []
-    for coeffs, rhs, strict in rows:
-        if all(c == 0 for c in coeffs):
-            if rhs < 0 or (strict and rhs == 0):
-                return None
-            continue
-        key = (tuple(coeffs), rhs, strict)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((tuple(coeffs), Fraction(rhs), strict))
-    return out
+    def pivot(self, r, s):
+        tab, d = self.tab, self.d
+        prow = tab[r]
+        p = prow[s]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[s] = -f
+            elif p != d:
+                row[:] = [p * a // d for a in row]
+        prow[s] = d
+        if p < 0:
+            for row in tab:
+                row[:] = [-a for a in row]
+            p = -p
+        self.d = p
+        self.basic[r], self.nonbasic[s] = self.nonbasic[s], self.basic[r]
 
+    def run(self):
+        """Bland's rule on the objective in the last row; False if unbounded."""
+        tab, basic, nonbasic, n = self.tab, self.basic, self.nonbasic, self.n
+        obj = tab[-1]
+        while True:
+            s = None
+            for k in range(1, len(obj)):
+                if obj[k] < 0 and nonbasic[k] >= n and (
+                        s is None or nonbasic[k] < nonbasic[s]):
+                    s = k
+            if s is None:
+                return True
+            r = None
+            for i in range(len(tab) - 1):
+                a = tab[i][s]
+                if a <= 0 or basic[i] < n:
+                    continue
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = tab[i][0] * tab[r][s], tab[r][0] * a
+                if lhs < rhs or (lhs == rhs and basic[i] < basic[r]):
+                    r = i
+            if r is None:
+                return False
+            self.pivot(r, s)
+            obj = tab[-1]
 
-def _eliminate_last(rows, nvars):
-    """Project away the last variable, Fourier-Motzkin style."""
-    zero, pos, neg = [], [], []
-    k = nvars - 1
-    for coeffs, rhs, strict in rows:
-        c = coeffs[k]
-        if c == 0:
-            zero.append((coeffs[:k], rhs, strict))
-        elif c > 0:
-            pos.append((coeffs, rhs, strict))
-        else:
-            neg.append((coeffs, rhs, strict))
-    combined = list(zero)
-    for pc, pr, ps in pos:
-        for nc, nr, ns in neg:
-            a, b = pc[k], -nc[k]
-            coeffs = [b * pc[j] + a * nc[j] for j in range(k)]
-            rhs = b * pr + a * nr
-            combined.append((coeffs, rhs, ps or ns))
-    canon = [_canonical_row([Fraction(c) for c in co], Fraction(r), s) for co, r, s in combined]
-    tight = _tighten(canon)
-    return tight
-
-
-def _bounds_for_last(rows, nvars, partial):
-    """Exact admissible interval for the last variable given earlier values."""
-    k = nvars - 1
-    lo = hi = None
-    lo_strict = hi_strict = False
-    for coeffs, rhs, strict in rows:
-        c = coeffs[k]
-        if c == 0:
-            continue
-        rest = rhs - sum(Fraction(coeffs[j]) * partial[j] for j in range(k))
-        bound = rest / c
-        if c > 0:
-            if hi is None or bound < hi:
-                hi, hi_strict = bound, strict
-            elif bound == hi and strict:
-                hi_strict = True
-        else:
-            if lo is None or bound > lo:
-                lo, lo_strict = bound, strict
-            elif bound == lo and strict:
-                lo_strict = True
-    return lo, lo_strict, hi, hi_strict
-
-
-def _choose_value(lo, lo_strict, hi, hi_strict, maximize=False):
-    if maximize:
-        if hi is not None:
-            if not hi_strict:
-                return hi
-            if lo is None:
-                return hi - 1
-            return (lo + hi) / 2
-        base = lo if lo is not None else Fraction(0)
-        return base + 1
-    if lo is None and hi is None:
+    def value(self, var):
+        if var in self.basic:
+            return Fraction(self.tab[self.basic.index(var)][0], self.d)
         return Fraction(0)
-    if lo is None:
-        return hi - 1 if hi_strict else hi
-    if hi is None:
-        return lo + 1 if lo_strict else lo
-    if lo == hi:
-        return lo
-    if lo_strict or hi_strict:
-        return (lo + hi) / 2
-    return lo
 
 
-def _fm_solve(rows, nvars, maximize_first=False):
-    rows = _tighten(rows)
-    if rows is None:
-        return None
-    if nvars == 0:
-        return []
-    projected = _eliminate_last(rows, nvars)
-    if projected is None:
-        return None
-    partial = _fm_solve(projected, nvars - 1, maximize_first)
-    if partial is None:
-        return None
-    lo, ls, hi, hs = _bounds_for_last(rows, nvars, partial)
-    value = _choose_value(lo, ls, hi, hs, maximize=(maximize_first and nvars == 1))
-    return partial + [value]
+def _simplex(rows, n, margin, cap=False):
+    """Maximise the margin t subject to a.x + c*t <= b for (a, c, b) in rows.
+
+    All entries are integers. x is free and t >= 0; without margin t is
+    absent and only Phase I runs. cap adds the row t <= 1. Returns
+    (status, x, t, y) with status "infeasible", "optimal" or "unbounded";
+    x and t are exact at the final basis, and y holds the multipliers of
+    the input rows in the final objective row: a Farkas certificate when
+    Phase I fails, the optimal dual solution when Phase II succeeds.
+    """
+    rows = list(rows)
+    m = len(rows)
+    if cap:
+        rows.append(((0,) * n, 1, 1))
+    tb = _Tableau(rows, n, margin)
+    tab, basic, nonbasic = tb.tab, tb.basic, tb.nonbasic
+    for j in range(n):
+        col = j + 1
+        for i, row in enumerate(tab):
+            if basic[i] >= n and row[col]:
+                tb.pivot(i, col)
+                break
+    status = "optimal"
+    art = n + 1 + len(rows)
+    short = [i for i, row in enumerate(tab) if basic[i] >= n and row[0] < 0]
+    if short:
+        for i, row in enumerate(tab):
+            row.append(0 if basic[i] < n else -tb.d)
+        nonbasic.append(art)
+        tab.append([0] * (len(nonbasic) - 1) + [tb.d])
+        basic.append(None)
+        tb.pivot(min(short, key=lambda i: (tab[i][0], basic[i])), len(nonbasic) - 1)
+        tb.run()
+        if tab[-1][0] < 0:
+            status = "infeasible"
+        else:
+            tab.pop()
+            basic.pop()
+            if art in basic:
+                r = basic.index(art)
+                s = next((k for k in range(1, len(nonbasic))
+                          if nonbasic[k] >= n and tab[r][k]), None)
+                if s is None:
+                    del tab[r], basic[r]
+                else:
+                    tb.pivot(r, s)
+            if art in nonbasic:
+                k = nonbasic.index(art)
+                for row in tab:
+                    del row[k]
+                del nonbasic[k]
+    if status == "optimal" and margin:
+        if n in basic:
+            obj = list(tab[basic.index(n)])
+        else:
+            obj = [0] * len(nonbasic)
+            obj[nonbasic.index(n)] = -tb.d
+        tab.append(obj)
+        basic.append(None)
+        if not tb.run():
+            status = "unbounded"
+    x = tuple(tb.value(j) for j in range(n))
+    t = tb.value(n) if margin else Fraction(0)
+    obj = tab[-1] if basic and basic[-1] is None else [0] * len(nonbasic)
+    column = {var: k for k, var in enumerate(nonbasic)}
+    y = tuple(obj[column[n + 1 + i]] if n + 1 + i in column else 0
+              for i in range(m))
+    return status, x, t, y
+
+
+def _integer_row(values):
+    """Scale a rational row to integers by the lcm of its denominators."""
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
 def feasible(constraints, n: int | None = None, *, max_dim: int | None = None,
              max_constraints: int | None = None) -> FeasibilityResult:
-    """Exact feasibility of a system of linear relations by elimination.
+    """Exact feasibility of a system of linear relations by the simplex method.
+
+    Strict rows share one margin t >= 0, capped at t <= 1, which Phase II
+    maximizes; the system is feasible iff Phase I succeeds and, when strict
+    rows exist, the optimal margin is positive.
 
     Args:
         constraints: iterable of (coeffs, relation, rhs) with relation one
@@ -344,7 +383,10 @@ def feasible(constraints, n: int | None = None, *, max_dim: int | None = None,
         n: number of variables (defaults to the length of the first row).
 
     Returns:
-        FeasibilityResult with an exact rational witness when feasible.
+        FeasibilityResult with an exact rational witness when feasible, and
+        otherwise an integer Farkas certificate y, one multiplier per input
+        constraint: y >= 0 on "<=" and "<" rows, y^T A = 0, and either
+        y^T b < 0, or y^T b = 0 with y > 0 on some strict row.
 
     Raises:
         ScaleLimitExceeded: when the system is larger than the supported
@@ -362,34 +404,43 @@ def feasible(constraints, n: int | None = None, *, max_dim: int | None = None,
     if len(cons) > limit_cons:
         raise ScaleLimitExceeded(
             f"{len(cons)} constraints exceed supported bound {limit_cons}")
-    rows = []
-    for coeffs, rel, rhs in cons:
-        co = [Fraction(c) for c in coeffs]
-        if len(co) != n:
-            raise ValueError("constraint arity does not match dimension")
-        r = Fraction(rhs)
-        if rel == LE:
-            rows.append(_canonical_row(co, r, False))
-        elif rel == LT:
-            rows.append(_canonical_row(co, r, True))
-        elif rel == EQ:
-            rows.append(_canonical_row(co, r, False))
-            rows.append(_canonical_row([-c for c in co], -r, False))
-        else:
+    # equalities become two opposite rows, placed first so that the free
+    # variables pivot in on them; origin records (constraint, sign * scale)
+    eq_rows, eq_origin, rows, origin = [], [], [], []
+    for k, (coeffs, rel, rhs) in enumerate(cons):
+        if rel not in (LE, LT, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-    sol = _fm_solve(rows, n)
-    if sol is None:
-        return FeasibilityResult(False, None)
-    return FeasibilityResult(True, tuple(sol))
+        ints, scale = _integer_row([*coeffs, rhs])
+        if len(ints) != n + 1:
+            raise ValueError("constraint arity does not match dimension")
+        a, b = tuple(ints[:-1]), ints[-1]
+        if rel == EQ:
+            eq_rows += [(a, 0, b), (tuple(-v for v in a), 0, -b)]
+            eq_origin += [(k, scale), (k, -scale)]
+        else:
+            rows.append((a, int(rel == LT), b))
+            origin.append((k, scale))
+    strict = any(c for _, c, _ in rows)
+    status, x, t, y = _simplex(eq_rows + rows, n, margin=strict, cap=strict)
+    if status == "optimal" and (t > 0 or not strict):
+        return FeasibilityResult(True, x)
+    cert = [0] * len(cons)
+    for (k, scale), yk in zip(eq_origin + origin, y):
+        cert[k] += scale * yk
+    g = intlinalg.vector_gcd(cert)
+    return FeasibilityResult(False, None, tuple(v // g for v in cert))
 
 
 def max_margin_point(p: PolyhedralSet):
     """Interior point maximizing the smallest slack, found exactly.
 
     Returns (witness, margin). The margin is the largest m with
-    <x, eta_i> <= kappa_i - m for all facets feasible, or an arbitrary
-    unit margin when the slack is unbounded (cones). margin == 0 means
-    the set has no strict interior.
+    <x, eta_i> <= kappa_i - m for all facets feasible, or exactly 1 when
+    the slack is unbounded (cones). margin == 0 means the set has no strict
+    interior.
+
+    Raises:
+        ValueError: when the set is empty.
     """
     require_normalized(p)
     if p.n > max_dim_limit():
@@ -398,14 +449,14 @@ def max_margin_point(p: PolyhedralSet):
         raise ScaleLimitExceeded("facet count exceeds supported bound")
     rows = []
     for f in p.facets:
-        rows.append(_canonical_row(
-            [Fraction(1)] + [Fraction(v) for v in f.eta], Fraction(f.kappa), False))
-    rows.append(_canonical_row(
-        [Fraction(-1)] + [Fraction(0)] * p.n, Fraction(0), False))
-    sol = _fm_solve(rows, p.n + 1, maximize_first=True)
-    if sol is None:
+        ints, scale = _integer_row([*f.eta, f.kappa])
+        rows.append((tuple(ints[:-1]), scale, ints[-1]))
+    status, x, t, _ = _simplex(rows, p.n, margin=True)
+    if status == "infeasible":
         raise ValueError("set is empty")
-    return tuple(sol[1:]), sol[0]
+    if status == "unbounded":
+        status, x, t, _ = _simplex(rows, p.n, margin=True, cap=True)
+    return x, t
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared fixture sets and interior-point samplers for the test suite."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,20 @@ def pyramid():
             3,
             [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1),
              ((0, 1, 1), 1), ((0, -1, 1), 1)]))
+
+
+def random_set(n, m, s):
+    """ROADMAP's random(n, m, s): the n facets -e_i <= 1, then integer
+    conormals drawn from [-3, 3]^n (zero vectors redrawn) with offsets in
+    1..4, until there are m facets."""
+    rng = random.Random(s)
+    facets = [(tuple(-1 if j == i else 0 for j in range(n)), 1)
+              for i in range(n)]
+    while len(facets) < m:
+        eta = [rng.randint(-3, 3) for _ in range(n)]
+        if any(eta):
+            facets.append((eta, rng.randint(1, 4)))
+    return pl.normalize(pl.polyhedral_set(n, facets))
 
 
 def sample_interior(name, rng, count, margin=0.05):

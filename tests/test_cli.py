@@ -13,6 +13,8 @@ import pytest
 
 from toriccut.cli import main
 
+from conftest import random_set
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,6 +144,30 @@ def test_exit_code_domain_errors(tmp_path):
 
 def test_exit_code_scale_limit():
     assert run_cli(["validate", data("toobig9d.json")])[0] == 4
+
+
+@pytest.mark.parametrize("value", ["eight", "", "0", "-3"])
+def test_bad_max_dim_setting(monkeypatch, capsys, value):
+    monkeypatch.setenv("TORIC_MAX_DIM", value)
+    for argv in (["validate", data("f2.json")], ["classify", data("f3.json")],
+                 ["potential", data("f1.json"), "--grid", "0.1:0.9:5"]):
+        assert run_cli(argv)[0] == 2
+        assert "TORIC_MAX_DIM" in capsys.readouterr().err
+
+
+def test_invert_random_set(tmp_path):
+    # random(5, 12, 1) of the ROADMAP family; its exact start point took
+    # minutes under Fourier-Motzkin elimination
+    p = random_set(5, 12, 1)
+    doc = {"schema_version": "1", "n": p.n,
+           "facets": [{"eta": list(f.eta), "kappa": str(f.kappa)}
+                      for f in p.facets]}
+    path = tmp_path / "random5_12_1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run_cli(["invert", str(path), "--target", "0,0,0,0,0"])
+    assert code == 0
+    report = json.loads(text)["report"]["invert"]
+    assert report["residual"] < 1e-9
 
 
 def test_exit_code_no_convergence():

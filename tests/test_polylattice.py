@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from toriccut import polylattice as pl
 from toriccut.errors import (
@@ -14,8 +16,79 @@ from toriccut.errors import (
 )
 
 from conftest import (
-    f1, f2, f3, f4, f5, f5_lift_cone, halfspace_r3, lens_cone, pyramid, slab,
+    f1, f2, f3, f4, f5, f5_lift_cone, halfspace_r3, lens_cone, pyramid,
+    random_set, slab,
 )
+
+
+def _dot(coeffs, point):
+    return sum(Fraction(c) * Fraction(v) for c, v in zip(coeffs, point))
+
+
+def _assert_witness(cons, witness):
+    for coeffs, rel, rhs in cons:
+        val = _dot(coeffs, witness)
+        if rel == pl.LT:
+            assert val < Fraction(rhs)
+        elif rel == pl.LE:
+            assert val <= Fraction(rhs)
+        else:
+            assert val == Fraction(rhs)
+
+
+def _assert_certificate(cons, y, n):
+    """Farkas alternative, checked from the input alone: no point can
+    satisfy every row when y >= 0 on inequalities, y^T A = 0, and y^T b is
+    negative, or zero with weight on a strict row."""
+    assert len(y) == len(cons)
+    for yk, (_, rel, _) in zip(y, cons):
+        if rel != pl.EQ:
+            assert yk >= 0
+    for j in range(n):
+        assert sum(yk * Fraction(c[j]) for yk, (c, _, _) in zip(y, cons)) == 0
+    yb = sum(yk * Fraction(rhs) for yk, (_, _, rhs) in zip(y, cons))
+    assert yb < 0 or (yb == 0 and any(
+        yk > 0 for yk, (_, rel, _) in zip(y, cons) if rel == pl.LT))
+
+
+@st.composite
+def linear_systems(draw, rhs=st.integers(-3, 3)):
+    """Mixed <=, <, == systems with n <= 5 variables and m <= 10 rows."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * n),
+                  st.sampled_from([pl.LE, pl.LT, pl.EQ]), rhs),
+        min_size=1, max_size=10))
+    return n, rows
+
+
+def _highs_verdict(cons, n):
+    """Feasibility by two HiGHS LPs: the smallest violation u of the closed
+    system, then the largest margin t <= 1 of the strict rows."""
+    a = np.array([[float(v) for v in c] for c, _, _ in cons])
+    b = np.array([float(r) for _, _, r in cons])
+    eq = np.array([rel == pl.EQ for _, rel, _ in cons])
+    strict = np.array([rel == pl.LT for _, rel, _ in cons], dtype=float)
+    free = [(None, None)] * n
+    # min u  s.t.  a x - u <= b on every row, -a x - u <= -b on equalities
+    a_ub = np.vstack([a, -a[eq]])
+    b_ub = np.concatenate([b, -b[eq]])
+    closure = linprog(np.r_[np.zeros(n), 1.0],
+                      A_ub=np.hstack([a_ub, -np.ones((len(a_ub), 1))]),
+                      b_ub=b_ub, bounds=free + [(0, None)], method="highs")
+    assert closure.status == 0
+    if closure.fun > 1e-7:
+        return False
+    if not strict.any():
+        return True
+    ineq = ~eq
+    margin = linprog(
+        np.r_[np.zeros(n), -1.0],
+        A_ub=np.hstack([a[ineq], strict[ineq, None]]), b_ub=b[ineq],
+        A_eq=np.hstack([a[eq], np.zeros((eq.sum(), 1))]) if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=free + [(0, 1)], method="highs")
+    return margin.status == 0 and -margin.fun > 1e-7
 
 
 class TestNormalize:
@@ -75,6 +148,33 @@ class TestFeasible:
                 assert val < Fraction(rhs)
             else:
                 assert val <= Fraction(rhs)
+
+    def test_certificate_on_strict_conflict(self):
+        cons = [((1,), pl.LT, 0), ((-1,), pl.LE, 0)]
+        res = pl.feasible(cons)
+        assert res.certificate == (1, 1)
+        _assert_certificate(cons, res.certificate, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_systems(rhs=st.fractions(-3, 3, max_denominator=3)))
+    def test_witness_or_certificate(self, system):
+        n, cons = system
+        res = pl.feasible(cons, n)
+        if res.feasible:
+            assert res.certificate is None
+            _assert_witness(cons, res.witness)
+        else:
+            assert res.witness is None
+            _assert_certificate(cons, res.certificate, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_systems())
+    def test_against_highs(self, system):
+        n, cons = system
+        res = pl.feasible(cons, n)
+        assert res.feasible == _highs_verdict(cons, n)
+        if res.feasible:
+            _assert_witness(cons, res.witness)
 
     def test_scale_limit(self):
         cons = [(tuple([1] * 9), pl.LE, 1)]
@@ -282,7 +382,7 @@ class TestMaxMargin:
 
     def test_cone_unbounded_margin(self):
         x, m = pl.max_margin_point(f4())
-        assert m >= 1
+        assert m == 1
         for f in f4().facets:
             val = sum(Fraction(a) * b for a, b in zip(f.eta, x))
             assert val <= f.kappa - m
@@ -293,3 +393,60 @@ class TestMaxMargin:
         for f in f2().facets:
             val = sum(Fraction(a) * b for a, b in zip(f.eta, x))
             assert val <= f.kappa - m
+
+    def test_no_interior(self):
+        p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0), ((-1, 0), 0)]))
+        x, m = pl.max_margin_point(p)
+        assert m == 0
+        assert x[0] == 0
+
+    def test_empty(self):
+        p = pl.normalize(pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)]))
+        with pytest.raises(ValueError):
+            pl.max_margin_point(p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 3))
+        .filter(lambda f: any(f[0])), min_size=1, max_size=10)))
+    def test_against_highs(self, facets):
+        n = len(facets[0][0])
+        p = pl.normalize(pl.polyhedral_set(n, facets))
+        a = np.array([[float(v) for v in eta] + [1.0] for eta, _ in facets])
+        b = np.array([float(kappa) for _, kappa in facets])
+        ref = linprog(np.r_[np.zeros(n), -1.0], A_ub=a, b_ub=b,
+                      bounds=[(None, None)] * n + [(0, None)], method="highs")
+        assert ref.status in (0, 2, 3)
+        if ref.status == 2:
+            with pytest.raises(ValueError):
+                pl.max_margin_point(p)
+            return
+        x, m = pl.max_margin_point(p)
+        if ref.status == 3:
+            assert m == 1
+        else:
+            assert abs(float(m) + ref.fun) <= 1e-9
+        for f in p.facets:
+            assert _dot(f.eta, x) <= f.kappa - m
+
+
+class TestHardRandomSets:
+    """Sets of ROADMAP's random(n, m, s) family on which elimination used to
+    run for more than five seconds per call."""
+
+    def test_face_witness(self):
+        p = random_set(5, 12, 1)
+        w = pl.face_witness(p, ())
+        assert w is not None
+        _assert_witness([(f.eta, pl.LE, f.kappa) for f in p.facets], w)
+
+    def test_is_minimal(self):
+        assert pl.is_minimal(random_set(6, 12, 1)) == pl.MinimalityResult(True, None)
+
+    @pytest.mark.parametrize("s, margin", [(1, Fraction(1)), (2, Fraction(11, 10))])
+    def test_max_margin(self, s, margin):
+        p = random_set(4, 16, s)
+        x, m = pl.max_margin_point(p)
+        assert m == margin
+        for f in p.facets:
+            assert _dot(f.eta, x) <= f.kappa - m
