@@ -9,6 +9,7 @@ failure, 4 desk scale exceeded, 5 no convergence.
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, contactcone, cutmodel, kahlerpotential, polylattice
-from .errors import (ConfigError, EmptyFace, NoConvergence, NotInterior,
+from .errors import (ConfigError, NoConvergence, NotGood, NotInterior,
                      ScaleLimitExceeded, ToricError)
 
 EXIT_OK = 0
@@ -184,13 +185,11 @@ def cmd_validate(doc: LoadedDocument) -> int:
         "saturated_witness": rep.saturated_witness,
         "is_unimodular": rep.is_unimodular,
     }
-    ok = rep.is_unimodular
     if p.kind == polylattice.CONE:
-        good = polylattice.is_good_cone(p)
-        payload["good_cone"] = good.good
-        ok = ok and good.good
+        # a cone is good exactly when its off-apex report is unimodular
+        payload["good_cone"] = rep.is_unimodular
     sys.stdout.write(_render(doc, {"validate": payload}))
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if rep.is_unimodular else EXIT_INVALID
 
 
 def cmd_classify(doc: LoadedDocument) -> int:
@@ -198,9 +197,17 @@ def cmd_classify(doc: LoadedDocument) -> int:
     conv = polylattice.convexity_class(p)
     payload = {"convexity": {"rank": conv.rank, "k": conv.k,
                              "class": conv.label}}
-    if conv.k > 0:
-        try:
-            split = polylattice.split_weakly_convex(p)
+    try:
+        split = polylattice.split_weakly_convex(p)
+    except ToricError as exc:
+        payload["homotopy"] = {"error": str(exc)}
+        if conv.k > 0:
+            payload["splitting"] = {"error": str(exc)}
+    else:
+        hom = polylattice.homotopy_report(split)
+        payload["homotopy"] = {"k": hom.k, "pi0": hom.pi0, "pi1": hom.pi1,
+                               "pi_higher": hom.pi_higher}
+        if conv.k > 0:
             payload["splitting"] = {
                 "k": split.k,
                 "coordinate_indices": list(split.coordinate_indices),
@@ -208,18 +215,15 @@ def cmd_classify(doc: LoadedDocument) -> int:
                                       for r in split.unimodular_change],
                 "projected": _set_payload(split.projected_set),
             }
-        except ToricError as exc:
-            payload["splitting"] = {"error": str(exc)}
-    try:
-        hom = polylattice.homotopy_report(p)
-        payload["homotopy"] = {"k": hom.k, "pi0": hom.pi0, "pi1": hom.pi1,
-                               "pi_higher": hom.pi_higher}
-    except ToricError as exc:
-        payload["homotopy"] = {"error": str(exc)}
     code = EXIT_OK
     if p.kind == polylattice.CONE:
-        if polylattice.is_good_cone(p).good:
+        try:
             cls = contactcone.classify(p)
+        except NotGood:
+            payload["contact"] = {"good": False, "k_contact": None,
+                                  "type_label": None, "reeb_vector": None}
+            code = EXIT_INVALID
+        else:
             payload["contact"] = {
                 "good": True,
                 "k_contact": cls.k_contact,
@@ -227,10 +231,6 @@ def cmd_classify(doc: LoadedDocument) -> int:
                 "reeb_vector": (list(cls.reeb_vector)
                                 if cls.reeb_vector is not None else None),
             }
-        else:
-            payload["contact"] = {"good": False, "k_contact": None,
-                                  "type_label": None, "reeb_vector": None}
-            code = EXIT_INVALID
     sys.stdout.write(_render(doc, {"classify": payload}))
     return code
 
@@ -242,7 +242,12 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     except ValueError as exc:
         raise InputError(f"bad {what} {text!r}") from exc
     _expect(len(values) == n, f"{what} needs {n} coordinates")
+    _expect(_finite(values), f"--{what}: coordinates must be finite")
     return values
+
+
+def _finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
 
 
 def _load_points(path: str, n: int) -> list[list[float]]:
@@ -262,6 +267,7 @@ def _load_points(path: str, n: int) -> list[list[float]]:
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad point") from exc
         _expect(len(values) == n, f"{path}:{lineno}: expected {n} coordinates")
+        _expect(_finite(values), f"{path}:{lineno}: coordinates must be finite")
         points.append(values)
     return points
 
@@ -278,6 +284,7 @@ def _parse_grid(spec: str, n: int) -> list[list[float]]:
             steps = int(pieces[2])
         except ValueError as exc:
             raise InputError(f"bad axis spec {part!r}") from exc
+        _expect(_finite((lo, hi)), f"--grid: bounds of {part!r} must be finite")
         _expect(steps >= 1, "steps must be at least 1")
         if steps == 1:
             axes.append([lo])
@@ -368,20 +375,6 @@ def cmd_invert(doc: LoadedDocument, target_text: str) -> int:
     return EXIT_OK
 
 
-def _freeness_table(p: polylattice.PolyhedralSet) -> list[dict]:
-    table = []
-    for face in polylattice.active_faces(p):
-        for j in range(1, len(p.facets) + 1):
-            if j in face:
-                continue
-            try:
-                free = cutmodel.free_action_certificate(p, tuple(face), j)
-            except EmptyFace:
-                continue
-            table.append({"face": list(face), "facet": j, "free": free})
-    return table
-
-
 def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
     try:
         raw = json.loads(text)
@@ -410,6 +403,8 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
         else:
             raise InputError(f"ambient z entry {pos} must be a number "
                              "or a [re, im] pair")
+    _expect(_finite([*x, *theta, *(c for z in zs for c in (z.real, z.imag))]),
+            "--ambient: entries must be finite")
     return cutmodel.ambient_point(x, theta, zs)
 
 
@@ -420,7 +415,8 @@ def cmd_cut(doc: LoadedDocument, ambient_text) -> int:
         "pi_matrix": [list(row) for row in kernel.pi_matrix],
         "kernel_basis": [list(vec) for vec in kernel.kernel_basis],
         "surjective_onto_lattice": kernel.surjective_onto_lattice,
-        "freeness": _freeness_table(p),
+        "freeness": [{"face": face, "facet": j, "free": free}
+                     for face, j, free in cutmodel.freeness_table(p)],
     }
     if ambient_text is not None:
         ambient = _parse_ambient(ambient_text, p)

@@ -27,14 +27,6 @@ DEFECT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
-class MomentCone:
-    """The closed cone, apex included, that a contact level maps onto."""
-
-    cone: polylattice.PolyhedralSet
-    includes_apex: bool
-
-
-@dataclass(frozen=True)
 class ReebTypeResult:
     """Verdict plus certificate: a positive pairing vector when the cone is
     pointed, otherwise a nonzero cone point annihilated by every conormal."""
@@ -78,12 +70,6 @@ def _require_cone(p: polylattice.PolyhedralSet) -> None:
     polylattice.require_normalized(p)
     if p.kind != polylattice.CONE:
         raise NotACone("operation needs a conical set")
-
-
-def moment_cone(p: polylattice.PolyhedralSet) -> MomentCone:
-    """Close the cone by adjoining the apex; facet data is unchanged."""
-    _require_cone(p)
-    return MomentCone(p, True)
 
 
 def extreme_rays(p: polylattice.PolyhedralSet) -> tuple[tuple[int, ...], ...]:

@@ -3,7 +3,7 @@
 Ties together the kernel lattice of the facet map, membership in the zero
 level of the ambient moment map, canonical per-orbit representatives with
 their residual angle reduction, stabilizer data at boundary points, and
-the freeness certificate for stepwise cutting.
+the freeness table for stepwise cutting.
 """
 
 import cmath
@@ -14,11 +14,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import intlinalg, polylattice
-from .errors import EmptyFace, NotInterior, NotOnLevel, PointOutside
+from .errors import NotInterior, NotOnLevel, PointOutside
 
 ACTIVITY_TOL = 1e-9
 LEVEL_TOL = 1e-9
-SEAM_TOL = 1e-9
+# snapping moves an angle by up to SEAM_TOL; kept well below the 1e-9
+# angle accuracy so that a snapped angle still meets it after rounding
+SEAM_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
@@ -255,30 +257,29 @@ def embed_action_angle(p: polylattice.PolyhedralSet, x,
                         tuple(float(v) for v in theta), tuple(zs))
 
 
-def free_action_certificate(p: polylattice.PolyhedralSet, indices,
-                            j: int) -> bool:
-    """Whether the j-th cutting circle acts freely over the face of indices.
+def freeness_table(p: polylattice.PolyhedralSet):
+    """Whether each cutting circle acts freely over each face it meets.
 
-    The lattice form of the freeness argument: the conormals of the
-    already-active facets together with the new one must span a saturated
-    sublattice, otherwise a finite stabilizer survives.
-
-    Raises:
-        EmptyFace: the combined face does not meet the set.
+    Lists (I, j, free) for every nonempty face F_I and every facet j
+    outside I whose combined face F_{I+j} is nonempty, in face enumeration
+    order and then by j. A combined face is nonempty exactly when it is
+    one of the enumerated faces. The lattice form of the freeness
+    argument: the conormals of I+j must span a saturated sublattice,
+    otherwise a finite stabilizer survives.
     """
     polylattice.require_normalized(p)
-    fixed = tuple(indices)
-    nfac = len(p.facets)
-    for i in (*fixed, j):
-        if not 1 <= i <= nfac:
-            raise ValueError(f"facet index {i} out of range")
-    if j in fixed:
-        raise ValueError(f"facet {j} is already in the fixed set")
-    combined = tuple(sorted({*fixed, j}))
-    if polylattice.face_witness(p, combined) is None:
-        raise EmptyFace(f"facets {combined} cut out an empty face")
-    return polylattice.saturation_check(
-        [p.facets[i - 1].eta for i in combined])
+    faces = polylattice.active_faces(p)
+    table = []
+    for face in faces:
+        for j in range(1, len(p.facets) + 1):
+            if j in face:
+                continue
+            combined = polylattice.FaceIndexSet((*face, j))
+            if combined in faces:
+                free = polylattice.saturation_check(
+                    [p.facets[i - 1].eta for i in combined])
+                table.append((face, j, free))
+    return table
 
 
 def moment_map(cp: CutPoint) -> np.ndarray:

@@ -57,10 +57,6 @@ class PointOutside(ToricError):
     pass
 
 
-class EmptyFace(ToricError):
-    pass
-
-
 class ZeroPoint(ToricError):
     pass
 

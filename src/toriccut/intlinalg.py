@@ -8,7 +8,7 @@ Matrices are lists of rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _copy_int_matrix(mat):
@@ -49,8 +49,14 @@ def vector_gcd(vec) -> int:
     return g
 
 
-def is_primitive(vec) -> bool:
-    return vector_gcd(vec) == 1
+def integer_row(values):
+    """Scale a rational row to integers by the lcm of its denominators.
+
+    Returns (ints, scale) with ints[k] == scale * values[k].
+    """
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
 def primitive_direction(vec):
@@ -58,12 +64,7 @@ def primitive_direction(vec):
 
     The sign is normalized so the first nonzero entry is positive.
     """
-    fracs = [Fraction(v) for v in vec]
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
+    ints, _ = integer_row(vec)
     g = vector_gcd(ints)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
@@ -76,6 +77,50 @@ def primitive_direction(vec):
     return tuple(ints)
 
 
+def _gauss_jordan(mat):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each row is first scaled to integers. A pivot p replaces every other
+    row by (p * row - f * pivot_row) / d, where f is the row's entry in the
+    pivot column and d the previous pivot; the division is exact, so all
+    entries stay integers. Afterwards every pivot row holds the last pivot
+    d in its pivot column: the rows are d times the reduced row echelon
+    form. Pivots are the first nonzero entry at or below the current row.
+
+    Returns:
+        (rows, pivot_cols, d, det): the integer rows, the 0-based pivot
+        columns left to right, the last pivot d (1 without pivots), and the
+        exact determinant of the columns at pivot_cols, which is the
+        determinant of the input when that is square and nonsingular.
+    """
+    rows, scale = [], 1
+    for row in mat:
+        ints, s = integer_row(row)
+        rows.append(ints)
+        scale *= s
+    ncols = len(rows[0]) if rows else 0
+    pivots, d, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        d = p
+        pivots.append(c)
+    return rows, pivots, d, Fraction(sign * d, scale)
+
+
 def rational_rref(mat):
     """Reduced row echelon form over the rationals.
 
@@ -83,38 +128,12 @@ def rational_rref(mat):
         (rows, pivot_cols) where rows is the RREF as Fractions and
         pivot_cols lists the 0-based pivot columns left to right.
     """
-    rows = [[Fraction(v) for v in row] for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    rows, pivots, d, _ = _gauss_jordan(mat)
+    return [[Fraction(v, d) for v in row] for row in rows], pivots
 
 
 def rational_rank(mat) -> int:
-    if not mat:
-        return 0
-    _, pivots = rational_rref(mat)
-    return len(pivots)
+    return len(_gauss_jordan(mat)[1])
 
 
 def rational_kernel_basis(mat, ncols: int | None = None):
@@ -143,87 +162,23 @@ def rational_kernel_basis(mat, ncols: int | None = None):
     return basis
 
 
-def solve_square(mat, rhs):
-    """Exact solve of a square nonsingular rational system.
-
-    Returns the solution as a tuple of Fractions, or None if singular.
-    """
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [v / inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def determinant(mat) -> Fraction:
-    """Exact determinant via Gaussian elimination over the rationals."""
-    n = len(mat)
-    rows = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        rows[c] = [v / inv for v in rows[c]]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+    """Exact determinant of a square rational matrix."""
+    _, pivots, _, det = _gauss_jordan(mat)
+    return det if len(pivots) == len(mat) else Fraction(0)
 
 
 def invert_unimodular(mat):
     """Inverse of an integer matrix with determinant +-1, as integers."""
     n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [v / inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return out
+    rows, pivots, d, det = _gauss_jordan(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    if abs(det) != 1:
+        raise ValueError("matrix is not unimodular")
+    # the rows are d * [I | mat^-1] with d = +-1
+    return [[d * v for v in row[n:]] for row in rows]
 
 
 def hermite_normal_form(mat):

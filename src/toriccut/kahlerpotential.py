@@ -73,7 +73,7 @@ def interior_point(p: polylattice.PolyhedralSet, x,
     kappas = np.array([float(f.kappa) for f in p.facets])
     l = kappas - etas @ xv
     worst = int(np.argmin(l))
-    if l[worst] < margin:
+    if not l[worst] >= margin:  # argmin picks a NaN slack, which fails too
         raise NotInterior(f"facet {worst + 1} slack {l[worst]:.3e} below margin")
     return InteriorPoint(x=xv.copy(), l_values=l, l_infinity=float(l.sum()), etas=etas)
 
@@ -125,11 +125,6 @@ def one_cut_inverse(eta, l: float) -> np.ndarray:
 def legendre_map(pt: InteriorPoint) -> np.ndarray:
     """Gradient of the symplectic potential: x - (1/2) sum log(l_i) eta_i."""
     return pt.x - 0.5 * (np.log(pt.l_values) @ pt.etas)
-
-
-def legendre_jacobian(pt: InteriorPoint) -> np.ndarray:
-    """Jacobian of legendre_map; identical to the Hessian metric."""
-    return hessian_metric(pt)
 
 
 def block_tensors(pt: InteriorPoint):

@@ -12,7 +12,6 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from . import intlinalg
 from .errors import (
@@ -361,13 +360,6 @@ def _simplex(rows, n, margin, cap=False):
     return status, x, t, y
 
 
-def _integer_row(values):
-    """Scale a rational row to integers by the lcm of its denominators."""
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (scale // v.denominator) for v in vals], scale
-
-
 def feasible(constraints, n: int | None = None, *, max_dim: int | None = None,
              max_constraints: int | None = None) -> FeasibilityResult:
     """Exact feasibility of a system of linear relations by the simplex method.
@@ -410,7 +402,7 @@ def feasible(constraints, n: int | None = None, *, max_dim: int | None = None,
     for k, (coeffs, rel, rhs) in enumerate(cons):
         if rel not in (LE, LT, EQ):
             raise ValueError(f"unknown relation {rel!r}")
-        ints, scale = _integer_row([*coeffs, rhs])
+        ints, scale = intlinalg.integer_row([*coeffs, rhs])
         if len(ints) != n + 1:
             raise ValueError("constraint arity does not match dimension")
         a, b = tuple(ints[:-1]), ints[-1]
@@ -449,7 +441,7 @@ def max_margin_point(p: PolyhedralSet):
         raise ScaleLimitExceeded("facet count exceeds supported bound")
     rows = []
     for f in p.facets:
-        ints, scale = _integer_row([*f.eta, f.kappa])
+        ints, scale = intlinalg.integer_row([*f.eta, f.kappa])
         rows.append((tuple(ints[:-1]), scale, ints[-1]))
     status, x, t, _ = _simplex(rows, p.n, margin=True)
     if status == "infeasible":
@@ -514,24 +506,23 @@ def face_witness(p: PolyhedralSet, indices):
     return res.witness if res.feasible else None
 
 
-def active_faces(p: PolyhedralSet) -> list[FaceIndexSet]:
-    """All subsets I of facets whose face F_I meets the set.
+def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
+    """All subsets I of facets whose face F_I meets the set, with a point.
 
-    Includes the empty set when the set itself is nonempty. For cones the
-    apex is excluded, so a face is listed only if it contains a nonzero
-    point. Supersets of empty faces are pruned.
+    Maps each such I to an exact witness point of F_I, in order of size,
+    then lexicographically. Includes the empty set when the set itself is
+    nonempty. For cones the apex is excluded, so a face is listed only if
+    it contains a nonzero point. Supersets of empty faces are pruned
+    without a test, since they are empty too; so a subset of facets cuts
+    out a nonempty face exactly when it is a key.
     """
     require_normalized(p)
-    return [fi for fi, _ in _active_faces_with_witnesses(p)]
-
-
-def _active_faces_with_witnesses(p: PolyhedralSet):
     nfac = len(p.facets)
     if nfac > SUBSET_ENUM_LIMIT:
         raise ScaleLimitExceeded(
             f"{nfac} facets exceed the subset enumeration bound {SUBSET_ENUM_LIMIT}")
     dead: list[frozenset] = []
-    found = []
+    found = {}
     for size in range(nfac + 1):
         for combo in itertools.combinations(range(1, nfac + 1), size):
             cset = frozenset(combo)
@@ -541,7 +532,7 @@ def _active_faces_with_witnesses(p: PolyhedralSet):
             if w is None:
                 dead.append(cset)
             else:
-                found.append((FaceIndexSet(combo), w))
+                found[FaceIndexSet(combo)] = w
     return found
 
 
@@ -551,10 +542,12 @@ def saturation_check(etas) -> bool:
     rows = [list(e) for e in etas]
     if not rows:
         raise ValueError("saturation of an empty family is undefined")
-    if intlinalg.rational_rank(rows) != len(rows):
-        return False
-    factors, _, _ = intlinalg.smith_normal_form(rows)
-    return len(factors) == len(rows) and all(f == 1 for f in factors)
+    return _saturated(intlinalg.smith_normal_form(rows)[0], len(rows))
+
+
+def _saturated(factors, count) -> bool:
+    # the rank of the family is len(factors): the nonzero invariant factors
+    return len(factors) == count and all(f == 1 for f in factors)
 
 
 def _full_active_set(p: PolyhedralSet, point):
@@ -581,17 +574,17 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
         if intlinalg.vector_gcd(f.eta) != 1:
             primitive, primitive_witness = False, i
             break
-    faces = _active_faces_with_witnesses(p)
     simple, simple_witness = True, None
     seen_vertices = set()
     saturated, saturated_witness = True, None
-    for fi, witness in faces:
+    for fi, witness in active_faces(p).items():
         if not fi.indices:
             continue
-        etas = [p.facets[i - 1].eta for i in fi]
-        if saturated and not saturation_check(etas):
+        factors, _, _ = intlinalg.smith_normal_form(
+            [list(p.facets[i - 1].eta) for i in fi])
+        if saturated and not _saturated(factors, len(fi)):
             saturated, saturated_witness = False, fi
-        if simple and intlinalg.rational_rank([list(e) for e in etas]) == p.n:
+        if simple and len(factors) == p.n:
             vertex = tuple(Fraction(v) for v in witness)
             if vertex not in seen_vertices:
                 seen_vertices.add(vertex)
@@ -641,8 +634,8 @@ def split_weakly_convex(p: PolyhedralSet) -> SplittingReport:
     require_normalized(p)
     rows = [list(e) for e in p.etas]
     factors, _, _ = intlinalg.smith_normal_form(rows)
-    rank = intlinalg.rational_rank(rows)
-    if len(factors) != rank or any(f != 1 for f in factors):
+    rank = len(factors)
+    if any(f != 1 for f in factors):
         raise NotUnimodular("conormal span is not saturated in the lattice")
     k = p.n - rank
     _, pivot_cols = intlinalg.hermite_normal_form(rows)
@@ -668,14 +661,13 @@ def split_weakly_convex(p: PolyhedralSet) -> SplittingReport:
     )
 
 
-def homotopy_report(p: PolyhedralSet) -> HomotopyReport:
-    """Symbolic homotopy summary induced by the splitting.
+def homotopy_report(sr: SplittingReport) -> HomotopyReport:
+    """Symbolic homotopy summary induced by a splitting.
 
     The k split line factors contribute a free abelian factor of rank k to
     the fundamental group; everything else is carried by the core manifold
     of the projected strongly convex set.
     """
-    sr = split_weakly_convex(p)
     if sr.k == 0:
         pi1 = "pi_1(M_core)"
     else:

@@ -1,5 +1,6 @@
 """Shared fixture sets and interior-point samplers for the test suite."""
 
+import json
 import random
 
 import numpy as np
@@ -70,6 +71,36 @@ def pyramid():
             3,
             [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1),
              ((0, 1, 1), 1), ((0, -1, 1), 1)]))
+
+
+def cube(n):
+    """Unit cube [0, 1]^n: facets -x_i <= 0 and x_i <= 1 for each i."""
+    facets = []
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        facets += [(tuple(-v for v in e), 0), (e, 1)]
+    return pl.normalize(pl.polyhedral_set(n, facets))
+
+
+def simplex(n):
+    """Standard simplex: -x_i <= 0 for each i, then x_1 + ... + x_n <= 1."""
+    facets = [(tuple(-int(j == i) for j in range(n)), 0) for i in range(n)]
+    return pl.normalize(pl.polyhedral_set(n, facets + [((1,) * n, 1)]))
+
+
+def orthant(n):
+    """Positive orthant cone in R^n."""
+    facets = [(tuple(-int(j == i) for j in range(n)), 0) for i in range(n)]
+    return pl.normalize(pl.polyhedral_set(n, facets, kind=pl.CONE))
+
+
+def write_document(path, p):
+    """Write a normalized set as a CLI input document; returns the path."""
+    doc = {"schema_version": "1", "n": p.n, "kind": p.kind,
+           "facets": [{"eta": list(f.eta), "kappa": str(f.kappa)}
+                      for f in p.facets]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def random_set(n, m, s):

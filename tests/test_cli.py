@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from toriccut import polylattice
 from toriccut.cli import main
 
-from conftest import random_set
+from conftest import cube, orthant, random_set, write_document
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +68,7 @@ GOLDEN_CASES = [
      ["cut", "f1.json", "--ambient", AMBIENT_F1], 0),
     ("cut_f2_plain.json", ["cut", "f2.json"], 0),
     ("cut_f5_plain.json", ["cut", "f5.json"], 0),
+    ("cut_f5_lift_plain.json", ["cut", "f5_lift.json"], 0),
 ]
 
 
@@ -158,13 +160,8 @@ def test_bad_max_dim_setting(monkeypatch, capsys, value):
 def test_invert_random_set(tmp_path):
     # random(5, 12, 1) of the ROADMAP family; its exact start point took
     # minutes under Fourier-Motzkin elimination
-    p = random_set(5, 12, 1)
-    doc = {"schema_version": "1", "n": p.n,
-           "facets": [{"eta": list(f.eta), "kappa": str(f.kappa)}
-                      for f in p.facets]}
-    path = tmp_path / "random5_12_1.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, text = run_cli(["invert", str(path), "--target", "0,0,0,0,0"])
+    path = write_document(tmp_path / "random5_12_1.json", random_set(5, 12, 1))
+    code, text = run_cli(["invert", path, "--target", "0,0,0,0,0"])
     assert code == 0
     report = json.loads(text)["report"]["invert"]
     assert report["residual"] < 1e-9
@@ -240,3 +237,54 @@ def test_metric_boundary_point_reports_error():
     assert code == 0
     points = json.loads(text)["report"]["metric"]["points"]
     assert "error" in points[2] and "G" not in points[2]
+
+
+def test_non_finite_coordinates_rejected(tmp_path, capsys):
+    points = tmp_path / "nan_points.txt"
+    points.write_text("0.5\nnan\n", encoding="utf-8")
+    f1 = data("f1.json")
+    cases = [
+        (["potential", f1, "--points", str(points)], f"{points}:2"),
+        (["metric", f1, "--points", str(points)], f"{points}:2"),
+        (["potential", f1, "--grid", "nan:1:3"], "--grid"),
+        (["potential", f1, "--grid", "0:inf:3"], "--grid"),
+        (["invert", f1, "--target", "nan"], "--target"),
+        (["invert", data("f2.json"), "--target", "inf,0"], "--target"),
+        (["cut", f1, "--ambient",
+          '{"x": [NaN], "z": [[0.5, 0.0], [0.5, 0.0]]}'], "--ambient"),
+        (["cut", f1, "--ambient",
+          '{"x": [0.5], "z": [[Infinity, 0.0], [0.5, 0.0]]}'], "--ambient"),
+    ]
+    for argv, named in cases:
+        code, out = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert named in capsys.readouterr().err, argv
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_artifact_built_once_per_command(monkeypatch, tmp_path):
+    cone = write_document(tmp_path / "orthant3.json", orthant(3))
+    box = write_document(tmp_path / "cube3.json", cube(3))
+    reports = _count_calls(monkeypatch, polylattice, "unimodularity_report")
+    assert run_cli(["validate", cone])[0] == 0
+    assert len(reports) == 1
+    splits = _count_calls(monkeypatch, polylattice, "split_weakly_convex")
+    for name in ("orthant3", "halfspace_r3", "slab"):
+        path = cone if name == "orthant3" else data(f"{name}.json")
+        splits.clear()
+        assert run_cli(["classify", path])[0] == 0
+        assert len(splits) == 1, name
+    faces = _count_calls(monkeypatch, polylattice, "active_faces")
+    assert run_cli(["cut", box])[0] == 0
+    assert len(faces) == 1

@@ -39,16 +39,6 @@ def diag_defect_oracle(x):
     return best
 
 
-def test_moment_cone_closure():
-    for name in ("f3", "f4", "lens"):
-        p = FIXTURES[name]()
-        mc = cc.moment_cone(p)
-        assert mc.cone is p
-        assert mc.includes_apex
-    with pytest.raises(NotACone):
-        cc.moment_cone(FIXTURES["f2"]())
-
-
 def test_extreme_rays():
     assert cc.extreme_rays(FIXTURES["f4"]()) == ((0, 1), (1, 0))
     assert cc.extreme_rays(FIXTURES["lens"]()) == ((0, 1), (2, -1))

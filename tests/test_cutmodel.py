@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from toriccut import cutmodel as cm
 from toriccut import intlinalg as il
 from toriccut import polylattice as pl
-from toriccut.errors import EmptyFace, NotInterior, NotOnLevel, PointOutside
+from toriccut.errors import NotInterior, NotOnLevel, PointOutside
 
 from conftest import FIXTURES, sample_interior
 
@@ -243,34 +243,34 @@ def test_activity_exact_vs_float():
     assert rounded.generators == ((1,),)
 
 
+def _freeness(name):
+    table = cm.freeness_table(FIXTURES[name]())
+    return {(face.indices, j): free for face, j, free in table}
+
+
 def test_free_action_examples():
-    assert cm.free_action_certificate(FIXTURES["f2"](), (2,), 3)
-    assert cm.free_action_certificate(FIXTURES["f1"](), (), 1)
-    assert not cm.free_action_certificate(FIXTURES["f5"](), (2,), 3)
+    assert _freeness("f2")[(2,), 3]
+    assert _freeness("f1")[(), 1]
+    assert not _freeness("f5")[(2,), 3]
 
 
-def test_free_action_errors():
-    p = FIXTURES["f2"]()
-    with pytest.raises(EmptyFace):
-        cm.free_action_certificate(p, (1, 2), 3)
-    with pytest.raises(ValueError):
-        cm.free_action_certificate(p, (2,), 2)
-    with pytest.raises(ValueError):
-        cm.free_action_certificate(p, (2,), 9)
+def test_freeness_table_skips_empty_faces():
+    # F_{1,2} of the triangle is the vertex 0, which facet 3 misses
+    table = _freeness("f2")
+    assert ((1, 2), 3) not in table
+    assert all(j not in face for face, j in table)
+    # a pair is listed iff its combined face has a point (off the apex)
+    for name in ("f2", "f5", "f4", "f5_lift"):
+        p = FIXTURES[name]()
+        nonempty = {(face.indices, j) for face in pl.active_faces(p)
+                    for j in range(1, len(p.facets) + 1) if j not in face
+                    and pl.face_witness(p, (*face, j)) is not None}
+        assert set(_freeness(name)) == nonempty
 
 
 @pytest.mark.parametrize("name", ["f1", "f2"])
 def test_free_action_everywhere_on_unimodular(name):
-    p = FIXTURES[name]()
-    nfac = len(p.facets)
-    for face in pl.active_faces(p):
-        for j in range(1, nfac + 1):
-            if j in face:
-                continue
-            try:
-                assert cm.free_action_certificate(p, tuple(face), j)
-            except EmptyFace:
-                pass
+    assert all(_freeness(name).values())
 
 
 def test_moment_map_projection_and_range():

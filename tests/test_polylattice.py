@@ -16,8 +16,8 @@ from toriccut.errors import (
 )
 
 from conftest import (
-    f1, f2, f3, f4, f5, f5_lift_cone, halfspace_r3, lens_cone, pyramid,
-    random_set, slab,
+    cube, f1, f2, f3, f4, f5, f5_lift_cone, halfspace_r3, lens_cone, orthant,
+    pyramid, random_set, simplex, slab,
 )
 
 
@@ -244,6 +244,41 @@ class TestActiveFaces:
         with pytest.raises(ScaleLimitExceeded):
             pl.active_faces(p)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_counts(self, n):
+        # cube: each coordinate free, 0 or 1; simplex: every proper subset
+        # of its n + 1 facets; orthant: every subset but the apex
+        assert len(pl.active_faces(cube(n))) == 3 ** n
+        assert len(pl.active_faces(simplex(n))) == 2 ** (n + 1) - 1
+        assert len(pl.active_faces(orthant(n))) == 2 ** n - 1
+
+    @pytest.mark.parametrize("make", [f1, f2, f5, pyramid, lambda: cube(3),
+                                      lambda: simplex(4)],
+                             ids=["f1", "f2", "f5", "pyramid", "cube3",
+                                  "simplex4"])
+    def test_euler_poincare(self, make):
+        # a face of a polytope is the hull of its vertices, so distinct
+        # vertex sets count the faces whatever facet subsets cut them out
+        p = make()
+        faces = pl.active_faces(p)
+        vertices = {w for fi, w in faces.items()
+                    if pl.intlinalg.rational_rank([p.facets[i - 1].eta
+                                                   for i in fi]) == p.n}
+
+        def on_face(v, fi):
+            return all(_dot(p.facets[i - 1].eta, v) == p.facets[i - 1].kappa
+                       for i in fi)
+
+        distinct = {frozenset(v for v in vertices if on_face(v, fi))
+                    for fi in faces}
+        euler = 0
+        for vs in distinct:
+            v0, *rest = sorted(vs)
+            dim = pl.intlinalg.rational_rank(
+                [[a - b for a, b in zip(v, v0)] for v in rest])
+            euler += (-1) ** dim
+        assert euler == 1
+
 
 class TestSaturation:
     def test_examples(self):
@@ -358,18 +393,18 @@ class TestSplit:
 
 class TestHomotopy:
     def test_f3(self):
-        hr = pl.homotopy_report(f3())
+        hr = pl.homotopy_report(pl.split_weakly_convex(f3()))
         assert hr.k == 1
         assert hr.pi1 == "Z^1 x pi_1(M_core)"
         assert hr.pi0 == "trivial"
 
     def test_f2(self):
-        hr = pl.homotopy_report(f2())
+        hr = pl.homotopy_report(pl.split_weakly_convex(f2()))
         assert hr.k == 0
         assert hr.pi1 == "pi_1(M_core)"
 
     def test_halfspace_r3(self):
-        hr = pl.homotopy_report(halfspace_r3())
+        hr = pl.homotopy_report(pl.split_weakly_convex(halfspace_r3()))
         assert hr.k == 2
         assert hr.pi1 == "Z^2 x pi_1(M_core)"
 
