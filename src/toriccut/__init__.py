@@ -2,4 +2,17 @@
 potentials and metrics, cut-space point arithmetic, and contact-type
 classification of cones, with a JSON/CSV command line front end."""
 
+import importlib
+
 __version__ = "0.1.0"
+
+_SUBMODULES = ("cli", "contactcone", "cutmodel", "errors", "intlinalg",
+               "kahlerpotential", "polylattice")
+
+
+def __getattr__(name):
+    # `toriccut.<submodule>` imports the submodule on first use, so the
+    # package exposes every layer without loading numpy up front
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

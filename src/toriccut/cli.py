@@ -4,6 +4,10 @@ Input is a JSON document describing the facets of a polyhedral set; every
 subcommand echoes that document, adds its own payload, and exits with a
 contract code: 0 success, 2 malformed input or configuration, 3 validation
 failure, 4 desk scale exceeded, 5 no convergence.
+
+numpy and the float layer (`kahlerpotential`) are imported by the commands
+that use them, so that `validate`, `classify` and plain `cut` never load
+numpy.
 """
 
 import argparse
@@ -14,11 +18,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, contactcone, cutmodel, kahlerpotential, polylattice
-from .errors import (ConfigError, NoConvergence, NotGood, NotInterior,
-                     ScaleLimitExceeded, ToricError)
+from . import __version__, contactcone, cutmodel, polylattice
+from .errors import (ConfigError, NoConvergence, NotGood, ScaleLimitExceeded,
+                     ToricError)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -27,6 +29,10 @@ EXIT_SCALE = 4
 EXIT_NO_CONVERGENCE = 5
 
 DEFAULT_TOLERANCES = {"newton_tol": 1e-9, "newton_max_iter": 200}
+# a larger --grid exits 4 before any point is built
+GRID_POINT_LIMIT = 10**6
+# CSV rows rendered per write, so the text of a large grid is never held whole
+CSV_CHUNK_ROWS = 4096
 
 
 class InputError(Exception):
@@ -138,10 +144,8 @@ def jsonable(value):
         return str(value)
     if isinstance(value, polylattice.FaceIndexSet):
         return [int(i) for i in value]
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):  # numpy arrays and scalars
         return jsonable(value.tolist())
-    if isinstance(value, np.generic):
-        return value.item()
     if isinstance(value, dict):
         return {key: jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
@@ -272,10 +276,16 @@ def _load_points(path: str, n: int) -> list[list[float]]:
     return points
 
 
-def _parse_grid(spec: str, n: int) -> list[list[float]]:
+def _parse_grid(spec: str, n: int):
+    """The grid points of `spec` as an (N, n) array, last axis fastest.
+
+    Raises:
+        ScaleLimitExceeded: the grid has more than GRID_POINT_LIMIT points;
+            checked before anything is built.
+    """
     parts = spec.split(",")
     _expect(len(parts) == n, f"grid needs {n} axis specs min:max:steps")
-    axes = []
+    bounds = []
     for part in parts:
         pieces = part.split(":")
         _expect(len(pieces) == 3, f"bad axis spec {part!r}")
@@ -286,75 +296,95 @@ def _parse_grid(spec: str, n: int) -> list[list[float]]:
             raise InputError(f"bad axis spec {part!r}") from exc
         _expect(_finite((lo, hi)), f"--grid: bounds of {part!r} must be finite")
         _expect(steps >= 1, "steps must be at least 1")
-        if steps == 1:
-            axes.append([lo])
-        else:
-            axes.append([lo + i * (hi - lo) / (steps - 1)
-                         for i in range(steps)])
-    return [list(combo) for combo in itertools.product(*axes)]
+        bounds.append((lo, hi, steps))
+    total = math.prod(steps for _, _, steps in bounds)
+    if total > GRID_POINT_LIMIT:
+        raise ScaleLimitExceeded(f"--grid: {total} points exceed the limit "
+                                 f"of {GRID_POINT_LIMIT}")
+    import numpy as np
+    axes = [[lo] if steps == 1
+            else [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+            for lo, hi, steps in bounds]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([axis.ravel() for axis in mesh], axis=1)
+
+
+def _write_lines(lines) -> None:
+    """Writes an iterable of lines to stdout, CSV_CHUNK_ROWS at a time."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+
+
+def _csv_rows(values):
+    """The rows of a 2-D array as lists of floats, one chunk at a time."""
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        yield from values[start:start + CSV_CHUNK_ROWS].tolist()
 
 
 def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
     _expect((points_path is None) != (grid_spec is None),
             "exactly one of --points and --grid is required")
     p = doc.pset
-    header = ([f"x{i}" for i in range(1, p.n + 1)] + ["sp", "guillemin"]
-              + [f"gtilde{i}" for i in range(1, p.n + 1)])
-    lines = [",".join(header)]
-    skipped = 0
     if points_path is not None:
         rows = _load_points(points_path, p.n)
     else:
         rows = _parse_grid(grid_spec, p.n)
-    for row in rows:
-        try:
-            pt = kahlerpotential.interior_point(p, row)
-        except NotInterior:
-            if points_path is not None:
-                lines.append(",".join([repr(float(v)) for v in row]
-                                      + ["NA"] * (p.n + 2)))
-            else:
-                skipped += 1
-            continue
-        values = ([float(v) for v in row]
-                  + [kahlerpotential.symplectic_potential(pt),
-                     kahlerpotential.guillemin_potential(pt)]
-                  + [float(v) for v in kahlerpotential.legendre_map(pt)])
-        lines.append(",".join(repr(v) for v in values))
+    import numpy as np
+    from . import kahlerpotential
+    pts = kahlerpotential.interior_point(
+        p, np.asarray(rows, dtype=float).reshape(len(rows), p.n))
+    values = np.column_stack([pts.x,
+                              kahlerpotential.symplectic_potential(pts),
+                              kahlerpotential.guillemin_potential(pts),
+                              kahlerpotential.legendre_map(pts)])
+    header = ([f"x{i}" for i in range(1, p.n + 1)] + ["sp", "guillemin"]
+              + [f"gtilde{i}" for i in range(1, p.n + 1)])
+    sys.stdout.write(",".join(header) + "\n")
+    computed = (",".join(map(repr, row)) for row in _csv_rows(values))
     if grid_spec is not None:
-        lines.append(f"# skipped: {skipped}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        _write_lines(computed)
+        sys.stdout.write(f"# skipped: {len(rows) - len(values)}\n")
+        return EXIT_OK
+    missing = ["NA"] * (p.n + 2)
+    _write_lines(next(computed) if inside
+                 else ",".join([*map(repr, row), *missing])
+                 for row, inside in zip(rows, pts.inside.tolist()))
     return EXIT_OK
 
 
 def cmd_metric(doc: LoadedDocument, points_path: str) -> int:
     p = doc.pset
+    rows = _load_points(points_path, p.n)
+    import numpy as np
+    from . import kahlerpotential
+    data = kahlerpotential.point_data(
+        p, np.asarray(rows, dtype=float).reshape(len(rows), p.n))
+    pts = data.points
+    inverse_residual = np.max(np.abs(data.G @ data.G_inv - np.eye(p.n)),
+                              axis=(1, 2))
+    compatibility_residual = np.max(np.abs(data.g - data.omega @ data.J),
+                                    axis=(1, 2))
     entries = []
-    for row in _load_points(points_path, p.n):
-        try:
-            data = kahlerpotential.point_data(p, row)
-        except NotInterior as exc:
-            entries.append({"x": row, "error": str(exc)})
+    k = 0  # position of the next interior row in data
+    for index, row in enumerate(rows):
+        if not pts.inside[index]:
+            entries.append({"x": row, "error": str(pts.rejection(index))})
             continue
-        eye = np.eye(p.n)
         entry = {
             "x": row,
-            "G": data.G,
-            "G_inv": data.G_inv,
-            "J": data.J,
-            "g": data.g,
-            "inverse_residual": float(
-                np.max(np.abs(data.G @ data.G_inv - eye))),
-            "compatibility_residual": float(
-                np.max(np.abs(data.g - data.omega @ data.J))),
+            "G": data.G[k],
+            "G_inv": data.G_inv[k],
+            "J": data.J[k],
+            "g": data.g[k],
+            "inverse_residual": float(inverse_residual[k]),
+            "compatibility_residual": float(compatibility_residual[k]),
         }
         if len(p.facets) == 1:
-            facet = p.facets[0]
-            slack = float(facet.kappa) - float(
-                np.array(facet.eta, dtype=float) @ np.asarray(row))
             entry["one_cut"] = kahlerpotential.one_cut_inverse(
-                facet.eta, slack)
+                p.facets[0].eta, float(pts.l_values[k, 0]))
         entries.append(entry)
+        k += 1
     sys.stdout.write(_render(doc, {"metric": {"points": entries}}))
     return EXIT_OK
 
@@ -362,17 +392,27 @@ def cmd_metric(doc: LoadedDocument, points_path: str) -> int:
 def cmd_invert(doc: LoadedDocument, target_text: str) -> int:
     p = doc.pset
     target = _parse_floats(target_text, p.n, "target")
+    from . import kahlerpotential
     result = kahlerpotential.invert_legendre(
         p, target, tol=doc.tolerances["newton_tol"],
         max_iter=doc.tolerances["newton_max_iter"])
     payload = {"invert": {
         "target": target,
-        "x": [float(v) for v in result.point.x],
+        "x": result.point.x[0].tolist(),
         "iterations": result.iterations,
         "residual": result.residual,
     }}
     sys.stdout.write(_render(doc, payload))
     return EXIT_OK
+
+
+def _ambient_floats(values) -> list[float]:
+    try:
+        out = [float(v) for v in values]
+    except OverflowError as exc:  # an integer too large for a float
+        raise InputError("--ambient: entries must be finite") from exc
+    _expect(_finite(out), "--ambient: entries must be finite")
+    return out
 
 
 def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
@@ -396,16 +436,15 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
     zs = []
     for pos, item in enumerate(z_raw, start=1):
         if isinstance(item, (int, float)):
-            zs.append(complex(item))
+            zs.append(complex(*_ambient_floats([item])))
         elif (isinstance(item, list) and len(item) == 2
               and all(isinstance(v, (int, float)) for v in item)):
-            zs.append(complex(item[0], item[1]))
+            zs.append(complex(*_ambient_floats(item)))
         else:
             raise InputError(f"ambient z entry {pos} must be a number "
                              "or a [re, im] pair")
-    _expect(_finite([*x, *theta, *(c for z in zs for c in (z.real, z.imag))]),
-            "--ambient: entries must be finite")
-    return cutmodel.ambient_point(x, theta, zs)
+    return cutmodel.ambient_point(_ambient_floats(x), _ambient_floats(theta),
+                                  zs)
 
 
 def cmd_cut(doc: LoadedDocument, ambient_text) -> int:

@@ -4,16 +4,20 @@ Covers the strong/weak convexity classification with its Reeb data, the
 canonical contact form on the unit level, the hypersurface-induced almost
 contact metric structure, and a dilation defect showing the canonical
 metric is not a cone metric.
+
+The float parts (the almost contact metric structure, the dilation defect,
+normalize_moment) import numpy and the float layer where they run, so the
+exact classification loads without them.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import intlinalg, kahlerpotential, polylattice
+from . import intlinalg, polylattice
 from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
                      PointOutside, ScaleLimitExceeded, WeaklyConvex,
                      ZeroPoint)
@@ -238,6 +242,7 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
         ZeroPoint: the apex has no direction.
         PointOutside: x is not in the cone.
     """
+    import numpy as np
     _require_cone(p)
     v = np.array([float(c) for c in x])
     norm = float(np.linalg.norm(v))
@@ -250,12 +255,14 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
 
 
 def _ambient_data(p: polylattice.PolyhedralSet, cp: ContactPoint):
+    import numpy as np
+    from . import kahlerpotential
     scale = math.exp(cp.t)
     x = np.array([float(v) for v in cp.x]) * scale
-    pt = kahlerpotential.interior_point(p, x)
-    _, j_mat, h = kahlerpotential.block_tensors(pt)
-    g_inv = kahlerpotential.hessian_metric_inverse(
-        kahlerpotential.hessian_metric(pt))
+    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
+    _, j_stack, h_stack = kahlerpotential.block_tensors(pts)
+    j_mat, h = j_stack[0], h_stack[0]
+    g_inv = h[p.n:, p.n:]
     nu_x = g_inv @ x
     c = math.sqrt(float(x @ nu_x))
     nu = np.concatenate([nu_x, np.zeros(p.n)]) / c
@@ -277,6 +284,7 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
         NotInterior: cp touches the cone boundary.
         IdentityViolation: a structure identity fails beyond 1e-9.
     """
+    import numpy as np
     _require_cone(p)
     x, j_mat, h, nu, xi_amb = _ambient_data(p, cp)
     n = p.n
@@ -314,6 +322,7 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
 
 
 def _verify_structure(acm: AlmostContactMetric) -> None:
+    import numpy as np
     dim = acm.alpha.shape[0]
     pairing = float(acm.alpha @ acm.xi)
     if abs(pairing - 1.0) > ACM_TOL:
@@ -335,6 +344,7 @@ def induced_vs_canonical_reeb(p: polylattice.PolyhedralSet,
     components x, as a max-abs ambient difference. Reported only; the two
     fields agree for no fixture of the canonical cutting metric.
     """
+    import numpy as np
     _require_cone(p)
     x, _, _, _, xi_amb = _ambient_data(p, cp)
     canonical = np.concatenate([np.zeros(p.n), x])
@@ -352,17 +362,18 @@ def cone_metric_defect(p: polylattice.PolyhedralSet, cp: ContactPoint,
     Raises:
         NotInterior: cp touches the cone boundary.
     """
+    import numpy as np
+    from . import kahlerpotential
     _require_cone(p)
     base_x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-
-    def pulled_back(tv: float) -> np.ndarray:
-        pt = kahlerpotential.interior_point(p, math.exp(tv) * base_x)
-        g_small = kahlerpotential.hessian_metric(pt)
-        g_inv = kahlerpotential.hessian_metric_inverse(g_small)
-        out = np.zeros((2 * p.n, 2 * p.n))
-        out[:p.n, :p.n] = math.exp(2.0 * tv) * g_small
-        out[p.n:, p.n:] = g_inv
-        return out
-
-    derivative = (pulled_back(step) - pulled_back(-step)) / (2.0 * step)
-    return float(np.max(np.abs(derivative - 2.0 * pulled_back(0.0))))
+    # the dilated metric at t = step, -step and 0, as one batch
+    times = (step, -step, 0.0)
+    scales = np.array([math.exp(tv) for tv in times])[:, None]
+    pts = kahlerpotential.interior_point(p, scales * base_x).require_all()
+    g_small = kahlerpotential.hessian_metric(pts)
+    pulled = np.zeros((len(times), 2 * p.n, 2 * p.n))
+    pulled[:, :p.n, :p.n] = (np.array([math.exp(2.0 * tv) for tv in times])
+                             [:, None, None] * g_small)
+    pulled[:, p.n:, p.n:] = kahlerpotential.hessian_metric_inverse(g_small)
+    derivative = (pulled[0] - pulled[1]) / (2.0 * step)
+    return float(np.max(np.abs(derivative - 2.0 * pulled[2])))

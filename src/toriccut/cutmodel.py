@@ -4,14 +4,17 @@ Ties together the kernel lattice of the facet map, membership in the zero
 level of the ambient moment map, canonical per-orbit representatives with
 their residual angle reduction, stabilizer data at boundary points, and
 the freeness table for stepwise cutting.
+
+The angle arithmetic imports numpy where it runs, so the exact parts of
+this module load without it.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import intlinalg, polylattice
 from .errors import NotInterior, NotOnLevel, PointOutside
@@ -74,10 +77,9 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
     full integer kernel, which is saturated by construction.
     """
     polylattice.require_normalized(p)
-    nfac = len(p.facets)
     pi = [[-f.eta[row] for f in p.facets] for row in range(p.n)]
-    basis = intlinalg.integer_kernel_basis(pi, nfac)
-    factors, _, _ = intlinalg.smith_normal_form(pi)
+    factors, _, v = intlinalg.smith_normal_form(pi)
+    basis = intlinalg.kernel_basis_from_smith(len(factors), v)
     surjective = len(factors) == p.n and all(f == 1 for f in factors)
     return DelzantKernel(tuple(tuple(row) for row in pi),
                          tuple(basis), surjective)
@@ -149,6 +151,7 @@ def moment_level_membership(p: polylattice.PolyhedralSet,
 def _babai_reduce(v, basis_vectors):
     # nearest-plane rounding: subtracts an integer combination so the
     # result lands in the Gram-Schmidt fundamental domain of the lattice
+    import numpy as np
     gs = []
     for b in basis_vectors:
         w = np.array(b, dtype=float)
@@ -175,6 +178,7 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
     into [0, 2*pi) with a seam snap makes the result stable under float
     noise on either side of 0.
     """
+    import numpy as np
     n = p.n
     v = np.array([float(c) for c in theta])
     if len(active) > 0:
@@ -215,6 +219,7 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     polylattice.require_normalized(p)
     if not moment_level_membership(p, a):
         raise NotOnLevel("|z_i|^2 does not match the facet slacks")
+    import numpy as np
     x = tuple(float(v) for v in a.x)
     active = _active_set(p, x)
     theta = np.array([float(v) for v in a.theta])
@@ -284,4 +289,5 @@ def freeness_table(p: polylattice.PolyhedralSet):
 
 def moment_map(cp: CutPoint) -> np.ndarray:
     """Image of a quotient point, which is just its base coordinates."""
+    import numpy as np
     return np.array([float(v) for v in cp.x])

@@ -326,10 +326,18 @@ def integer_kernel_basis(mat, ncols: int | None = None):
     if not mat:
         return [tuple(r) for r in identity_matrix(ncols)]
     factors, _, v = smith_normal_form(mat)
-    r = len(factors)
-    cols = []
-    for j in range(r, ncols):
-        cols.append([v[i][j] for i in range(ncols)])
+    return kernel_basis_from_smith(len(factors), v)
+
+
+def kernel_basis_from_smith(rank: int, v):
+    """The basis `integer_kernel_basis` returns, read from a Smith normal
+    form of the matrix: its rank and its column transform V.
+
+    The last columns of V span the integer kernel; their Hermite normal
+    form makes the basis canonical.
+    """
+    ncols = len(v)
+    cols = [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
     if not cols:
         return []
     rows, _ = hermite_normal_form(cols)

@@ -6,6 +6,11 @@ Golden files live in tests/golden and are byte-compared; pass
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -259,6 +264,71 @@ def test_non_finite_coordinates_rejected(tmp_path, capsys):
         code, out = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert named in capsys.readouterr().err, argv
+
+
+def test_huge_ambient_integers_rejected(capsys):
+    huge = "1" + "0" * 400
+    f1 = data("f1.json")
+    for ambient in ('{"x": [%s], "z": [1, 1]}' % huge,
+                    '{"x": [0.5], "z": [%s, 1]}' % huge,
+                    '{"x": [0.5], "z": [[0, %s], 1]}' % huge):
+        code, out = run_cli(["cut", f1, "--ambient", ambient])
+        assert (code, out) == (2, ""), ambient
+        assert "--ambient" in capsys.readouterr().err, ambient
+
+
+def test_oversized_grid_exits_4_before_building(capsys):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out = run_cli(["potential", data("f2.json"),
+                             "--grid", "0:1:100000,0:1:100000"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert "--grid" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 10**6
+
+
+def test_empty_points_file(tmp_path):
+    points = tmp_path / "empty.txt"
+    points.write_text("# no points\n", encoding="utf-8")
+    code, out = run_cli(["potential", data("f2.json"), "--points",
+                         str(points)])
+    assert (code, out) == (0, "x1,x2,sp,guillemin,gtilde1,gtilde2\n")
+    code, out = run_cli(["metric", data("f2.json"), "--points", str(points)])
+    assert code == 0
+    assert json.loads(out)["report"]["metric"]["points"] == []
+
+
+NUMPY_FREE = """
+import contextlib, io, sys
+import toriccut.cli
+assert "numpy" not in sys.modules, "import toriccut.cli"
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = toriccut.cli.main(argv)
+    assert code in (0, 3), (argv, code)
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    box = write_document(tmp_path / "cube3.json", cube(3))
+    argvs = [[cmd, path] for cmd in ("validate", "classify", "cut")
+             for path in (data("f2.json"), data("f5_lift.json"), box)]
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           NUMPY_FREE.format(argvs=argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _count_calls(monkeypatch, module, name):

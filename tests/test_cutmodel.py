@@ -68,6 +68,22 @@ def test_kernel_exact_sequence(name):
         assert pl.saturation_check(k.kernel_basis)
 
 
+def test_kernel_takes_one_smith_normal_form(monkeypatch):
+    calls = []
+    original = il.smith_normal_form
+
+    def counted(mat):
+        calls.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(il, "smith_normal_form", counted)
+    for name in ("f1", "f2", "f5", "slab", "f5_lift"):
+        p = FIXTURES[name]()
+        calls.clear()
+        cm.delzant_kernel(p)
+        assert len(calls) == 1, name
+
+
 def test_membership_ignores_phases():
     p = FIXTURES["f1"]()
     rng = np.random.default_rng(11)

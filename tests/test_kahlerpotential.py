@@ -1,14 +1,24 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, log as mplog
 
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NoConvergence, NotInterior, NotSPD
 
-from conftest import f1, f2, f3, f4, sample_interior, slab
+from conftest import (cube, f1, f2, f3, f4, f5, random_set, sample_interior,
+                      slab)
 
 mp.dps = 40
+
+
+def one(p, x):
+    """A one-row batch at x, all of it interior."""
+    return kp.interior_point(p, [x]).require_all()
 
 
 def mp_symplectic(p, x):
@@ -54,74 +64,91 @@ def fd_hessian(fun, x, h=1e-4):
 
 class TestInteriorPoint:
     def test_f1_midpoint(self):
-        pt = kp.interior_point(f1(), [0.5])
-        assert np.allclose(pt.l_values, [0.5, 0.5])
-        assert pt.l_infinity == 1.0
+        pt = kp.interior_point(f1(), [[0.5]])
+        assert np.allclose(pt.l_values, [[0.5, 0.5]])
+        assert pt.l_infinity.tolist() == [1.0]
 
     def test_boundary_rejected(self):
         with pytest.raises(NotInterior, match="facet 2"):
-            kp.interior_point(f1(), [1.0])
+            one(f1(), [1.0])
         with pytest.raises(NotInterior, match="facet 1"):
-            kp.interior_point(f1(), [0.0])
+            one(f1(), [0.0])
 
     def test_margin_guard(self):
         with pytest.raises(NotInterior):
-            kp.interior_point(f1(), [1e-13])
+            one(f1(), [1e-13])
 
     def test_outside(self):
         with pytest.raises(NotInterior):
-            kp.interior_point(f2(), [0.9, 0.9])
+            one(f2(), [0.9, 0.9])
         for bad in ([float("nan"), 0.5], [float("inf"), 0.1]):
             with pytest.raises(NotInterior):
-                kp.interior_point(f2(), bad)
+                one(f2(), bad)
+
+    def test_rows_outside_are_masked(self):
+        pts = kp.interior_point(f1(), [[0.5], [1.0], [0.25], [-0.5],
+                                       [float("nan")]])
+        assert pts.inside.tolist() == [True, False, True, False, False]
+        assert pts.x.tolist() == [[0.5], [0.25]]
+        assert pts.l_values.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert str(pts.rejection(1)) == "facet 2 slack 0.000e+00 below margin"
+        assert str(pts.rejection(3)) == "facet 1 slack -5.000e-01 below margin"
+        assert str(pts.rejection(4)) == "facet 1 slack nan below margin"
+        with pytest.raises(NotInterior, match="facet 2"):
+            pts.require_all()
+
+    def test_batch_shape_checked(self):
+        for bad in ([0.5], [[0.5, 0.5]], [[[0.5]]]):
+            with pytest.raises(ValueError):
+                kp.interior_point(f1(), bad)
+        empty = kp.interior_point(f2(), np.zeros((0, 2)))
+        assert empty.x.shape == (0, 2)
+        assert kp.symplectic_potential(empty).shape == (0,)
+        assert kp.hessian_metric(empty).shape == (0, 2, 2)
 
 
 class TestPotentials:
     def test_frozen_values(self):
-        pt = kp.interior_point(f1(), [0.5])
+        pt = kp.interior_point(f1(), [[0.5], [0.25]])
         assert kp.symplectic_potential(pt) == pytest.approx(
-            -0.7215735902799727, abs=1e-12)
-        assert kp.guillemin_potential(pt) == pytest.approx(
+            [-0.7215735902799727, -0.7499175723094041], abs=1e-12)
+        assert kp.guillemin_potential(pt)[0] == pytest.approx(
             -0.8465735902799727, abs=1e-12)
-        pt = kp.interior_point(f1(), [0.25])
-        assert kp.symplectic_potential(pt) == pytest.approx(
-            -0.7499175723094041, abs=1e-12)
-        pt = kp.interior_point(f2(), [1 / 3, 1 / 3])
-        assert kp.symplectic_potential(pt) == pytest.approx(
+        pt = one(f2(), [1 / 3, 1 / 3])
+        assert kp.symplectic_potential(pt)[0] == pytest.approx(
             -0.9381950332229437, abs=1e-12)
-        assert kp.guillemin_potential(pt) == pytest.approx(
+        assert kp.guillemin_potential(pt)[0] == pytest.approx(
             -1.0493061443340548, abs=1e-12)
 
     def test_against_mpmath(self):
         rng = np.random.default_rng(7)
         for name, fix in (("f1", f1), ("f2", f2), ("slab", slab), ("f4", f4)):
             p = fix()
-            for x in sample_interior(name, rng, 10):
-                pt = kp.interior_point(p, x)
-                assert kp.symplectic_potential(pt) == pytest.approx(
+            xs = sample_interior(name, rng, 10)
+            values = kp.symplectic_potential(kp.interior_point(p, xs))
+            for x, value in zip(xs, values):
+                assert value == pytest.approx(
                     mp_symplectic(p, x), rel=1e-13, abs=1e-13)
 
     def test_difference_is_kinetic_term(self):
         rng = np.random.default_rng(8)
         p = f2()
         for x in sample_interior("f2", rng, 5):
-            pt = kp.interior_point(p, x)
+            pt = one(p, x)
             diff = kp.symplectic_potential(pt) - kp.guillemin_potential(pt)
-            assert diff == pytest.approx(0.5 * float(x @ x), abs=1e-14)
+            assert diff[0] == pytest.approx(0.5 * float(x @ x), abs=1e-14)
 
 
 class TestHessianMetric:
     def test_frozen_values(self):
         assert np.allclose(
-            kp.hessian_metric(kp.interior_point(f1(), [0.5])), [[3.0]], atol=1e-14)
-        assert np.allclose(
-            kp.hessian_metric(kp.interior_point(f1(), [0.25])), [[11 / 3]],
-            atol=1e-14)
-        g = kp.hessian_metric(kp.interior_point(f2(), [1 / 3, 1 / 3]))
-        assert np.allclose(g, [[4.0, 1.5], [1.5, 4.0]], atol=1e-13)
+            kp.hessian_metric(kp.interior_point(f1(), [[0.5], [0.25]])),
+            [[[3.0]], [[11 / 3]]], atol=1e-14)
+        g = kp.hessian_metric(one(f2(), [1 / 3, 1 / 3]))
+        assert np.allclose(g, [[[4.0, 1.5], [1.5, 4.0]]], atol=1e-13)
 
     def test_inverse_frozen(self):
-        g = kp.hessian_metric(kp.interior_point(f2(), [1 / 3, 1 / 3]))
+        g = kp.hessian_metric(one(f2(), [1 / 3, 1 / 3]))[0]
         ginv = kp.hessian_metric_inverse(g)
         expected = np.array([[16 / 55, -6 / 55], [-6 / 55, 16 / 55]])
         assert np.allclose(ginv, expected, atol=1e-13)
@@ -130,10 +157,10 @@ class TestHessianMetric:
         rng = np.random.default_rng(9)
         for name, fix in (("f2", f2), ("f4", f4)):
             p = fix()
-            for x in sample_interior(name, rng, 10):
-                g = kp.hessian_metric(kp.interior_point(p, x))
-                ginv = kp.hessian_metric_inverse(g)
-                assert np.max(np.abs(g @ ginv - np.eye(p.n))) < 1e-10
+            g = kp.hessian_metric(
+                kp.interior_point(p, sample_interior(name, rng, 10)))
+            ginv = kp.hessian_metric_inverse(g)
+            assert np.max(np.abs(g @ ginv - np.eye(p.n))) < 1e-10
 
     def test_not_spd(self):
         with pytest.raises(NotSPD):
@@ -144,10 +171,10 @@ class TestHessianMetric:
         p = f2()
 
         def fun(x):
-            return kp.symplectic_potential(kp.interior_point(p, x))
+            return kp.symplectic_potential(one(p, x))[0]
 
         for x in sample_interior("f2", rng, 5):
-            g = kp.hessian_metric(kp.interior_point(p, x))
+            g = kp.hessian_metric(one(p, x))[0]
             fd = fd_hessian(fun, x)
             assert np.max(np.abs(fd - g)) / np.max(np.abs(g)) < 1e-4
 
@@ -156,9 +183,8 @@ class TestHessianMetric:
         rng = np.random.default_rng(11)
         for name, fix in (("f3", f3), ("slab", slab)):
             p = fix()
-            for x in sample_interior(name, rng, 5):
-                pt = kp.interior_point(p, x)
-                log_part = kp.hessian_metric(pt) - np.eye(p.n)
+            pts = kp.interior_point(p, sample_interior(name, rng, 5))
+            for log_part in kp.hessian_metric(pts) - np.eye(p.n):
                 eigs = np.linalg.eigvalsh(log_part)
                 assert eigs[0] / max(1.0, eigs[-1]) < 1e-8
 
@@ -196,32 +222,30 @@ class TestOneCut:
 class TestLegendre:
     def test_frozen_values(self):
         assert np.allclose(
-            kp.legendre_map(kp.interior_point(f1(), [0.5])), [0.5], atol=1e-15)
+            kp.legendre_map(kp.interior_point(f1(), [[0.5], [0.25]])),
+            [[0.5], [-0.29930614433405484]], atol=1e-14)
         assert np.allclose(
-            kp.legendre_map(kp.interior_point(f1(), [0.25])),
-            [-0.29930614433405484], atol=1e-14)
-        assert np.allclose(
-            kp.legendre_map(kp.interior_point(f2(), [1 / 3, 1 / 3])),
-            [1 / 3, 1 / 3], atol=1e-14)
+            kp.legendre_map(one(f2(), [1 / 3, 1 / 3])),
+            [[1 / 3, 1 / 3]], atol=1e-14)
 
     def test_fd_gradient_of_potential(self):
         rng = np.random.default_rng(13)
         p = f2()
 
         def fun(x):
-            return kp.symplectic_potential(kp.interior_point(p, x))
+            return kp.symplectic_potential(one(p, x))[0]
 
         for x in sample_interior("f2", rng, 5):
-            grad = kp.legendre_map(kp.interior_point(p, x))
+            grad = kp.legendre_map(one(p, x))[0]
             fd = fd_gradient(fun, x)
             assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-6
 
     def test_invert_fixed_point(self):
         res = kp.invert_legendre(f1(), [0.5])
-        assert np.allclose(res.point.x, [0.5], atol=1e-12)
+        assert np.allclose(res.point.x, [[0.5]], atol=1e-12)
         assert res.iterations == 0
         res = kp.invert_legendre(f2(), [1 / 3, 1 / 3])
-        assert np.allclose(res.point.x, [1 / 3, 1 / 3], atol=1e-12)
+        assert np.allclose(res.point.x, [[1 / 3, 1 / 3]], atol=1e-12)
 
     def test_invert_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -230,13 +254,13 @@ class TestLegendre:
             for _ in range(20):
                 y = rng.uniform(-10, 10, size=p.n)
                 res = kp.invert_legendre(p, y)
-                image = kp.legendre_map(res.point)
+                image = kp.legendre_map(res.point)[0]
                 assert np.max(np.abs(image - y)) < 1e-8
 
     def test_invert_quadrant(self):
         res = kp.invert_legendre(f4(), [0.0, 0.0])
         # root of x + log(x)/2 = 0 in each coordinate
-        assert np.allclose(res.point.x, [0.4263027509962124] * 2, atol=1e-9)
+        assert np.allclose(res.point.x, [[0.4263027509962124] * 2], atol=1e-9)
 
     def test_monotonicity(self):
         # gradient of a strictly convex function is a monotone map
@@ -244,8 +268,7 @@ class TestLegendre:
         p = f2()
         for _ in range(50):
             a, b = sample_interior("f2", rng, 2)
-            ga = kp.legendre_map(kp.interior_point(p, a))
-            gb = kp.legendre_map(kp.interior_point(p, b))
+            ga, gb = kp.legendre_map(kp.interior_point(p, [a, b]))
             assert (ga - gb) @ (a - b) > 0
 
     def test_no_convergence(self):
@@ -255,21 +278,100 @@ class TestLegendre:
 
 class TestBlockTensors:
     def test_f1_frozen(self):
-        omega, jmat, metric = kp.block_tensors(kp.interior_point(f1(), [0.5]))
-        assert np.allclose(omega, [[0, 1], [-1, 0]], atol=1e-15)
-        assert np.allclose(jmat, [[0, -1 / 3], [3, 0]], atol=1e-14)
-        assert np.allclose(metric, [[3, 0], [0, 1 / 3]], atol=1e-14)
+        omega, jmat, metric = kp.block_tensors(one(f1(), [0.5]))
+        assert np.allclose(omega, [[[0, 1], [-1, 0]]], atol=1e-15)
+        assert np.allclose(jmat, [[[0, -1 / 3], [3, 0]]], atol=1e-14)
+        assert np.allclose(metric, [[[3, 0], [0, 1 / 3]]], atol=1e-14)
 
     def test_compatibility(self):
         rng = np.random.default_rng(16)
         for name, fix in (("f1", f1), ("f2", f2), ("slab", slab), ("f4", f4)):
             p = fix()
-            for x in sample_interior(name, rng, 5):
-                pt = kp.interior_point(p, x)
-                omega, jmat, metric = kp.block_tensors(pt)
+            pts = kp.interior_point(p, sample_interior(name, rng, 5))
+            for omega, jmat, metric in zip(*kp.block_tensors(pts)):
                 dim = 2 * p.n
                 assert np.max(np.abs(jmat @ jmat + np.eye(dim))) < 1e-10
                 assert np.max(np.abs(metric - omega @ jmat)) < 1e-10
                 assert np.max(np.abs(jmat.T @ omega @ jmat - omega)) < 1e-10
                 eigs = np.linalg.eigvalsh(metric)
                 assert eigs[0] > 0
+
+
+BATCH_SETS = {"f1": f1, "f2": f2, "f4": f4, "f5": f5, "slab": slab,
+              "cube3": lambda: cube(3),
+              "random4_12_1": lambda: random_set(4, 12, 1),
+              "random6_12_1": lambda: random_set(6, 12, 1)}
+
+
+@lru_cache(maxsize=None)
+def batch_set(name):
+    """The named set and a float point of largest margin in it."""
+    p = BATCH_SETS[name]()
+    start, _ = pl.max_margin_point(p)
+    return p, np.array([float(v) for v in start])
+
+
+def evaluate(p, xs):
+    """Every output of the float layer on a batch: per input row the mask
+    and the smallest slack, per interior row each value and tensor."""
+    data = kp.point_data(p, xs)
+    pts = data.points
+    per_input = [pts.inside, pts.worst_facet, pts.worst_slack]
+    per_interior = [pts.x, pts.l_values, pts.l_infinity, data.sp,
+                    data.guillemin, data.gtilde, data.G, data.G_inv,
+                    data.omega, data.J, data.g, *kp.block_tensors(pts)]
+    return per_input, per_interior
+
+
+def reference_point(p, x):
+    """Slacks, both potentials, Hessian and Legendre map of one point by
+    the single-point formulas: one matrix-vector product each."""
+    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
+    kappas = np.array([float(f.kappa) for f in p.facets])
+    l = kappas - etas @ x
+    l_inf = float(l.sum())
+    sp = float(0.5 * x @ x + 0.5 * np.sum(l * np.log(l)) - 0.5 * l_inf)
+    guillemin = float(0.5 * np.sum(l * np.log(l)) - 0.5 * l_inf)
+    g = np.eye(p.n) + 0.5 * (etas / l[:, None]).T @ etas
+    gtilde = x - 0.5 * (np.log(l) @ etas)
+    return l, sp, guillemin, 0.5 * (g + g.T), gtilde
+
+
+class TestBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(BATCH_SETS)), data=st.data())
+    def test_rows_match_one_row_batches(self, name, data):
+        # a gemm over the batch may sum in another order than the gemv of
+        # a single point; every row must come out with the same bits
+        p, center = batch_set(name)
+        offsets = data.draw(st.lists(
+            st.lists(st.floats(-1.5, 1.5), min_size=p.n, max_size=p.n),
+            min_size=1, max_size=12))
+        xs = center + np.array(offsets)
+        per_input, per_interior = evaluate(p, xs)
+        k = 0
+        for i in range(len(xs)):
+            one_input, one_interior = evaluate(p, xs[i:i + 1])
+            for batch, single in zip(per_input, one_input):
+                assert batch[i].tobytes() == single[0].tobytes()
+            if not per_input[0][i]:
+                assert all(len(single) == 0 for single in one_interior)
+                continue
+            for batch, single in zip(per_interior, one_interior):
+                assert batch[k].tobytes() == single[0].tobytes()
+            k += 1
+        assert k == len(per_interior[0])
+
+    @pytest.mark.parametrize("name", sorted(BATCH_SETS))
+    def test_batch_matches_single_point_formulas(self, name):
+        p, center = batch_set(name)
+        rng = np.random.default_rng(3)
+        xs = center + rng.uniform(-0.5, 0.5, size=(200, p.n))
+        pts = kp.interior_point(p, xs)
+        batched = zip(pts.l_values, kp.symplectic_potential(pts),
+                      kp.guillemin_potential(pts), kp.hessian_metric(pts),
+                      kp.legendre_map(pts))
+        for x, got in zip(xs[pts.inside], batched):
+            for value, expected in zip(got, reference_point(p, x)):
+                assert np.asarray(value).tobytes() == np.asarray(
+                    expected).tobytes()
