@@ -11,7 +11,6 @@ numpy.
 """
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -309,19 +308,6 @@ def _parse_grid(spec: str, n: int):
     return np.stack([axis.ravel() for axis in mesh], axis=1)
 
 
-def _write_lines(lines) -> None:
-    """Writes an iterable of lines to stdout, CSV_CHUNK_ROWS at a time."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, CSV_CHUNK_ROWS)):
-        sys.stdout.write("\n".join(chunk) + "\n")
-
-
-def _csv_rows(values):
-    """The rows of a 2-D array as lists of floats, one chunk at a time."""
-    for start in range(0, len(values), CSV_CHUNK_ROWS):
-        yield from values[start:start + CSV_CHUNK_ROWS].tolist()
-
-
 def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
     _expect((points_path is None) != (grid_spec is None),
             "exactly one of --points and --grid is required")
@@ -332,8 +318,8 @@ def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
         rows = _parse_grid(grid_spec, p.n)
     import numpy as np
     from . import kahlerpotential
-    pts = kahlerpotential.interior_point(
-        p, np.asarray(rows, dtype=float).reshape(len(rows), p.n))
+    xs = np.asarray(rows, dtype=float).reshape(len(rows), p.n)
+    pts = kahlerpotential.interior_point(p, xs)
     values = np.column_stack([pts.x,
                               kahlerpotential.symplectic_potential(pts),
                               kahlerpotential.guillemin_potential(pts),
@@ -341,15 +327,22 @@ def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
     header = ([f"x{i}" for i in range(1, p.n + 1)] + ["sp", "guillemin"]
               + [f"gtilde{i}" for i in range(1, p.n + 1)])
     sys.stdout.write(",".join(header) + "\n")
-    computed = (",".join(map(repr, row)) for row in _csv_rows(values))
+    if grid_spec is None:  # a --points row outside the set is written as NA
+        listed = np.full((len(rows), values.shape[1]), np.nan)
+        listed[:, :p.n] = xs
+        listed[pts.inside] = values
+        values, inside = listed, pts.inside
+    else:  # grid points outside the set are skipped and counted
+        inside = np.ones(len(values), dtype=bool)
+    missing = ",NA" * (p.n + 2)
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        chunk = slice(start, start + CSV_CHUNK_ROWS)
+        sys.stdout.write("".join(
+            ",".join(map(repr, row)) + "\n" if ok
+            else ",".join(map(repr, row[:p.n])) + missing + "\n"
+            for row, ok in zip(values[chunk].tolist(), inside[chunk].tolist())))
     if grid_spec is not None:
-        _write_lines(computed)
         sys.stdout.write(f"# skipped: {len(rows) - len(values)}\n")
-        return EXIT_OK
-    missing = ["NA"] * (p.n + 2)
-    _write_lines(next(computed) if inside
-                 else ",".join([*map(repr, row), *missing])
-                 for row, inside in zip(rows, pts.inside.tolist()))
     return EXIT_OK
 
 

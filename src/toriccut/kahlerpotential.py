@@ -105,10 +105,9 @@ def _gradient(x: np.ndarray, l: np.ndarray, etas: np.ndarray) -> np.ndarray:
 
 
 def _hessian(l: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """I + (1/2) sum_i eta_i eta_i^T / l_i for each row, symmetrized."""
+    """I + (1/2) sum_i eta_i eta_i^T / l_i for each row."""
     weighted = np.swapaxes(etas / l[:, :, None], 1, 2)
-    g = np.eye(etas.shape[1]) + 0.5 * weighted @ etas
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
+    return np.eye(etas.shape[1]) + 0.5 * weighted @ etas
 
 
 def interior_point(p: polylattice.PolyhedralSet, x,
@@ -152,8 +151,9 @@ def guillemin_potential(pts: InteriorPoints) -> np.ndarray:
 def hessian_metric(pts: InteriorPoints) -> np.ndarray:
     """Hessian of the symplectic potential at each row, as (N, n, n):
     identity plus half the sum of rank-one conormal terms weighted by
-    inverse slacks."""
-    return _hessian(pts.l_values, pts.etas)
+    inverse slacks; symmetrized against rounding."""
+    g = _hessian(pts.l_values, pts.etas)
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
 def hessian_metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -166,7 +166,9 @@ def hessian_metric_inverse(g: np.ndarray) -> np.ndarray:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotSPD("matrix has no Cholesky factorization") from exc
-    eye = np.eye(g.shape[-1])
+    # a full stack of identities: numpy < 2 would read a 2-D right-hand
+    # side as a stack of vectors and broadcast it against the batch axis
+    eye = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
     half = np.linalg.solve(chol, eye)
     inv = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))

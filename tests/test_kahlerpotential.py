@@ -162,6 +162,16 @@ class TestHessianMetric:
             ginv = kp.hessian_metric_inverse(g)
             assert np.max(np.abs(g @ ginv - np.eye(p.n))) < 1e-10
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_inverse_of_small_stacks(self, count):
+        # stack lengths below, at and above n = 2: the identity right-hand
+        # side must not be broadcast against the stack axis
+        g = np.array([[[2.0, 0.5], [0.5, 1.0]], [[3.0, -1.0], [-1.0, 2.0]],
+                      [[1.5, 0.0], [0.0, 4.0]]])[:count]
+        ginv = kp.hessian_metric_inverse(g)
+        assert ginv.shape == (count, 2, 2)
+        assert np.max(np.abs(g @ ginv - np.eye(2))) < 1e-12
+
     def test_not_spd(self):
         with pytest.raises(NotSPD):
             kp.hessian_metric_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
