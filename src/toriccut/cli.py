@@ -5,9 +5,10 @@ subcommand echoes that document, adds its own payload, and exits with a
 contract code: 0 success, 2 malformed input or configuration, 3 validation
 failure, 4 desk scale exceeded, 5 no convergence.
 
-numpy and the float layer (`kahlerpotential`) are imported by the commands
-that use them, so that `validate`, `classify` and plain `cut` never load
-numpy.
+The float layer (`kahlerpotential`) is imported by the commands that use
+it. numpy is loaded only by `potential`, `metric` and `cut --ambient`:
+`validate`, `classify`, plain `cut` and `invert` (whose Newton solve is
+plain Python) never load it.
 """
 
 import argparse
@@ -144,7 +145,7 @@ def jsonable(value):
     if isinstance(value, polylattice.FaceIndexSet):
         return [int(i) for i in value]
     if hasattr(value, "tolist"):  # numpy arrays and scalars
-        return jsonable(value.tolist())
+        return value.tolist()  # nothing but lists and Python scalars
     if isinstance(value, dict):
         return {key: jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
@@ -391,7 +392,7 @@ def cmd_invert(doc: LoadedDocument, target_text: str) -> int:
         max_iter=doc.tolerances["newton_max_iter"])
     payload = {"invert": {
         "target": target,
-        "x": result.point.x[0].tolist(),
+        "x": list(result.x),
         "iterations": result.iterations,
         "residual": result.residual,
     }}

@@ -1,22 +1,27 @@
 """Canonical potentials, Hessian metrics, and the moment-coordinate
 Legendre transform for normalized polyhedral sets.
 
-Everything here is float64 and works on batches: points come as an (N, n)
+Everything here is float64 and the natural logarithm is used throughout.
+The pointwise functions work on batches: points come as an (N, n) numpy
 array and each function returns one value, row or matrix per point. The
 exact facet data is converted to floats once per batch, when the slacks
-are computed; the natural logarithm is used throughout.
+are computed.
 
 Products are taken row by row (stacked matrix-vector products), never as
 one matrix-matrix product over the whole batch: BLAS may sum a gemm in
 another order than a gemv, and a point must give the same bits whether it
 is evaluated alone, as a one-row batch, or among others.
+
+`invert_legendre` solves for one target at a time in plain Python floats,
+so that `toric invert` never loads numpy; the batch functions import numpy
+where they run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from . import polylattice
 from .errors import NoConvergence, NotInterior, NotSPD
@@ -59,6 +64,7 @@ class InteriorPoints:
         Raises:
             NotInterior: for the first input row that is not.
         """
+        import numpy as np
         masked = np.flatnonzero(~self.inside)
         if masked.size:
             raise self.rejection(int(masked[0]))
@@ -83,31 +89,9 @@ class KahlerPointData:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    point: InteriorPoints  # a one-row batch
+    x: tuple[float, ...]
     iterations: int
     residual: float
-
-
-def _facet_arrays(p: polylattice.PolyhedralSet):
-    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
-    kappas = np.array([float(f.kappa) for f in p.facets])
-    return etas, kappas
-
-
-def _pairings(etas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<x[k], eta_i> as an (N, m) array, one matrix-vector product per row."""
-    return (etas @ x[:, :, None])[:, :, 0]
-
-
-def _gradient(x: np.ndarray, l: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """x - (1/2) sum_i log(l_i) eta_i for each row."""
-    return x - 0.5 * (np.log(l)[:, None, :] @ etas)[:, 0, :]
-
-
-def _hessian(l: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """I + (1/2) sum_i eta_i eta_i^T / l_i for each row."""
-    weighted = np.swapaxes(etas / l[:, :, None], 1, 2)
-    return np.eye(etas.shape[1]) + 0.5 * weighted @ etas
 
 
 def interior_point(p: polylattice.PolyhedralSet, x,
@@ -121,12 +105,15 @@ def interior_point(p: polylattice.PolyhedralSet, x,
     Raises:
         ValueError: x is not an (N, n) array.
     """
+    import numpy as np
     polylattice.require_normalized(p)
     xs = np.asarray(x, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != p.n:
         raise ValueError(f"expected an (N, {p.n}) batch of points")
-    etas, kappas = _facet_arrays(p)
-    l = kappas - _pairings(etas, xs)
+    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
+    kappas = np.array([float(f.kappa) for f in p.facets])
+    # <x[k], eta_i>, one matrix-vector product per row
+    l = kappas - (etas @ xs[:, :, None])[:, :, 0]
     worst = np.argmin(l, axis=1)  # argmin picks a NaN slack, which fails too
     worst_slack = np.take_along_axis(l, worst[:, None], axis=1)[:, 0]
     inside = worst_slack >= margin
@@ -137,6 +124,7 @@ def interior_point(p: polylattice.PolyhedralSet, x,
 
 
 def symplectic_potential(pts: InteriorPoints) -> np.ndarray:
+    import numpy as np
     x, l = pts.x, pts.l_values
     kinetic = ((0.5 * x)[:, None, :] @ x[:, :, None])[:, 0, 0]
     return (kinetic + 0.5 * np.sum(l * np.log(l), axis=1)
@@ -144,6 +132,7 @@ def symplectic_potential(pts: InteriorPoints) -> np.ndarray:
 
 
 def guillemin_potential(pts: InteriorPoints) -> np.ndarray:
+    import numpy as np
     l = pts.l_values
     return 0.5 * np.sum(l * np.log(l), axis=1) - 0.5 * pts.l_infinity
 
@@ -152,7 +141,10 @@ def hessian_metric(pts: InteriorPoints) -> np.ndarray:
     """Hessian of the symplectic potential at each row, as (N, n, n):
     identity plus half the sum of rank-one conormal terms weighted by
     inverse slacks; symmetrized against rounding."""
-    g = _hessian(pts.l_values, pts.etas)
+    import numpy as np
+    etas = pts.etas
+    weighted = np.swapaxes(etas / pts.l_values[:, :, None], 1, 2)
+    g = np.eye(etas.shape[1]) + 0.5 * weighted @ etas
     return 0.5 * (g + np.swapaxes(g, 1, 2))
 
 
@@ -162,6 +154,7 @@ def hessian_metric_inverse(g: np.ndarray) -> np.ndarray:
     Raises:
         NotSPD: some factorization fails.
     """
+    import numpy as np
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -180,6 +173,7 @@ def one_cut_inverse(eta, l: float) -> np.ndarray:
     Sherman-Morrison applied to I + eta eta^T / (2 l) gives
     I - eta eta^T / (2 l + |eta|^2).
     """
+    import numpy as np
     ev = np.asarray(eta, dtype=float).reshape(-1)
     if not np.any(ev):
         raise ValueError("conormal must be nonzero")
@@ -191,10 +185,12 @@ def one_cut_inverse(eta, l: float) -> np.ndarray:
 def legendre_map(pts: InteriorPoints) -> np.ndarray:
     """Gradient of the symplectic potential at each row, as (N, n):
     x - (1/2) sum log(l_i) eta_i."""
-    return _gradient(pts.x, pts.l_values, pts.etas)
+    import numpy as np
+    return pts.x - 0.5 * (np.log(pts.l_values)[:, None, :] @ pts.etas)[:, 0, :]
 
 
 def _block_tensors(g_small: np.ndarray, g_inv: np.ndarray):
+    import numpy as np
     eye = np.broadcast_to(np.eye(g_small.shape[-1]), g_small.shape)
     zero = np.zeros_like(g_small)
     omega = np.block([[zero, eye], [-eye, zero]])
@@ -235,59 +231,132 @@ def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
     )
 
 
-def _residual_norm(x, y, etas, kappas):
-    l = kappas - _pairings(etas, x)
-    if np.min(l) <= 0:
-        return np.inf
-    return float(np.max(np.abs(_gradient(x, l, etas) - y)))
+def _dot(u, v) -> float:
+    """Sum of the products, taken in order (`sum` of floats rounds
+    differently across Python versions)."""
+    acc = 0.0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def _residual(etas, kappas, x, y):
+    """(slacks, legendre_map(x) - y, its largest entry in absolute value)
+    at a float point x, or None when a slack is not finite and positive."""
+    l = [kappa - _dot(eta, x) for eta, kappa in zip(etas, kappas)]
+    if not all(0.0 < v < math.inf for v in l):
+        return None
+    logs = [math.log(v) for v in l]
+    grad = [xj - 0.5 * _dot(logs, column) - yj
+            for xj, column, yj in zip(x, zip(*etas), y)]
+    return l, grad, max(map(abs, grad))
+
+
+def _hessian(etas, l):
+    """I + (1/2) sum_i eta_i eta_i^T / l_i, entry by entry (not
+    symmetrized)."""
+    weighted = list(zip(*[[e / li for e in eta] for eta, li in zip(etas, l)]))
+    columns = list(zip(*etas))
+    return [[(1.0 if j == k else 0.0) + 0.5 * _dot(wj, ck)
+             for k, ck in enumerate(columns)]
+            for j, wj in enumerate(weighted)]
+
+
+def _solve(a, b):
+    """The solution z of a z = b, by Gaussian elimination with partial
+    pivoting; a and b are overwritten."""
+    n = len(b)
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda r: abs(a[r][k]))
+        a[k], a[pivot] = a[pivot], a[k]
+        b[k], b[pivot] = b[pivot], b[k]
+        row_k = a[k]
+        for r in range(k + 1, n):
+            factor = a[r][k] / row_k[k]
+            if factor:
+                row = a[r]
+                for c in range(k + 1, n):
+                    row[c] -= factor * row_k[c]
+                b[r] -= factor * b[k]
+    for k in reversed(range(n)):  # column-oriented back substitution
+        b[k] /= a[k][k]
+        for r in range(k):
+            b[r] -= b[k] * a[r][k]
+    return b
+
+
+def _require_exact_interior(p: polylattice.PolyhedralSet, x) -> None:
+    """Every slack at the float point x, computed exactly, is positive.
+
+    Raises:
+        NotInterior: naming the first facet of smallest exact slack.
+    """
+    ratios = [v.as_integer_ratio() for v in x]
+    scale = max(d for _, d in ratios)  # powers of two: a common denominator
+    point = [a * (scale // d) for a, d in ratios]  # scale * x, in integers
+    slacks = [Fraction(f.kappa.numerator * scale - f.kappa.denominator
+                       * sum(e * v for e, v in zip(f.eta, point)),
+                       f.kappa.denominator * scale)
+              for f in p.facets]
+    worst = min(range(len(slacks)), key=slacks.__getitem__)
+    if slacks[worst] <= 0:
+        raise NotInterior(f"facet {worst + 1} slack "
+                          f"{float(slacks[worst]):.3e} below margin")
 
 
 def invert_legendre(p: polylattice.PolyhedralSet, y,
                     tol: float = NEWTON_TOL,
                     max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
-    """Newton solve of legendre_map(x) = y over the strict interior.
+    """Newton solve of legendre_map(x) = y over the strict interior, for
+    one target y in R^n, in plain Python floats.
 
     The start point maximizes the smallest slack (computed exactly, then
-    rounded to float). Steps are damped two ways: a fraction-to-boundary
-    rule keeps every slack at >= 5% of its current value, and the step is
-    halved while the residual norm (the merit function) fails to decrease.
-    The iterate is a one-row batch throughout.
+    rounded to float). Each step solves the Hessian system and is damped
+    two ways: a fraction-to-boundary rule keeps every slack at >= 5% of its
+    current value, and the step is halved while the residual norm (the
+    merit function) fails to decrease. The solution is returned only when
+    its slacks, computed exactly from its float coordinates, are positive.
 
     Raises:
-        NoConvergence: after max_iter iterations above tolerance.
+        ValueError: y does not have n coordinates.
+        NotInterior: the set has no strict interior, or an exact slack of
+            the solution is not positive.
+        NoConvergence: after max_iter iterations above tolerance, or when
+            rounding has put an iterate outside the interior.
     """
     polylattice.require_normalized(p)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if yv.shape != (p.n,):
+    yv = [float(v) for v in y]
+    if len(yv) != p.n:
         raise ValueError(f"expected a target in R^{p.n}")
     start, margin = polylattice.max_margin_point(p)
     if margin <= 0:
         raise NotInterior("set has no strict interior")
-    etas, kappas = _facet_arrays(p)
-    x = np.array([[float(v) for v in start]])
+    etas = [[float(v) for v in f.eta] for f in p.facets]
+    kappas = [float(f.kappa) for f in p.facets]
+    x = [float(v) for v in start]
     iteration = 0
     while True:
-        l = kappas - _pairings(etas, x)
-        grad = _gradient(x, l, etas) - yv
-        residual = float(np.max(np.abs(grad)))
+        state = _residual(etas, kappas, x, yv)
+        if state is None:
+            raise NoConvergence(f"iterate {iteration} left the interior")
+        l, grad, residual = state
         if residual < tol:
-            return NewtonResult(interior_point(p, x).require_all(),
-                                iteration, residual)
+            _require_exact_interior(p, x)
+            return NewtonResult(tuple(x), iteration, residual)
         if iteration >= max_iter:
             raise NoConvergence(
                 f"residual {residual:.3e} after {max_iter} iterations")
-        step = np.linalg.solve(_hessian(l, etas), -grad[:, :, None])[:, :, 0]
-        decrease = _pairings(etas, step)  # slack loss rate per facet
-        t = 1.0
-        positive = decrease > 0
-        if np.any(positive):
-            t = min(1.0, BOUNDARY_FRACTION * float(
-                np.min(l[positive] / decrease[positive])))
+        step = _solve(_hessian(etas, l), [-g for g in grad])
+        ratios = [li / d for li, d in zip(l, (_dot(eta, step) for eta in etas))
+                  if d > 0]  # d: slack loss rate of the facet
+        t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
         for _ in range(40):
-            if _residual_norm(x + t * step, yv, etas, kappas) < residual:
+            trial = _residual(etas, kappas,
+                              [xj + t * sj for xj, sj in zip(x, step)], yv)
+            if trial is not None and trial[2] < residual:
                 break
             t *= 0.5
         # an exhausted search keeps the tiny step; the iteration cap above
         # is the arbiter of non-convergence
-        x = x + t * step
+        x = [xj + t * sj for xj, sj in zip(x, step)]
         iteration += 1

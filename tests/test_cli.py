@@ -172,6 +172,19 @@ def test_invert_random_set(tmp_path):
     assert report["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("name, target", [("f1.json", "-14"),
+                                          ("f1.json", "-20"),
+                                          ("f4.json", "-50,-50")])
+def test_invert_near_boundary(name, target):
+    # the solutions have slacks of 7e-13, 4e-18 and 4e-44: below the
+    # margin of potential and metric, but positive
+    code, text = run_cli(["invert", data(name), f"--target={target}"])
+    assert code == 0
+    report = json.loads(text)["report"]["invert"]
+    assert report["residual"] < 1e-9
+    assert min(report["x"]) > 0
+
+
 def test_exit_code_no_convergence():
     code, _ = run_cli(["invert", data("f1_maxiter1.json"),
                        "--target", "40.0"])
@@ -320,6 +333,11 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     box = write_document(tmp_path / "cube3.json", cube(3))
     argvs = [[cmd, path] for cmd in ("validate", "classify", "cut")
              for path in (data("f2.json"), data("f5_lift.json"), box)]
+    random5 = write_document(tmp_path / "random5_12_1.json",
+                             random_set(5, 12, 1))
+    argvs += [["invert", data("f2.json"), "--target=6,6"],
+              ["invert", box, "--target=0.5,-1,2"],
+              ["invert", random5, "--target=0,0,0,0,0"]]
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -252,10 +252,10 @@ class TestLegendre:
 
     def test_invert_fixed_point(self):
         res = kp.invert_legendre(f1(), [0.5])
-        assert np.allclose(res.point.x, [[0.5]], atol=1e-12)
+        assert np.allclose(res.x, [0.5], atol=1e-12)
         assert res.iterations == 0
         res = kp.invert_legendre(f2(), [1 / 3, 1 / 3])
-        assert np.allclose(res.point.x, [[1 / 3, 1 / 3]], atol=1e-12)
+        assert np.allclose(res.x, [1 / 3, 1 / 3], atol=1e-12)
 
     def test_invert_roundtrip(self):
         rng = np.random.default_rng(14)
@@ -264,13 +264,13 @@ class TestLegendre:
             for _ in range(20):
                 y = rng.uniform(-10, 10, size=p.n)
                 res = kp.invert_legendre(p, y)
-                image = kp.legendre_map(res.point)[0]
+                image = kp.legendre_map(one(p, res.x))[0]
                 assert np.max(np.abs(image - y)) < 1e-8
 
     def test_invert_quadrant(self):
         res = kp.invert_legendre(f4(), [0.0, 0.0])
         # root of x + log(x)/2 = 0 in each coordinate
-        assert np.allclose(res.point.x, [[0.4263027509962124] * 2], atol=1e-9)
+        assert np.allclose(res.x, [0.4263027509962124] * 2, atol=1e-9)
 
     def test_monotonicity(self):
         # gradient of a strictly convex function is a monotone map
@@ -284,6 +284,28 @@ class TestLegendre:
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             kp.invert_legendre(f1(), [5.0], max_iter=1)
+
+    def test_iterate_leaves_interior(self):
+        # the solution lies within rounding of the boundary: the tiny step
+        # of an exhausted line search lands outside the set, and the solve
+        # stops there
+        with pytest.raises(NoConvergence, match="left the interior"):
+            kp.invert_legendre(f5(), [49.30956189235279, 34.19801309523521])
+
+    def test_exact_interior_check(self):
+        kp._require_exact_interior(f1(), (5e-324,))
+        with pytest.raises(NotInterior, match="facet 1 slack -5.000e-01"):
+            kp._require_exact_interior(f1(), (-0.5,))
+        with pytest.raises(NotInterior, match="facet 2 slack 0.000e"):
+            kp._require_exact_interior(f1(), (1.0,))
+
+    def test_solve_pivots(self):
+        rng = np.random.default_rng(17)
+        a = [[0.0, 2.0, 1.0], [1e-3, 1.0, 4.0], [3.0, -1.0, 0.5]]
+        for _ in range(20):
+            b = rng.uniform(-5, 5, size=3)
+            z = kp._solve([row[:] for row in a], b.tolist())
+            assert np.allclose(np.array(a) @ z, b, rtol=0, atol=1e-12)
 
 
 class TestBlockTensors:
@@ -385,3 +407,17 @@ class TestBatches:
             for value, expected in zip(got, reference_point(p, x)):
                 assert np.asarray(value).tobytes() == np.asarray(
                     expected).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["f1", "f2", "f4", "f5", "cube3", "random4_12_1",
+                        "random6_12_1"]),
+       st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
+def test_invert_matches_batch_legendre_map(name, coords):
+    # invert_legendre evaluates the gradient in plain Python and
+    # legendre_map in numpy: the two copies of the formula must agree
+    p, _ = batch_set(name)
+    y = coords[:p.n]
+    res = kp.invert_legendre(p, y)
+    image = kp.legendre_map(one(p, res.x))[0]
+    assert np.max(np.abs(image - y)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
