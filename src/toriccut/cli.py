@@ -5,8 +5,9 @@ subcommand echoes that document, adds its own payload, and exits with a
 contract code: 0 success, 2 malformed input or configuration, 3 validation
 failure, 4 desk scale exceeded, 5 no convergence.
 
-The float layer (`kahlerpotential`) is imported by the commands that use
-it. numpy is loaded only by `potential`, `metric` and `cut --ambient`:
+The float layer (`kahlerpotential`), the quotient model (`cutmodel`) and
+the contact layer (`contactcone`) are imported by the commands that use
+them. numpy is loaded only by `potential`, `metric` and `cut --ambient`:
 `validate`, `classify`, plain `cut` and `invert` (whose Newton solve is
 plain Python) never load it.
 """
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, contactcone, cutmodel, polylattice
+from . import __version__, polylattice
 from .errors import (ConfigError, NoConvergence, NotGood, ScaleLimitExceeded,
                      ToricError)
 
@@ -221,6 +222,7 @@ def cmd_classify(doc: LoadedDocument) -> int:
             }
     code = EXIT_OK
     if p.kind == polylattice.CONE:
+        from . import contactcone
         try:
             cls = contactcone.classify(p)
         except NotGood:
@@ -437,11 +439,13 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
         else:
             raise InputError(f"ambient z entry {pos} must be a number "
                              "or a [re, im] pair")
+    from . import cutmodel
     return cutmodel.ambient_point(_ambient_floats(x), _ambient_floats(theta),
                                   zs)
 
 
 def cmd_cut(doc: LoadedDocument, ambient_text) -> int:
+    from . import cutmodel
     p = doc.pset
     kernel = cutmodel.delzant_kernel(p)
     payload = {

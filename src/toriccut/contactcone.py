@@ -28,6 +28,8 @@ UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
 ACM_TOL = 1e-9
 DEFECT_STEP = 1e-5
+# extreme_rays tests C(m, n - 1) facet subsets, so it refuses more facets
+RAY_ENUM_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ def extreme_rays(p: polylattice.PolyhedralSet) -> tuple[tuple[int, ...], ...]:
     """
     _require_cone(p)
     rows = [list(f.eta) for f in p.facets]
-    if len(rows) > polylattice.SUBSET_ENUM_LIMIT:
+    if len(rows) > RAY_ENUM_LIMIT:
         raise ScaleLimitExceeded(
             f"{len(rows)} facets exceed the ray enumeration bound")
     n = p.n

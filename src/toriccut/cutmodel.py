@@ -270,10 +270,12 @@ def freeness_table(p: polylattice.PolyhedralSet):
     order and then by j. A combined face is nonempty exactly when it is
     one of the enumerated faces. The lattice form of the freeness
     argument: the conormals of I+j must span a saturated sublattice,
-    otherwise a finite stabilizer survives.
+    otherwise a finite stabilizer survives. The cover of the combined
+    face's witness settles this when its conormals are saturated.
     """
     polylattice.require_normalized(p)
     faces = polylattice.active_faces(p)
+    covers = polylattice.face_covers(p, faces)
     table = []
     for face in faces:
         for j in range(1, len(p.facets) + 1):
@@ -281,8 +283,9 @@ def freeness_table(p: polylattice.PolyhedralSet):
                 continue
             combined = polylattice.FaceIndexSet((*face, j))
             if combined in faces:
-                free = polylattice.saturation_check(
-                    [p.facets[i - 1].eta for i in combined])
+                free = (covers[combined].saturated
+                        or polylattice.saturation_check(
+                            [p.facets[i - 1].eta for i in combined]))
                 table.append((face, j, free))
     return table
 

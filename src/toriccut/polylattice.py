@@ -8,7 +8,6 @@ integer lattice questions are settled by exact normal forms.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,7 +29,9 @@ CONE = "cone"
 
 DEFAULT_MAX_DIM = 8
 DEFAULT_MAX_CONSTRAINTS = 64
-SUBSET_ENUM_LIMIT = 16
+# candidate faces one enumeration may examine; each costs at most one
+# feasibility solve, so a larger set exits 4 instead of running for minutes
+FACE_CANDIDATE_BUDGET = 2**16
 
 LE = "<="
 EQ = "=="
@@ -493,17 +494,72 @@ def face_witness(p: PolyhedralSet, indices):
     require_normalized(p)
     cons = _face_system(p, indices)
     if p.kind == CONE:
-        # scale invariance: a nonzero point can be scaled until some
-        # coordinate equals +-1, so 2n slice probes decide nonemptiness
-        for m in range(p.n):
-            for sign in (1, -1):
-                extra = [(tuple(1 if j == m else 0 for j in range(p.n)), EQ, sign)]
-                res = feasible(cons + extra, p.n)
-                if res.feasible:
-                    return res.witness
+        # a nonzero point can be scaled onto a slice, so one feasible slice
+        # decides nonemptiness
+        for extra in _cone_slices(p):
+            res = feasible(cons + [extra], p.n)
+            if res.feasible:
+                return res.witness
         return None
     res = feasible(cons, p.n)
     return res.witness if res.feasible else None
+
+
+def _cone_slices(p: PolyhedralSet):
+    """Hyperplanes that every ray of the cone p off the apex crosses.
+
+    When the conormals span R^n, r = -sum eta_i is positive on the punctured
+    cone, so the one slice <r, x> = 1 meets every ray. Otherwise the 2n
+    slices x_m = +-1 do between them.
+    """
+    if intlinalg.rational_rank([list(e) for e in p.etas]) == p.n:
+        reeb = tuple(-sum(column) for column in zip(*p.etas))
+        return [(reeb, EQ, 1)]
+    return [(tuple(int(j == m) for j in range(p.n)), EQ, sign)
+            for m in range(p.n) for sign in (1, -1)]
+
+
+def _integer_facets(p: PolyhedralSet):
+    """Each facet as integers (a, b) with <x, a> <= b the same half-space."""
+    rows = []
+    for f in p.facets:
+        ints, _ = intlinalg.integer_row([*f.eta, f.kappa])
+        rows.append((ints[:-1], ints[-1]))
+    return rows
+
+
+def _tight_facets(rows, point):
+    """Bit mask of the facets tight at point (bit i - 1 for facet i), or
+    None when point violates one; exact, in integers over the common
+    denominator of the point's coordinates."""
+    xs, scale = intlinalg.integer_row(point)
+    mask = 0
+    for i, (a, b) in enumerate(rows):
+        value = sum(u * v for u, v in zip(a, xs))
+        if value > b * scale:
+            return None
+        if value == b * scale:
+            mask |= 1 << i
+    return mask
+
+
+def _equation_point(p: PolyhedralSet, combo):
+    """What the equations <x, eta_i> = kappa_i, i in I, decide alone.
+
+    Returns (True, x) when they cut out the single point x (in p or not),
+    (True, None) when they have no solution or cut out only the apex of a
+    cone, and (False, None) when their solutions form a line or more.
+    """
+    n = p.n
+    reduced, pivots = intlinalg.rational_rref(
+        [[*p.facets[i - 1].eta, p.facets[i - 1].kappa] for i in combo])
+    if pivots and pivots[-1] == n:
+        return True, None
+    if len(pivots) < n:
+        return False, None
+    if p.kind == CONE:
+        return True, None
+    return True, tuple(row[n] for row in reduced[:n])
 
 
 def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
@@ -512,28 +568,91 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
     Maps each such I to an exact witness point of F_I, in order of size,
     then lexicographically. Includes the empty set when the set itself is
     nonempty. For cones the apex is excluded, so a face is listed only if
-    it contains a nonzero point. Supersets of empty faces are pruned
-    without a test, since they are empty too; so a subset of facets cuts
-    out a nonempty face exactly when it is a key.
+    it contains a nonzero point; so a subset of facets cuts out a nonempty
+    face exactly when it is a key.
+
+    Every witness w covers all subsets of its active set A(w): they are
+    nonempty with witness w and need no test. A candidate I + j (j past
+    the last index of I) is built only from a key I, and only when every
+    subset that drops one facet is a key, since a superset of an empty face
+    is empty. A candidate no witness covers is settled by its equations
+    when they fix a single point or have none, and by one LP otherwise, so
+    LPs go only to candidates of rank below n that no witness found so far
+    lies on.
+
+    Raises:
+        ScaleLimitExceeded: when more than FACE_CANDIDATE_BUDGET candidates
+            would have to be examined.
     """
     require_normalized(p)
-    nfac = len(p.facets)
-    if nfac > SUBSET_ENUM_LIMIT:
-        raise ScaleLimitExceeded(
-            f"{nfac} facets exceed the subset enumeration bound {SUBSET_ENUM_LIMIT}")
-    dead: list[frozenset] = []
+    rows = _integer_facets(p)
+    covers: list[tuple[int, tuple[Fraction, ...]]] = []
     found = {}
-    for size in range(nfac + 1):
-        for combo in itertools.combinations(range(1, nfac + 1), size):
-            cset = frozenset(combo)
-            if any(d <= cset for d in dead):
-                continue
-            w = face_witness(p, combo)
+    examined = 0
+    level = [((), 0)]  # candidates of one size, in lexicographic order
+    while level:
+        keys = []
+        for combo, mask in level:
+            examined += 1
+            if examined > FACE_CANDIDATE_BUDGET:
+                raise ScaleLimitExceeded(
+                    f"face enumeration of {len(rows)} facets exceeds the "
+                    f"budget of {FACE_CANDIDATE_BUDGET} candidate faces")
+            w = next((w for active, w in covers if mask & active == mask),
+                     None)
             if w is None:
-                dead.append(cset)
-            else:
-                found[FaceIndexSet(combo)] = w
+                decided, w = _equation_point(p, combo)
+                if not decided:
+                    w = face_witness(p, combo)
+                tight = None if w is None else _tight_facets(rows, w)
+                if tight is None:  # empty, or its one point lies outside
+                    continue
+                covers.append((tight, w))
+            found[FaceIndexSet(combo)] = w
+            keys.append((combo, mask))
+        known = {mask for _, mask in keys}
+        level = []
+        for combo, mask in keys:
+            for j in range(combo[-1] + 1 if combo else 1, len(rows) + 1):
+                grown = mask | 1 << (j - 1)
+                if all(grown & ~(1 << (i - 1)) in known for i in combo):
+                    level.append(((*combo, j), grown))
     return found
+
+
+@dataclass(frozen=True)
+class Cover:
+    """Conormal verdicts on the facets tight at one witness point.
+
+    Every face I whose witness is this point lies inside the tight set, so
+    when the tight conormals are independent, I has rank |I|, and when they
+    are also saturated, so is I.
+    """
+
+    tight: int
+    independent: bool
+    saturated: bool
+
+
+def face_covers(p: PolyhedralSet, faces) -> dict[FaceIndexSet, Cover]:
+    """The Cover of each face of `faces` (from active_faces), with one
+    Smith normal form per distinct witness."""
+    require_normalized(p)
+    rows = _integer_facets(p)
+    covers, by_witness = {}, {}
+    for face, w in faces.items():
+        # faces covered by one witness share the witness object itself
+        cover = by_witness.get(id(w))
+        if cover is None:
+            mask = _tight_facets(rows, w)
+            tight = [list(f.eta) for i, f in enumerate(p.facets)
+                     if mask >> i & 1]
+            factors = intlinalg.smith_normal_form(tight)[0] if tight else []
+            cover = Cover(len(tight), len(factors) == len(tight),
+                          _saturated(factors, len(tight)))
+            by_witness[id(w)] = cover
+        covers[face] = cover
+    return covers
 
 
 def saturation_check(etas) -> bool:
@@ -548,15 +667,6 @@ def saturation_check(etas) -> bool:
 def _saturated(factors, count) -> bool:
     # the rank of the family is len(factors): the nonzero invariant factors
     return len(factors) == count and all(f == 1 for f in factors)
-
-
-def _full_active_set(p: PolyhedralSet, point):
-    out = []
-    for i, f in enumerate(p.facets, start=1):
-        val = sum(Fraction(a) * Fraction(b) for a, b in zip(f.eta, point))
-        if val == f.kappa:
-            out.append(i)
-    return tuple(out)
 
 
 def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
@@ -577,19 +687,25 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
     simple, simple_witness = True, None
     seen_vertices = set()
     saturated, saturated_witness = True, None
-    for fi, witness in active_faces(p).items():
+    faces = active_faces(p)
+    covers = face_covers(p, faces)
+    for fi, witness in faces.items():
         if not fi.indices:
             continue
-        factors, _, _ = intlinalg.smith_normal_form(
-            [list(p.facets[i - 1].eta) for i in fi])
-        if saturated and not _saturated(factors, len(fi)):
-            saturated, saturated_witness = False, fi
-        if simple and len(factors) == p.n:
-            vertex = tuple(Fraction(v) for v in witness)
-            if vertex not in seen_vertices:
-                seen_vertices.add(vertex)
-                if len(_full_active_set(p, vertex)) != p.n:
-                    simple, simple_witness = False, vertex
+        cover = covers[fi]
+        if cover.saturated or (cover.independent and not saturated):
+            rank = len(fi)
+        else:
+            factors, _, _ = intlinalg.smith_normal_form(
+                [list(p.facets[i - 1].eta) for i in fi])
+            rank = len(factors)
+            if saturated and not _saturated(factors, len(fi)):
+                saturated, saturated_witness = False, fi
+        if simple and rank == p.n and witness not in seen_vertices:
+            # a rank-n face is a single point: its witness is the vertex
+            seen_vertices.add(witness)
+            if cover.tight != p.n:
+                simple, simple_witness = False, witness
     return UnimodularityReport(
         minimal=minimal.minimal,
         minimal_witness=minimal.witness,

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ def random_set(n, m, s):
         if any(eta):
             facets.append((eta, rng.randint(1, 4)))
     return pl.normalize(pl.polyhedral_set(n, facets))
+
+
+def delzant_polygon(m):
+    """ROADMAP's Delzant m-gon: the square [0, 1000]^2 with facets -x <= 0,
+    -y <= 0, x <= 1000, y <= 1000 in cyclic order, then, while there are
+    fewer than m facets, a cut of the vertex between the first two facets
+    a and b by the facet (a + b, kappa_a + kappa_b - delta) inserted between
+    them, with delta = 1/3, 1/9, 1/27, ..."""
+    facets = [((-1, 0), Fraction(0)), ((0, -1), Fraction(0)),
+              ((1, 0), Fraction(1000)), ((0, 1), Fraction(1000))]
+    delta = Fraction(1, 3)
+    while len(facets) < m:
+        (a, kappa_a), (b, kappa_b) = facets[:2]
+        facets.insert(1, (tuple(u + v for u, v in zip(a, b)),
+                          kappa_a + kappa_b - delta))
+        delta /= 3
+    return pl.normalize(pl.polyhedral_set(2, facets))
 
 
 def sample_interior(name, rng, count, margin=0.05):

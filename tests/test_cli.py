@@ -19,7 +19,7 @@ import pytest
 from toriccut import polylattice
 from toriccut.cli import main
 
-from conftest import cube, orthant, random_set, write_document
+from conftest import cube, delzant_polygon, orthant, random_set, write_document
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -317,16 +317,30 @@ def test_empty_points_file(tmp_path):
     assert json.loads(out)["report"]["metric"]["points"] == []
 
 
-NUMPY_FREE = """
+NOT_LOADED = """
 import contextlib, io, sys
 import toriccut.cli
-assert "numpy" not in sys.modules, "import toriccut.cli"
+absent = {absent!r}
+assert not absent & set(sys.modules), "import toriccut.cli"
 for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = toriccut.cli.main(argv)
     assert code in (0, 3), (argv, code)
-    assert "numpy" not in sys.modules, argv
+    assert not absent & set(sys.modules), argv
 """
+
+
+def _assert_not_loaded(absent, argvs):
+    """Run the commands in one fresh interpreter; none may load `absent`."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           NOT_LOADED.format(absent=absent, argvs=argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
@@ -338,15 +352,27 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     argvs += [["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"],
               ["invert", random5, "--target=0,0,0,0,0"]]
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c",
-                           NUMPY_FREE.format(argvs=argvs)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _assert_not_loaded({"numpy"}, argvs)
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    box = write_document(tmp_path / "cube3.json", cube(3))
+    argvs = [["validate", path]
+             for path in (data("f2.json"), data("f5_lift.json"), box)]
+    argvs += [["classify", data("f2.json")], ["classify", data("slab.json")],
+              ["invert", data("f2.json"), "--target=6,6"],
+              ["invert", box, "--target=0.5,-1,2"]]
+    _assert_not_loaded({"numpy", "toriccut.contactcone", "toriccut.cutmodel"},
+                       argvs)
+
+
+@pytest.mark.parametrize("m", [17, 24, 40])
+def test_validate_delzant_polygon(tmp_path, m):
+    # more facets than a walk over all facet subsets could take
+    path = write_document(tmp_path / f"gon{m}.json", delzant_polygon(m))
+    code, out = run_cli(["validate", path])
+    assert code == 0
+    assert json.loads(out)["report"]["validate"]["is_unimodular"] is True
 
 
 def _count_calls(monkeypatch, module, name):

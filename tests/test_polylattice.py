@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from toriccut.errors import (
 )
 
 from conftest import (
-    cube, f1, f2, f3, f4, f5, f5_lift_cone, halfspace_r3, lens_cone, orthant,
-    pyramid, random_set, simplex, slab,
+    FIXTURES, cube, delzant_polygon, f1, f2, f3, f4, f5, f5_lift_cone,
+    halfspace_r3, lens_cone, orthant, pyramid, random_set, simplex, slab,
 )
 
 
@@ -238,11 +239,21 @@ class TestActiveFaces:
         assert [f.indices for f in faces] == [
             (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
 
-    def test_enumeration_bound(self):
-        facets = [((1, 0), i) for i in range(17)]
-        p = pl.normalize(pl.polyhedral_set(2, facets))
-        with pytest.raises(ScaleLimitExceeded):
-            pl.active_faces(p)
+    def test_candidate_budget(self, monkeypatch):
+        # the square has 9 faces among 11 candidates: the empty set, 4
+        # facets and 6 pairs, of which the opposite {1, 2} and {3, 4} are empty
+        square = cube(2)
+        monkeypatch.setattr(pl, "FACE_CANDIDATE_BUDGET", 11)
+        assert len(pl.active_faces(square)) == 9
+        monkeypatch.setattr(pl, "FACE_CANDIDATE_BUDGET", 10)
+        with pytest.raises(ScaleLimitExceeded, match="budget of 10 candidate"):
+            pl.active_faces(square)
+
+    @pytest.mark.parametrize("m", [17, 24, 40])
+    def test_delzant_polygon(self, m):
+        # more facets than any subset walk could take; the faces are the
+        # polygon, its m edges and its m vertices
+        assert len(pl.active_faces(delzant_polygon(m))) == 2 * m + 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closed_form_counts(self, n):
@@ -278,6 +289,94 @@ class TestActiveFaces:
                 [[a - b for a, b in zip(v, v0)] for v in rest])
             euler += (-1) ** dim
         assert euler == 1
+
+
+def _reference_witness(p, combo):
+    """A point of F_I, nonzero for cones, found by the 2n slices x_m = +-1
+    on cones whatever their rank."""
+    cons = [(f.eta, pl.EQ if i in combo else pl.LE, f.kappa)
+            for i, f in enumerate(p.facets, start=1)]
+    slices = [[]]
+    if p.kind == pl.CONE:
+        slices = [[(tuple(int(j == m) for j in range(p.n)), pl.EQ, sign)]
+                  for m in range(p.n) for sign in (1, -1)]
+    for extra in slices:
+        res = pl.feasible(cons + extra, p.n)
+        if res.feasible:
+            return res.witness
+    return None
+
+
+def _subset_walk(p):
+    """Reference enumeration: every facet subset by size, then
+    lexicographically, with one LP each unless it contains an empty face."""
+    dead, found = [], {}
+    for size in range(len(p.facets) + 1):
+        for combo in itertools.combinations(range(1, len(p.facets) + 1), size):
+            if any(d <= set(combo) for d in dead):
+                continue
+            w = _reference_witness(p, combo)
+            if w is None:
+                dead.append(set(combo))
+            else:
+                found[combo] = w
+    return found
+
+
+REFERENCE_SETS = {
+    **FIXTURES,
+    **{f"{family.__name__}{n}": (lambda family=family, n=n: family(n))
+       for family in (cube, simplex, orthant) for n in range(2, 6)},
+    **{f"random{n}_{m}_{s}": (lambda n=n, m=m, s=s: random_set(n, m, s))
+       for n, m in [(3, 8), (3, 10), (4, 8), (4, 10), (4, 12), (5, 10),
+                    (5, 12), (6, 12), (4, 16)]
+       for s in (1, 2)},
+}
+
+
+def _rank(p, combo):
+    return pl.intlinalg.rational_rank([p.facets[i - 1].eta for i in combo])
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_SETS))
+def test_active_faces_match_subset_walk(name):
+    p = REFERENCE_SETS[name]()
+    faces = pl.active_faces(p)
+    reference = _subset_walk(p)
+    assert [fi.indices for fi in faces] == list(reference)
+    for fi, w in faces.items():
+        for i, f in enumerate(p.facets, start=1):
+            assert (_dot(f.eta, w) == f.kappa if i in fi
+                    else _dot(f.eta, w) <= f.kappa)
+        if p.kind == pl.CONE:
+            assert any(w)
+        if fi.indices and _rank(p, fi) == p.n:  # a vertex: one point only
+            assert w == reference[fi.indices]
+
+
+def test_one_lp_per_new_vertex(monkeypatch):
+    # the subset walk takes 952 LPs on this set, one per candidate
+    calls = []
+    original = pl.face_witness
+    monkeypatch.setattr(pl, "face_witness",
+                        lambda p, indices: calls.append(indices)
+                        or original(p, indices))
+    assert len(pl.active_faces(random_set(6, 12, 1))) == 922
+    assert len(calls) == 102
+
+
+@pytest.mark.parametrize("make, face", [(lens_cone, (1, 2)),
+                                        (lambda: orthant(3), (1, 2, 3)),
+                                        (lambda: orthant(3), (1, 2))])
+def test_one_slice_on_pointed_cones(monkeypatch, make, face):
+    p = make()
+    calls = []
+    original = pl.feasible
+    monkeypatch.setattr(pl, "feasible",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    w = pl.face_witness(p, face)
+    assert len(calls) == 1
+    assert (w is None) == (_rank(p, face) == p.n)
 
 
 class TestSaturation:
