@@ -16,8 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, polylattice
 from .errors import (ConfigError, NoConvergence, NotGood, ScaleLimitExceeded,
@@ -40,8 +40,7 @@ class InputError(Exception):
     """Malformed document, flag payload, or points file (exit code 2)."""
 
 
-@dataclass
-class LoadedDocument:
+class LoadedDocument(NamedTuple):
     pset: polylattice.PolyhedralSet
     echo: dict
     tolerances: dict
@@ -150,6 +149,10 @@ def jsonable(value):
     if isinstance(value, dict):
         return {key: jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            # a NamedTuple record would flatten into a list and lose its
+            # field names; payloads spell out the fields they report
+            raise TypeError(f"record {type(value).__name__} in a payload")
         return [jsonable(v) for v in value]
     return value
 

@@ -1,9 +1,9 @@
 """Contact layer over polyhedral cones.
 
-Covers the strong/weak convexity classification with its Reeb data, the
-canonical contact form on the unit level, the hypersurface-induced almost
-contact metric structure, and a dilation defect showing the canonical
-metric is not a cone metric.
+Covers the strong/weak convexity classification with its Reeb data, points
+of the unit level, the hypersurface-induced almost contact metric
+structure, and a dilation defect showing the canonical metric is not a
+cone metric.
 
 The float parts (the almost contact metric structure, the dilation defect,
 normalize_moment) import numpy and the float layer where they run, so the
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intlinalg, polylattice
 from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
@@ -32,8 +32,7 @@ DEFECT_STEP = 1e-5
 RAY_ENUM_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class ReebTypeResult:
+class ReebTypeResult(NamedTuple):
     """Verdict plus certificate: a positive pairing vector when the cone is
     pointed, otherwise a nonzero cone point annihilated by every conormal."""
 
@@ -41,8 +40,7 @@ class ReebTypeResult:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class ContactClassification:
+class ContactClassification(NamedTuple):
     good: bool
     convexity: polylattice.ConvexityReport
     reeb_vector: tuple[int, ...] | None
@@ -50,8 +48,7 @@ class ContactClassification:
     k_contact: bool
 
 
-@dataclass(frozen=True)
-class ContactPoint:
+class ContactPoint(NamedTuple):
     """Unit-sphere point inside the cone with angles and radial coordinate."""
 
     x: tuple
@@ -59,8 +56,7 @@ class ContactPoint:
     t: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class AlmostContactMetric:
+class AlmostContactMetric(NamedTuple):
     """Induced structure on the unit-level hypersurface, expressed in the
     columns of `frame` (sphere-tangent directions then angular directions).
     """
@@ -224,19 +220,6 @@ def contact_point(p: polylattice.PolyhedralSet, x, theta=None, t: float = 0.0,
     return ContactPoint(xs, tuple(float(v) for v in theta), float(t))
 
 
-def canonical_contact_form(cp: ContactPoint):
-    """Contact covector and Reeb field of the unit level in the ambient
-    (x, theta) frame: both have components (0, ..., 0, x_1, ..., x_n).
-
-    The pairing alpha(xi) equals the squared norm of x, hence 1; exact
-    input types are preserved so rational unit points verify exactly.
-    """
-    n = len(cp.x)
-    alpha = (0,) * n + tuple(cp.x)
-    xi = (0,) * n + tuple(cp.x)
-    return alpha, xi
-
-
 def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
     """Scale a nonzero cone point onto the unit sphere; idempotent.
 
@@ -256,22 +239,6 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
     return tuple(v / norm)
 
 
-def _ambient_data(p: polylattice.PolyhedralSet, cp: ContactPoint):
-    import numpy as np
-    from . import kahlerpotential
-    scale = math.exp(cp.t)
-    x = np.array([float(v) for v in cp.x]) * scale
-    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
-    _, j_stack, h_stack = kahlerpotential.block_tensors(pts)
-    j_mat, h = j_stack[0], h_stack[0]
-    g_inv = h[p.n:, p.n:]
-    nu_x = g_inv @ x
-    c = math.sqrt(float(x @ nu_x))
-    nu = np.concatenate([nu_x, np.zeros(p.n)]) / c
-    xi_amb = -(j_mat @ nu)
-    return x, j_mat, h, nu, xi_amb
-
-
 def induced_acm_structure(p: polylattice.PolyhedralSet,
                           cp: ContactPoint) -> AlmostContactMetric:
     """Hypersurface-induced structure on the unit level at cp.
@@ -287,8 +254,16 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
         IdentityViolation: a structure identity fails beyond 1e-9.
     """
     import numpy as np
+    from . import kahlerpotential
     _require_cone(p)
-    x, j_mat, h, nu, xi_amb = _ambient_data(p, cp)
+    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
+    _, j_stack, h_stack = kahlerpotential.block_tensors(pts)
+    j_mat, h = j_stack[0], h_stack[0]
+    g_inv = h[p.n:, p.n:]
+    nu_x = g_inv @ x
+    nu = np.concatenate([nu_x, np.zeros(p.n)]) / math.sqrt(float(x @ nu_x))
+    xi_amb = -(j_mat @ nu)
     n = p.n
     dim = 2 * n - 1
     m = int(np.argmax(np.abs(x)))
@@ -338,19 +313,6 @@ def _verify_structure(acm: AlmostContactMetric) -> None:
               - acm.metric + np.outer(acm.alpha, acm.alpha))
     if float(np.max(np.abs(compat))) > ACM_TOL:
         raise IdentityViolation("metric is not phi-compatible")
-
-
-def induced_vs_canonical_reeb(p: polylattice.PolyhedralSet,
-                              cp: ContactPoint) -> float:
-    """Gap between the hypersurface xi and the angular field with
-    components x, as a max-abs ambient difference. Reported only; the two
-    fields agree for no fixture of the canonical cutting metric.
-    """
-    import numpy as np
-    _require_cone(p)
-    x, _, _, _, xi_amb = _ambient_data(p, cp)
-    canonical = np.concatenate([np.zeros(p.n), x])
-    return float(np.max(np.abs(xi_amb - canonical)))
 
 
 def cone_metric_defect(p: polylattice.PolyhedralSet, cp: ContactPoint,

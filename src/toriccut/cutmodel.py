@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intlinalg, polylattice
 from .errors import NotInterior, NotOnLevel, PointOutside
@@ -27,8 +27,7 @@ SEAM_TOL = 1e-10
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class DelzantKernel:
+class DelzantKernel(NamedTuple):
     """Kernel data of the integer facet map e_i -> -eta_i."""
 
     pi_matrix: tuple[tuple[int, ...], ...]
@@ -36,8 +35,7 @@ class DelzantKernel:
     surjective_onto_lattice: bool
 
 
-@dataclass(frozen=True)
-class CutPoint:
+class CutPoint(NamedTuple):
     """Quotient point: base point, active facets, canonical angle vector."""
 
     x: tuple
@@ -45,8 +43,7 @@ class CutPoint:
     theta: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
+class AmbientPoint(NamedTuple):
     """Raw point of the ambient product model before any quotient."""
 
     x: tuple[float, ...]
@@ -54,8 +51,7 @@ class AmbientPoint:
     z: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class Stabilizer:
+class Stabilizer(NamedTuple):
     """Conormal generators of the subtorus fixing a boundary point."""
 
     generators: tuple[tuple[int, ...], ...]

@@ -22,22 +22,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul(a, b):
-    """Exact matrix product of two list-of-rows matrices."""
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        orow = []
-        for j in range(cols):
-            s = 0
-            for k in range(inner):
-                s += arow[k] * b[k][j]
-            orow.append(s)
-        out.append(orow)
-    return out
-
-
 def transpose(mat):
     return [list(col) for col in zip(*mat)]
 

@@ -20,8 +20,8 @@ where they run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import polylattice
 from .errors import NoConvergence, NotInterior, NotSPD
@@ -32,8 +32,7 @@ NEWTON_MAX_ITER = 200
 BOUNDARY_FRACTION = 0.95
 
 
-@dataclass(frozen=True, eq=False)
-class InteriorPoints:
+class InteriorPoints(NamedTuple):
     """A batch of points with its strictly interior rows and their slacks.
 
     x, l_values and l_infinity hold the interior rows only, in input
@@ -71,8 +70,7 @@ class InteriorPoints:
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class KahlerPointData:
+class KahlerPointData(NamedTuple):
     """All pointwise tensors of the interior rows of a batch, stacked
     (CLI payload shape); `points` tells which input rows they belong to."""
 
@@ -87,8 +85,7 @@ class KahlerPointData:
     g: np.ndarray
 
 
-@dataclass(frozen=True)
-class NewtonResult:
+class NewtonResult(NamedTuple):
     x: tuple[float, ...]
     iterations: int
     residual: float
@@ -112,8 +109,10 @@ def interior_point(p: polylattice.PolyhedralSet, x,
         raise ValueError(f"expected an (N, {p.n}) batch of points")
     etas = np.array([[float(v) for v in f.eta] for f in p.facets])
     kappas = np.array([float(f.kappa) for f in p.facets])
-    # <x[k], eta_i>, one matrix-vector product per row
-    l = kappas - (etas @ xs[:, :, None])[:, :, 0]
+    # <x[k], eta_i>, one matrix-vector product per row; a NaN or inf row
+    # gives NaN slacks (inf * 0, inf - inf) and is masked below
+    with np.errstate(invalid="ignore"):
+        l = kappas - (etas @ xs[:, :, None])[:, :, 0]
     worst = np.argmin(l, axis=1)  # argmin picks a NaN slack, which fails too
     worst_slack = np.take_along_axis(l, worst[:, None], axis=1)[:, 0]
     inside = worst_slack >= margin

@@ -9,8 +9,8 @@ integer lattice questions are settled by exact normal forms.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import intlinalg
 from .errors import (
@@ -56,14 +56,12 @@ def max_dim_limit() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     eta: tuple[int, ...]
     kappa: Fraction
 
 
-@dataclass(frozen=True)
-class PolyhedralSet:
+class PolyhedralSet(NamedTuple):
     n: int
     facets: tuple[Facet, ...]
     kind: str = GENERAL
@@ -78,18 +76,33 @@ class PolyhedralSet:
         return tuple(f.kappa for f in self.facets)
 
 
-@dataclass(frozen=True)
 class FaceIndexSet:
-    """Subset of facet indices, 1-based, stored sorted."""
+    """Subset of facet indices, 1-based, stored sorted and deduplicated.
 
-    indices: tuple[int, ...]
+    Not a tuple: a face never compares equal to a plain tuple of indices.
+    """
 
-    def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if idx != self.indices:
-            object.__setattr__(self, "indices", idx)
+    __slots__ = ("indices",)
+
+    def __init__(self, indices):
+        idx = tuple(sorted(set(int(i) for i in indices)))
         if idx and idx[0] < 1:
             raise ValueError("facet indices are 1-based")
+        object.__setattr__(self, "indices", idx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FaceIndexSet is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if isinstance(other, FaceIndexSet):
+            return self.indices == other.indices
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.indices)
+
+    def __repr__(self):
+        return f"FaceIndexSet(indices={self.indices!r})"
 
     def __contains__(self, item):
         return item in self.indices
@@ -101,21 +114,18 @@ class FaceIndexSet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: tuple[Fraction, ...] | None
     certificate: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class MinimalityResult:
+class MinimalityResult(NamedTuple):
     minimal: bool
     witness: int | None
 
 
-@dataclass(frozen=True)
-class UnimodularityReport:
+class UnimodularityReport(NamedTuple):
     minimal: bool
     minimal_witness: int | None
     primitive: bool
@@ -135,29 +145,25 @@ class UnimodularityReport:
         )
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     rank: int
     k: int
     label: str  # "strongly_convex" | "weakly_convex"
 
 
-@dataclass(frozen=True)
-class GoodConeResult:
+class GoodConeResult(NamedTuple):
     good: bool
     report: UnimodularityReport
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(NamedTuple):
     k: int
     coordinate_indices: tuple[int, ...]
     unimodular_change: tuple[tuple[int, ...], ...]
     projected_set: PolyhedralSet
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
+class HomotopyReport(NamedTuple):
     k: int
     pi0: str
     pi1: str
@@ -620,8 +626,7 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
     return found
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     """Conormal verdicts on the facets tight at one witness point.
 
     Every face I whose witness is this point lies inside the tight set, so

@@ -12,12 +12,13 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from toriccut import polylattice
-from toriccut.cli import main
+from toriccut.cli import jsonable, main
 
 from conftest import cube, delzant_polygon, orthant, random_set, write_document
 
@@ -317,6 +318,15 @@ def test_empty_points_file(tmp_path):
     assert json.loads(out)["report"]["metric"]["points"] == []
 
 
+def test_jsonable_refuses_records():
+    # a record is a tuple: flattened, its field names would be lost
+    face = polylattice.FaceIndexSet((2, 1))
+    assert jsonable({"face": face, "w": (Fraction(1, 2),)}) == {
+        "face": [1, 2], "w": ["1/2"]}
+    with pytest.raises(TypeError, match="ConvexityReport"):
+        jsonable({"convexity": polylattice.ConvexityReport(2, 0, "x")})
+
+
 NOT_LOADED = """
 import contextlib, io, sys
 import toriccut.cli
@@ -352,7 +362,7 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     argvs += [["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"],
               ["invert", random5, "--target=0,0,0,0,0"]]
-    _assert_not_loaded({"numpy"}, argvs)
+    _assert_not_loaded({"numpy", "dataclasses"}, argvs)
 
 
 def test_commands_load_only_their_modules(tmp_path):
@@ -362,8 +372,8 @@ def test_commands_load_only_their_modules(tmp_path):
     argvs += [["classify", data("f2.json")], ["classify", data("slab.json")],
               ["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"]]
-    _assert_not_loaded({"numpy", "toriccut.contactcone", "toriccut.cutmodel"},
-                       argvs)
+    _assert_not_loaded({"numpy", "dataclasses", "toriccut.contactcone",
+                        "toriccut.cutmodel"}, argvs)
 
 
 @pytest.mark.parametrize("m", [17, 24, 40])

@@ -1,7 +1,6 @@
 """Cone classification, Reeb data, induced structures, dilation defect."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,33 +144,6 @@ def test_contact_point_validation():
         cc.contact_point(p, (1.0,))
 
 
-def test_canonical_contact_form_components():
-    p = FIXTURES["f4"]()
-    alpha, xi = cc.canonical_contact_form(
-        cc.contact_point(p, (1.0, 0.0), strict=False))
-    assert alpha == (0, 0, 1.0, 0.0)
-    assert xi == (0, 0, 1.0, 0.0)
-
-
-def test_canonical_contact_form_exact_pairing():
-    cp = cc.contact_point(FIXTURES["f4"](),
-                          (Fraction(3, 5), Fraction(4, 5)))
-    alpha, xi = cc.canonical_contact_form(cp)
-    pairing = sum(a * b for a, b in zip(alpha, xi))
-    assert pairing == 1 and isinstance(pairing, Fraction)
-
-
-def test_moment_pairing_matches_form():
-    rng = np.random.default_rng(5)
-    cp = cc.contact_point(FIXTURES["f4"](), unit_f4(0.9))
-    alpha, _ = cc.canonical_contact_form(cp)
-    for _ in range(10):
-        torus_vec = rng.uniform(-3, 3, size=2)
-        field = np.concatenate([np.zeros(2), torus_vec])
-        assert abs(float(np.array(alpha, dtype=float) @ field)
-                   - float(np.array(cp.x) @ torus_vec)) < 1e-12
-
-
 def test_normalize_moment():
     p = FIXTURES["f4"]()
     assert cc.normalize_moment(p, (3, 4)) == (0.6, 0.8)
@@ -229,20 +201,6 @@ def test_acm_needs_interior():
         cc.induced_acm_structure(p, cp)
     with pytest.raises(NotInterior):
         cc.cone_metric_defect(p, cp)
-
-
-def test_reeb_gap_diagnostic():
-    p = FIXTURES["f4"]()
-    root_half = math.sqrt(0.5)
-    gap = cc.induced_vs_canonical_reeb(
-        p, cc.contact_point(p, (root_half, root_half)))
-    # the angular part of the induced field is -x scaled by cos(pi/8)/x_1,
-    # so the gap against +x is cos(pi/8) + sqrt(1/2)
-    assert abs(gap - (math.cos(math.pi / 8) + root_half)) < 1e-12
-    lens_gap = cc.induced_vs_canonical_reeb(
-        FIXTURES["lens"](), cc.contact_point(FIXTURES["lens"](),
-                                             unit_lens(0.5)))
-    assert math.isfinite(lens_gap) and lens_gap > 0
 
 
 def test_cone_defect_f4_fixture():

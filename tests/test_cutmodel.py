@@ -61,8 +61,8 @@ def test_kernel_exact_sequence(name):
     nfac = len(p.facets)
     pi_rows = [list(r) for r in k.pi_matrix]
     for vec in k.kernel_basis:
-        image = il.matmul(pi_rows, [[v] for v in vec])
-        assert all(entry[0] == 0 for entry in image)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                   for row in pi_rows)
     assert len(k.kernel_basis) == nfac - il.rational_rank(pi_rows)
     if k.kernel_basis:
         assert pl.saturation_check(k.kernel_basis)

@@ -1,3 +1,4 @@
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -96,6 +97,21 @@ class TestInteriorPoint:
         assert str(pts.rejection(4)) == "facet 1 slack nan below margin"
         with pytest.raises(NotInterior, match="facet 2"):
             pts.require_all()
+
+    def test_nan_and_inf_rows_masked_without_warning(self):
+        nan, inf = float("nan"), float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = kp.interior_point(f2(), [[0.25, 0.25], [nan, 0.5],
+                                           [inf, 0.1], [-inf, 0.1],
+                                           [inf, -inf], [0.5, 0.25]])
+        assert pts.inside.tolist() == [True, False, False, False, False,
+                                       True]
+        assert pts.x.tolist() == [[0.25, 0.25], [0.5, 0.25]]
+        # inf * 0 in a product makes the slack NaN, and the first NaN facet
+        # is the one named
+        assert [str(pts.rejection(row)) for row in (1, 2, 3, 4)] == [
+            f"facet {i} slack nan below margin" for i in (1, 2, 2, 1)]
 
     def test_batch_shape_checked(self):
         for bad in ([0.5], [[0.5, 0.5]], [[[0.5]]]):

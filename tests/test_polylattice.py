@@ -220,6 +220,39 @@ class TestMinimal:
         assert pl.is_minimal(p).minimal
 
 
+class TestFaceIndexSet:
+    def test_sorted_and_deduplicated(self):
+        face = pl.FaceIndexSet((3, 1, 3, 2))
+        assert face.indices == (1, 2, 3)
+        assert list(face) == [1, 2, 3] and len(face) == 3
+        assert 2 in face and 4 not in face
+        assert pl.FaceIndexSet(()).indices == ()
+
+    def test_rejects_index_zero(self):
+        with pytest.raises(ValueError, match="1-based"):
+            pl.FaceIndexSet((0, 1))
+
+    def test_equal_sets_share_a_hash(self):
+        a, b = pl.FaceIndexSet((2, 1)), pl.FaceIndexSet((1, 2, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a != pl.FaceIndexSet((1, 3))
+
+    def test_not_equal_to_a_plain_tuple(self):
+        face = pl.FaceIndexSet((1, 2))
+        assert face != (1, 2) and (1, 2) != face
+        assert face not in {(1, 2): None}
+
+    def test_usable_as_dict_key(self):
+        table = {pl.FaceIndexSet((1, 2)): "edge"}
+        assert table[pl.FaceIndexSet((2, 1))] == "edge"
+        assert pl.FaceIndexSet((1,)) not in table
+
+    def test_immutable(self):
+        face = pl.FaceIndexSet((1,))
+        with pytest.raises(AttributeError):
+            face.indices = (2,)
+
+
 class TestActiveFaces:
     def test_f1(self):
         faces = pl.active_faces(f1())
