@@ -55,6 +55,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_rational(value) -> Fraction:
     _expect(isinstance(value, str),
             'kappa must be an exact rational string like "1/2"')
@@ -119,8 +123,9 @@ def load_document(path: str) -> LoadedDocument:
         tolerances["newton_max_iter"] = val
     if "newton_tol" in tol_raw:
         val = tol_raw["newton_tol"]
-        _expect(isinstance(val, (int, float)) and not isinstance(val, bool)
-                and val > 0, "newton_tol must be positive")
+        # the upper bound rejects inf, and integers too large for a float
+        _expect(_is_number(val) and 0 < val <= sys.float_info.max,
+                "newton_tol must be positive and finite")
         tolerances["newton_tol"] = float(val)
     kind_const = polylattice.CONE if kind == "cone" else polylattice.GENERAL
     pset = polylattice.normalize(
@@ -423,21 +428,21 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
             "ambient must be an object with x, z, and optional theta")
     x = raw.get("x")
     _expect(isinstance(x, list) and len(x) == p.n
-            and all(isinstance(v, (int, float)) for v in x),
+            and all(_is_number(v) for v in x),
             f"ambient x must be a {p.n}-vector")
     theta = raw.get("theta", [0.0] * p.n)
     _expect(isinstance(theta, list) and len(theta) == p.n
-            and all(isinstance(v, (int, float)) for v in theta),
+            and all(_is_number(v) for v in theta),
             f"ambient theta must be a {p.n}-vector")
     z_raw = raw.get("z")
     _expect(isinstance(z_raw, list) and len(z_raw) == len(p.facets),
             f"ambient z must list {len(p.facets)} complex entries")
     zs = []
     for pos, item in enumerate(z_raw, start=1):
-        if isinstance(item, (int, float)):
+        if _is_number(item):
             zs.append(complex(*_ambient_floats([item])))
         elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(v, (int, float)) for v in item)):
+              and all(_is_number(v) for v in item)):
             zs.append(complex(*_ambient_floats(item)))
         else:
             raise InputError(f"ambient z entry {pos} must be a number "

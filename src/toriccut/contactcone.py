@@ -12,24 +12,19 @@ exact classification loads without them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import intlinalg, polylattice
 from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
-                     PointOutside, ScaleLimitExceeded, WeaklyConvex,
-                     ZeroPoint)
+                     PointOutside, WeaklyConvex, ZeroPoint)
 
 SASAKIAN = "sasakian_type"
 NON_SASAKIAN = "non_sasakian_type"
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
 ACM_TOL = 1e-9
-DEFECT_STEP = 1e-5
-# extreme_rays tests C(m, n - 1) facet subsets, so it refuses more facets
-RAY_ENUM_LIMIT = 16
 
 
 class ReebTypeResult(NamedTuple):
@@ -75,66 +70,64 @@ def _require_cone(p: polylattice.PolyhedralSet) -> None:
 
 
 def extreme_rays(p: polylattice.PolyhedralSet) -> tuple[tuple[int, ...], ...]:
-    """Primitive generators of the one-dimensional faces, computed exactly.
-
-    Enumerates facet subsets of size n - 1 and keeps each rank-(n-1)
-    kernel direction whose sign choice satisfies every inequality.
+    """Primitive generators of the one-dimensional faces, computed exactly
+    from the face enumeration.
 
     Raises:
         WeaklyConvex: the cone contains a line, so no extreme rays exist.
     """
     _require_cone(p)
-    rows = [list(f.eta) for f in p.facets]
-    if len(rows) > RAY_ENUM_LIMIT:
-        raise ScaleLimitExceeded(
-            f"{len(rows)} facets exceed the ray enumeration bound")
-    n = p.n
-    if intlinalg.rational_rank(rows) < n:
+    if polylattice.convexity_class(p).k > 0:
         raise WeaklyConvex("cone contains a line; no extreme rays")
+    return _rays(polylattice.face_covers(p, polylattice.active_faces(p)),
+                 p.n)
 
-    def inside(vec):
-        return all(sum(a * b for a, b in zip(f.eta, vec)) <= 0
-                   for f in p.facets)
 
+def _rays(covers, n: int) -> tuple[tuple[int, ...], ...]:
+    """The rays of a pointed cone in R^n, read from the Covers of its faces.
+
+    A nonzero cone point whose tight conormals have rank n - 1 lies on a
+    one-dimensional face, and every such face is a key of the enumeration
+    with a witness on it; the ray is the witness scaled to a primitive
+    integer vector, which keeps its sign.
+    """
     found = set()
-    if n == 1:
-        for cand in ((1,), (-1,)):
-            if inside(cand):
-                found.add(cand)
-        return tuple(sorted(found))
-    for combo in itertools.combinations(range(len(rows)), n - 1):
-        sub = [rows[i] for i in combo]
-        if intlinalg.rational_rank(sub) != n - 1:
-            continue
-        direction = tuple(intlinalg.rational_kernel_basis(sub)[0])
-        for cand in (direction, tuple(-v for v in direction)):
-            if inside(cand):
-                found.add(cand)
+    for cover in covers.values():
+        if cover.rank == n - 1:
+            ints, _ = intlinalg.integer_row(cover.witness)
+            g = intlinalg.vector_gcd(ints)
+            found.add(tuple(v // g for v in ints))
     return tuple(sorted(found))
+
+
+def _good_report(p: polylattice.PolyhedralSet):
+    """The unimodularity report of a good cone; NotGood otherwise."""
+    goodness = polylattice.is_good_cone(p)
+    if not goodness.good:
+        raise NotGood("cone is not good; classification out of scope")
+    return goodness.report
 
 
 def is_reeb_type(p: polylattice.PolyhedralSet) -> ReebTypeResult:
     """Decide whether some pairing vector is strictly positive on the cone.
 
     Pointed case: solve the exact feasibility system <r, X> >= 1 over the
-    extreme rays r. Non-pointed case: the first lineality direction is a
-    nonzero cone point with all pairings zero, refuting positivity. The
-    verdict is cross-checked against the conormal rank.
+    extreme rays r. Non-pointed case: the first vector of the integer
+    kernel of the conormals is a nonzero cone point with all pairings zero,
+    refuting positivity. The verdict is cross-checked against the conormal
+    rank.
 
     Raises:
         NotGood: the cone fails the apex-excluded unimodularity checks.
     """
     _require_cone(p)
-    goodness = polylattice.is_good_cone(p)
-    if not goodness.good:
-        raise NotGood("cone is not good; classification out of scope")
-    rows = [list(f.eta) for f in p.facets]
-    if intlinalg.rational_rank(rows) < p.n:
-        direction = tuple(intlinalg.rational_kernel_basis(rows)[0])
-        result = ReebTypeResult(False, direction)
+    report = _good_report(p)
+    kernel = intlinalg.integer_kernel_basis([list(f.eta) for f in p.facets])
+    if kernel:
+        result = ReebTypeResult(False, kernel[0])
     else:
         cons = [(tuple(-c for c in ray), polylattice.LE, Fraction(-1))
-                for ray in extreme_rays(p)]
+                for ray in _rays(report.covers, p.n)]
         res = polylattice.feasible(cons, p.n)
         if not res.feasible:
             raise AssertionError("pointed cone rejected its ray system")
@@ -150,12 +143,12 @@ def reeb_vector(p: polylattice.PolyhedralSet) -> tuple[int, ...]:
     Raises:
         WeaklyConvex: the conormals do not span, so no such vector exists.
     """
-    _require_cone(p)
-    conv = polylattice.convexity_class(p)
-    if conv.k > 0:
-        raise WeaklyConvex(f"conormal span has codimension {conv.k}")
+    return _checked_reeb(p, extreme_rays(p))
+
+
+def _checked_reeb(p: polylattice.PolyhedralSet, rays) -> tuple[int, ...]:
     vec = tuple(-sum(f.eta[j] for f in p.facets) for j in range(p.n))
-    for ray in extreme_rays(p):
+    for ray in rays:
         if sum(a * b for a, b in zip(ray, vec)) <= 0:
             raise AssertionError("candidate fails on an extreme ray")
     return vec
@@ -163,21 +156,21 @@ def reeb_vector(p: polylattice.PolyhedralSet) -> tuple[int, ...]:
 
 def classify(p: polylattice.PolyhedralSet) -> ContactClassification:
     """Good-cone classification: strongly convex cones carry a Reeb vector
-    and the metric-compatible label, weakly convex ones do not.
+    and the metric-compatible label, weakly convex ones do not. The rays
+    that check the Reeb vector come from the goodness report's faces.
 
     Raises:
         NotGood: non-good cones are orbifold territory and not classified.
     """
     _require_cone(p)
-    goodness = polylattice.is_good_cone(p)
-    if not goodness.good:
-        raise NotGood("cone is not good; classification out of scope")
+    report = _good_report(p)
     conv = polylattice.convexity_class(p)
     strongly = conv.k == 0
     return ContactClassification(
         good=True,
         convexity=conv,
-        reeb_vector=reeb_vector(p) if strongly else None,
+        reeb_vector=(_checked_reeb(p, _rays(report.covers, p.n))
+                     if strongly else None),
         type_label=SASAKIAN if strongly else NON_SASAKIAN,
         k_contact=strongly,
     )
@@ -315,13 +308,19 @@ def _verify_structure(acm: AlmostContactMetric) -> None:
         raise IdentityViolation("metric is not phi-compatible")
 
 
-def cone_metric_defect(p: polylattice.PolyhedralSet, cp: ContactPoint,
-                       step: float = DEFECT_STEP) -> float:
+def cone_metric_defect(p: polylattice.PolyhedralSet,
+                       cp: ContactPoint) -> float:
     """Max-abs entry of d/dt|0 of the dilated metric minus twice the metric.
 
     The dilation sends (x, theta) to (e^t x, theta); a metric cone would
     make the derivative exactly twice the metric, so a positive value is
-    the obstruction. Central differences in t with the given step.
+    the obstruction. On a cone every offset is zero, so the slacks scale
+    with e^t and the Hessian G at the point x (cp.x scaled by e^cp.t)
+    dilates to I + e^-t (G - I). The
+    derivative of the metric diag(e^2t G(e^t x), G(e^t x)^-1) minus twice
+    the metric is then I - G on the action block and -(G^-1 + G^-2) on the
+    angle block; G^-1 + G^-2 is positive definite, so the defect is
+    positive at every interior point.
 
     Raises:
         NotInterior: cp touches the cone boundary.
@@ -329,15 +328,9 @@ def cone_metric_defect(p: polylattice.PolyhedralSet, cp: ContactPoint,
     import numpy as np
     from . import kahlerpotential
     _require_cone(p)
-    base_x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    # the dilated metric at t = step, -step and 0, as one batch
-    times = (step, -step, 0.0)
-    scales = np.array([math.exp(tv) for tv in times])[:, None]
-    pts = kahlerpotential.interior_point(p, scales * base_x).require_all()
-    g_small = kahlerpotential.hessian_metric(pts)
-    pulled = np.zeros((len(times), 2 * p.n, 2 * p.n))
-    pulled[:, :p.n, :p.n] = (np.array([math.exp(2.0 * tv) for tv in times])
-                             [:, None, None] * g_small)
-    pulled[:, p.n:, p.n:] = kahlerpotential.hessian_metric_inverse(g_small)
-    derivative = (pulled[0] - pulled[1]) / (2.0 * step)
-    return float(np.max(np.abs(derivative - 2.0 * pulled[2])))
+    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
+    g = kahlerpotential.hessian_metric(pts)
+    g_inv = kahlerpotential.hessian_metric_inverse(g)[0]
+    return max(float(np.max(np.abs(np.eye(p.n) - g[0]))),
+               float(np.max(np.abs(g_inv + g_inv @ g_inv))))

@@ -43,24 +43,6 @@ def integer_row(values):
     return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
-def primitive_direction(vec):
-    """Scale a nonzero rational vector to a primitive integer vector.
-
-    The sign is normalized so the first nonzero entry is positive.
-    """
-    ints, _ = integer_row(vec)
-    g = vector_gcd(ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive direction")
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
 def _gauss_jordan(mat):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
 
@@ -118,32 +100,6 @@ def rational_rref(mat):
 
 def rational_rank(mat) -> int:
     return len(_gauss_jordan(mat)[1])
-
-
-def rational_kernel_basis(mat, ncols: int | None = None):
-    """Primitive integer basis of the rational kernel {x : mat @ x = 0}.
-
-    The basis vectors are deterministic: one per free column of the RREF,
-    ordered by free column index, each scaled to a primitive integer
-    vector with positive leading entry.
-    """
-    if ncols is None:
-        if not mat:
-            raise ValueError("need ncols for an empty matrix")
-        ncols = len(mat[0])
-    if not mat:
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    rref, pivots = rational_rref(mat)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(primitive_direction(vec))
-    return basis
 
 
 def determinant(mat) -> Fraction:

@@ -134,6 +134,8 @@ class UnimodularityReport(NamedTuple):
     simple_witness: tuple[Fraction, ...] | None
     saturated_faces: bool
     saturated_witness: FaceIndexSet | None
+    # the Cover of every active face, which the checks read
+    covers: dict[FaceIndexSet, Cover]
 
     @property
     def is_unimodular(self) -> bool:
@@ -495,34 +497,23 @@ def face_witness(p: PolyhedralSet, indices):
     """Exact point of the face F_I inside p, or None when the face is empty.
 
     For cones the apex does not count: the witness must be nonzero, so a
-    face meeting the cone only at the origin reports None.
+    face meeting the cone only at the origin reports None. When the
+    conormals of a cone do not span R^n, a nonzero integer vector of their
+    kernel pairs to zero with all of them, so it lies on every face and is
+    the witness.
     """
     require_normalized(p)
     cons = _face_system(p, indices)
     if p.kind == CONE:
-        # a nonzero point can be scaled onto a slice, so one feasible slice
-        # decides nonemptiness
-        for extra in _cone_slices(p):
-            res = feasible(cons + [extra], p.n)
-            if res.feasible:
-                return res.witness
-        return None
+        etas = [list(e) for e in p.etas]
+        if intlinalg.rational_rank(etas) < p.n:
+            return intlinalg.integer_kernel_basis(etas)[0]
+        # r = -sum eta_i is positive on the punctured cone, so the slice
+        # <r, x> = 1 meets every ray and one LP decides nonemptiness
+        reeb = tuple(-sum(column) for column in zip(*p.etas))
+        cons.append((reeb, EQ, 1))
     res = feasible(cons, p.n)
     return res.witness if res.feasible else None
-
-
-def _cone_slices(p: PolyhedralSet):
-    """Hyperplanes that every ray of the cone p off the apex crosses.
-
-    When the conormals span R^n, r = -sum eta_i is positive on the punctured
-    cone, so the one slice <r, x> = 1 meets every ray. Otherwise the 2n
-    slices x_m = +-1 do between them.
-    """
-    if intlinalg.rational_rank([list(e) for e in p.etas]) == p.n:
-        reeb = tuple(-sum(column) for column in zip(*p.etas))
-        return [(reeb, EQ, 1)]
-    return [(tuple(int(j == m) for j in range(p.n)), EQ, sign)
-            for m in range(p.n) for sign in (1, -1)]
 
 
 def _integer_facets(p: PolyhedralSet):
@@ -630,12 +621,14 @@ class Cover(NamedTuple):
     """Conormal verdicts on the facets tight at one witness point.
 
     Every face I whose witness is this point lies inside the tight set, so
-    when the tight conormals are independent, I has rank |I|, and when they
-    are also saturated, so is I.
+    when the tight conormals are independent (rank == tight), I has rank
+    |I|, and when they are also saturated, so is I. The smallest face
+    containing the witness has dimension n - rank.
     """
 
+    witness: tuple[Fraction, ...]
     tight: int
-    independent: bool
+    rank: int
     saturated: bool
 
 
@@ -653,7 +646,7 @@ def face_covers(p: PolyhedralSet, faces) -> dict[FaceIndexSet, Cover]:
             tight = [list(f.eta) for i, f in enumerate(p.facets)
                      if mask >> i & 1]
             factors = intlinalg.smith_normal_form(tight)[0] if tight else []
-            cover = Cover(len(tight), len(factors) == len(tight),
+            cover = Cover(w, len(tight), len(factors),
                           _saturated(factors, len(tight)))
             by_witness[id(w)] = cover
         covers[face] = cover
@@ -698,7 +691,7 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
         if not fi.indices:
             continue
         cover = covers[fi]
-        if cover.saturated or (cover.independent and not saturated):
+        if cover.saturated or (cover.rank == cover.tight and not saturated):
             rank = len(fi)
         else:
             factors, _, _ = intlinalg.smith_normal_form(
@@ -720,6 +713,7 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
         simple_witness=simple_witness,
         saturated_faces=saturated,
         saturated_witness=saturated_witness,
+        covers=covers,
     )
 
 

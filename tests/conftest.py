@@ -1,6 +1,7 @@
 """Shared fixture sets and interior-point samplers for the test suite."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -133,6 +134,17 @@ def delzant_polygon(m):
                           kappa_a + kappa_b - delta))
         delta /= 3
     return pl.normalize(pl.polyhedral_set(2, facets))
+
+
+def delzant_cone(m):
+    """Cone in R^3 over delzant_polygon(m) scaled by the lcm L of its offset
+    denominators: the facets (eta, -L * kappa) <= 0. It is good, since two
+    adjacent edges of the polygon have conormals of determinant +-1."""
+    polygon = delzant_polygon(m)
+    scale = math.lcm(*(f.kappa.denominator for f in polygon.facets))
+    return pl.normalize(pl.polyhedral_set(
+        3, [((*f.eta, int(-scale * f.kappa)), 0) for f in polygon.facets],
+        kind=pl.CONE))
 
 
 def sample_interior(name, rng, count, margin=0.05):

@@ -20,7 +20,8 @@ import pytest
 from toriccut import polylattice
 from toriccut.cli import jsonable, main
 
-from conftest import cube, delzant_polygon, orthant, random_set, write_document
+from conftest import (cube, delzant_cone, delzant_polygon, orthant,
+                      random_set, write_document)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -280,6 +281,33 @@ def test_non_finite_coordinates_rejected(tmp_path, capsys):
         assert named in capsys.readouterr().err, argv
 
 
+def test_ambient_booleans_rejected(capsys):
+    # JSON true and false are Python ints; an ambient entry must be a number
+    f1 = data("f1.json")
+    for ambient in ('{"x": [true], "theta": [false], "z": [true, false]}',
+                    '{"x": [0.5], "theta": [true], "z": [1, 1]}',
+                    '{"x": [0.5], "z": [true, 1]}',
+                    '{"x": [0.5], "z": [[0.5, false], 1]}'):
+        code, out = run_cli(["cut", f1, "--ambient", ambient])
+        assert (code, out) == (2, ""), ambient
+        assert "ambient" in capsys.readouterr().err, ambient
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e400",
+                                   "1" + "0" * 400, "0", "true"],
+                         ids=["inf", "-inf", "nan", "1e400", "10**400", "0",
+                              "true"])
+def test_bad_newton_tol_rejected(tmp_path, capsys, value):
+    doc = json.loads((DATA / "f1.json").read_text(encoding="utf-8"))
+    text = json.dumps(doc)[:-1] + (', "options": {"tolerances": '
+                                   '{"newton_tol": %s}}}' % value)
+    path = tmp_path / "tol.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(["invert", str(path), "--target=50"])
+    assert (code, out) == (2, "")
+    assert "newton_tol" in capsys.readouterr().err
+
+
 def test_huge_ambient_integers_rejected(capsys):
     huge = "1" + "0" * 400
     f1 = data("f1.json")
@@ -359,7 +387,8 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
              for path in (data("f2.json"), data("f5_lift.json"), box)]
     random5 = write_document(tmp_path / "random5_12_1.json",
                              random_set(5, 12, 1))
-    argvs += [["invert", data("f2.json"), "--target=6,6"],
+    argvs += [["classify", data("f4.json")], ["classify", data("lens.json")],
+              ["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"],
               ["invert", random5, "--target=0,0,0,0,0"]]
     _assert_not_loaded({"numpy", "dataclasses"}, argvs)
@@ -383,6 +412,17 @@ def test_validate_delzant_polygon(tmp_path, m):
     code, out = run_cli(["validate", path])
     assert code == 0
     assert json.loads(out)["report"]["validate"]["is_unimodular"] is True
+
+
+@pytest.mark.parametrize("m", [17, 24])
+def test_classify_delzant_cone(tmp_path, m):
+    # more facets than a walk over (n - 1)-subsets for the rays could take
+    path = write_document(tmp_path / f"gon{m}_cone.json", delzant_cone(m))
+    code, out = run_cli(["classify", path])
+    assert code == 0
+    contact = json.loads(out)["report"]["classify"]["contact"]
+    assert contact["good"] is True
+    assert contact["type_label"] == "sasakian_type"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -412,3 +452,11 @@ def test_each_artifact_built_once_per_command(monkeypatch, tmp_path):
     faces = _count_calls(monkeypatch, polylattice, "active_faces")
     assert run_cli(["cut", box])[0] == 0
     assert len(faces) == 1
+    # the cone's report and the projected core's report inside the
+    # splitting (lens has no splitting: its conormals are not saturated);
+    # the rays and the Reeb check read the cone report's faces
+    for path, count in ((cone, 2), (data("lens.json"), 1)):
+        faces.clear()
+        reports.clear()
+        assert run_cli(["classify", path])[0] == 0
+        assert (len(faces), len(reports)) == (count, count), path

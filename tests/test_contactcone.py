@@ -1,16 +1,20 @@
 """Cone classification, Reeb data, induced structures, dilation defect."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from toriccut import contactcone as cc
+from toriccut import intlinalg as il
+from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
                              WeaklyConvex, ZeroPoint)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, orthant
 
 GOOD_CONES = ["f3", "f4", "lens", "halfspace_r3"]
 
@@ -36,6 +40,62 @@ def diag_defect_oracle(x):
         half = c / 2.0
         best = max(best, abs(half / (1.0 + half) ** 2 - 2.0 / (1.0 + half)))
     return best
+
+
+def reference_rays(p):
+    """Extreme rays by the C(m, n - 1) walk over facet subsets: n - 1
+    conormals of rank n - 1 fix a line, spanned by the cofactors of their
+    matrix, and each direction of that line that satisfies every
+    inequality is a ray."""
+    rows = [list(f.eta) for f in p.facets]
+    found = set()
+    for combo in itertools.combinations(rows, p.n - 1):
+        line = [int((-1) ** j * il.determinant([r[:j] + r[j + 1:]
+                                                 for r in combo]))
+                for j in range(p.n)]
+        if not any(line):  # rank below n - 1
+            continue
+        g = math.gcd(*line)
+        direction = tuple(v // g for v in line)
+        for cand in (direction, tuple(-v for v in direction)):
+            if all(sum(a * b for a, b in zip(eta, cand)) <= 0
+                   for eta in rows):
+                found.add(cand)
+    return tuple(sorted(found))
+
+
+def random_pointed_cones(count, seed):
+    """Cones in R^n, n <= 4, with n to n + 4 conormals drawn from
+    [-3, 3]^n that span R^n; some are lower-dimensional or only the apex."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        n = rng.randint(1, 4)
+        etas = []
+        while len(etas) < rng.randint(n, n + 4):
+            eta = [rng.randint(-3, 3) for _ in range(n)]
+            if any(eta):
+                etas.append(eta)
+        if il.rational_rank(etas) == n:
+            cones.append(pl.normalize(pl.polyhedral_set(
+                n, [(eta, 0) for eta in etas], kind=pl.CONE)))
+    return cones
+
+
+@pytest.mark.parametrize("make", [FIXTURES["f4"], FIXTURES["lens"]]
+                         + [lambda n=n: orthant(n) for n in range(2, 6)],
+                         ids=["f4", "lens"] + [f"orthant{n}"
+                                               for n in range(2, 6)])
+def test_extreme_rays_match_subset_walk(make):
+    p = make()
+    assert cc.extreme_rays(p) == reference_rays(p)
+
+
+def test_extreme_rays_match_subset_walk_on_random_cones():
+    cones = random_pointed_cones(200, 20261018)
+    assert {p.n for p in cones} == {1, 2, 3, 4}
+    for p in cones:
+        assert cc.extreme_rays(p) == reference_rays(p), p
 
 
 def test_extreme_rays():
@@ -201,6 +261,37 @@ def test_acm_needs_interior():
         cc.induced_acm_structure(p, cp)
     with pytest.raises(NotInterior):
         cc.cone_metric_defect(p, cp)
+
+
+def central_difference_defect(p, cp, step=1e-5):
+    """The dilation defect by central differences in t: the max-abs entry
+    of the derivative of diag(e^2t G(e^t x), G(e^t x)^-1) at t = 0 minus
+    twice the metric."""
+    base_x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    times = (step, -step, 0.0)
+    scales = np.array([math.exp(tv) for tv in times])[:, None]
+    g_small = kp.hessian_metric(kp.interior_point(p, scales * base_x))
+    pulled = np.zeros((len(times), 2 * p.n, 2 * p.n))
+    pulled[:, :p.n, :p.n] = (np.array([math.exp(2.0 * tv) for tv in times])
+                             [:, None, None] * g_small)
+    pulled[:, p.n:, p.n:] = kp.hessian_metric_inverse(g_small)
+    derivative = (pulled[0] - pulled[1]) / (2.0 * step)
+    return float(np.max(np.abs(derivative - 2.0 * pulled[2])))
+
+
+@pytest.mark.parametrize("name,x,t", [
+    ("f4", unit_f4(0.3), 0.0),
+    ("f4", unit_f4(1.1), 0.4),
+    ("f4", unit_f4(0.05), -0.7),
+    ("lens", unit_lens(0.4), 0.0),
+    ("lens", unit_lens(0.1), 0.3),
+    ("lens", unit_lens(0.85), -0.5),
+])
+def test_cone_defect_matches_central_differences(name, x, t):
+    p = FIXTURES[name]()
+    cp = cc.contact_point(p, x, t=t)
+    closed = cc.cone_metric_defect(p, cp)
+    assert abs(closed - central_difference_defect(p, cp)) <= 1e-9 * closed
 
 
 def test_cone_defect_f4_fixture():

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -130,17 +129,6 @@ def test_unimodular_completion():
         il.unimodular_row_completion([[2, 0]])
 
 
-def test_primitive_direction():
-    assert il.primitive_direction([Fraction(2, 3), Fraction(-4, 3)]) == (1, -2)
-    assert il.primitive_direction([0, -2, -4]) == (0, 1, 2)
-
-
 def test_solve_and_determinant():
     assert il.determinant([[0, -1], [1, 1]]) == 1
     assert il.determinant([[0, -1], [2, 1]]) == 2
-
-
-def test_rational_kernel_basis():
-    assert il.rational_kernel_basis([[-1, 0]]) == [(0, 1)]
-    assert il.rational_kernel_basis([[-1, 0, 0]]) == [(0, 1, 0), (0, 0, 1)]
-    assert il.rational_kernel_basis([[-1, -2]]) == [(2, -1)]

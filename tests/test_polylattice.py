@@ -412,6 +412,20 @@ def test_one_slice_on_pointed_cones(monkeypatch, make, face):
     assert (w is None) == (_rank(p, face) == p.n)
 
 
+@pytest.mark.parametrize("make", [f3, halfspace_r3],
+                         ids=["f3", "halfspace_r3"])
+def test_lineality_witness_needs_no_lp(monkeypatch, make):
+    # an integer kernel vector of the conormals lies on every face, so it
+    # covers every candidate
+    p = make()
+    calls = []
+    original = pl.feasible
+    monkeypatch.setattr(pl, "feasible",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert len(pl.active_faces(p)) == 2 ** len(p.facets)
+    assert calls == []
+
+
 class TestSaturation:
     def test_examples(self):
         assert pl.saturation_check([(1, 0)])
