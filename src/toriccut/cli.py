@@ -406,6 +406,11 @@ def cmd_invert(doc: LoadedDocument, target_text: str) -> int:
         "iterations": result.iterations,
         "residual": result.residual,
     }}
+    if result.chart_facets:
+        payload["invert"]["chart"] = {
+            "facets": [i + 1 for i in result.chart_facets],
+            "log_slacks": list(result.log_slacks),
+        }
     sys.stdout.write(_render(doc, payload))
     return EXIT_OK
 

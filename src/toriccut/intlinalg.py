@@ -108,17 +108,33 @@ def determinant(mat) -> Fraction:
     return det if len(pivots) == len(mat) else Fraction(0)
 
 
-def invert_unimodular(mat):
-    """Inverse of an integer matrix with determinant +-1, as integers."""
+def _inverse_rows(mat):
+    """(rows, d, det): Gauss-Jordan on [mat | I] leaves d * [I | mat^-1],
+    and rows is its right half.
+
+    Raises:
+        ValueError: the matrix is singular.
+    """
     n = len(mat)
     rows, pivots, d, det = _gauss_jordan(
         [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
+    return [row[n:] for row in rows], d, det
+
+
+def rational_inverse(mat):
+    """Inverse of a nonsingular square rational matrix, as Fractions."""
+    rows, d, _ = _inverse_rows(mat)
+    return [[Fraction(v, d) for v in row] for row in rows]
+
+
+def invert_unimodular(mat):
+    """Inverse of an integer matrix with determinant +-1, as integers."""
+    rows, d, det = _inverse_rows(mat)
     if abs(det) != 1:
         raise ValueError("matrix is not unimodular")
-    # the rows are d * [I | mat^-1] with d = +-1
-    return [[d * v for v in row[n:]] for row in rows]
+    return [[d * v for v in row] for row in rows]  # d = +-1
 
 
 def hermite_normal_form(mat):

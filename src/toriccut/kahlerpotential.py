@@ -23,13 +23,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import polylattice
+from . import intlinalg, polylattice
 from .errors import NoConvergence, NotInterior, NotSPD
 
 INTERIOR_MARGIN = 1e-12
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 200
 BOUNDARY_FRACTION = 0.95
+CHART_SLACK = 1e-3
 
 
 class InteriorPoints(NamedTuple):
@@ -86,9 +87,16 @@ class KahlerPointData(NamedTuple):
 
 
 class NewtonResult(NamedTuple):
+    """The solution x of an inversion. When the solve ended in a chart
+    (see `_Chart`), chart_facets (0-based) names its facets and
+    log_slacks their slacks' logarithms, which x rounded to floats may not
+    resolve; both are empty when it ended in x itself."""
+
     x: tuple[float, ...]
     iterations: int
     residual: float
+    chart_facets: tuple[int, ...] = ()
+    log_slacks: tuple[float, ...] = ()
 
 
 def interior_point(p: polylattice.PolyhedralSet, x,
@@ -239,26 +247,112 @@ def _dot(u, v) -> float:
     return acc
 
 
-def _residual(etas, kappas, x, y):
-    """(slacks, legendre_map(x) - y, its largest entry in absolute value)
-    at a float point x, or None when a slack is not finite and positive."""
-    l = [kappa - _dot(eta, x) for eta, kappa in zip(etas, kappas)]
+class _Chart(NamedTuple):
+    """Newton coordinates z = (u, w) on the interior.
+
+    u_i = log l_i for the facets B (0-based, ascending) and w = x_c for the
+    coordinate columns c that complete eta_B to an invertible matrix A.
+    With M = A^-1, v = M (kappa_B, 0) and q = (-e^u, w), the point is
+    x = v + M q, and every slack is an exact offset less a float
+    correction: l_j = (kappa_j - <eta_j, v>) - <eta_j M, q>. A slack of B
+    is e^u and never loses digits to cancellation, however small it is.
+    With B empty, z is x itself.
+    """
+
+    facets: tuple[int, ...]
+    columns: tuple[int, ...]
+    inverse: list[list[Fraction]]  # M
+    base: list[Fraction]  # v
+    offsets: list[float]  # kappa_j - <eta_j, v>
+    rows: list[list[float]]  # eta_j M
+    float_inverse: list[list[float]]
+    float_base: list[float]
+
+
+def _chart(p: polylattice.PolyhedralSet, facets) -> _Chart:
+    n = p.n
+    if not facets:  # x itself: no exact arithmetic needed
+        identity = intlinalg.identity_matrix(n)
+        return _Chart((), tuple(range(n)), identity, [0] * n,
+                      [float(f.kappa) for f in p.facets],
+                      [[float(v) for v in f.eta] for f in p.facets],
+                      [[float(v) for v in row] for row in identity],
+                      [0.0] * n)
+    a = [list(p.facets[i].eta) for i in facets]
+    columns = []
+    for c in range(n):
+        unit = [int(j == c) for j in range(n)]
+        if len(a) < n and intlinalg.rational_rank(a + [unit]) > len(a):
+            a.append(unit)
+            columns.append(c)
+    inverse = intlinalg.rational_inverse(a)
+    rhs = [p.facets[i].kappa for i in facets] + [0] * len(columns)
+    base = [sum(m * r for m, r in zip(row, rhs)) for row in inverse]
+    rows = [[sum(e * m for e, m in zip(f.eta, col)) for col in zip(*inverse)]
+            for f in p.facets]
+    offsets = [f.kappa - sum(e * v for e, v in zip(f.eta, base))
+               for f in p.facets]
+    return _Chart(tuple(facets), tuple(columns), inverse, base,
+                  [float(v) for v in offsets],
+                  [[float(v) for v in row] for row in rows],
+                  [[float(v) for v in row] for row in inverse],
+                  [float(v) for v in base])
+
+
+def _chart_facets(p: polylattice.PolyhedralSet, l) -> tuple[int, ...]:
+    """The facets of slack below CHART_SLACK, taken from the smallest slack
+    up while their conormals stay linearly independent; ascending."""
+    chosen = []
+    for j in sorted(range(len(l)), key=l.__getitem__):
+        if l[j] >= CHART_SLACK or len(chosen) == p.n:
+            break
+        rows = [p.facets[i].eta for i in (*chosen, j)]
+        if intlinalg.rational_rank(rows) == len(rows):
+            chosen.append(j)
+    return tuple(sorted(chosen))
+
+
+def _state(chart: _Chart, etas, z, y):
+    """(slacks, log slacks, x, legendre_map(x) - y, its largest entry in
+    absolute value) at chart coordinates z, or None when a slack is not
+    finite and positive."""
+    k = len(chart.facets)
+    try:
+        q = [-math.exp(u) for u in z[:k]] + z[k:]
+    except OverflowError:
+        return None
+    # a facet i of B has offset 0 and row e_i, so its slack is e^u exactly
+    l = [o - _dot(row, q) for o, row in zip(chart.offsets, chart.rows)]
     if not all(0.0 < v < math.inf for v in l):
         return None
     logs = [math.log(v) for v in l]
+    for i, u in zip(chart.facets, z):
+        logs[i] = u
+    x = [b + _dot(row, q) for b, row in
+         zip(chart.float_base, chart.float_inverse)] if k else q
     grad = [xj - 0.5 * _dot(logs, column) - yj
             for xj, column, yj in zip(x, zip(*etas), y)]
-    return l, grad, max(map(abs, grad))
+    return l, logs, x, grad, max(map(abs, grad))
 
 
-def _hessian(etas, l):
-    """I + (1/2) sum_i eta_i eta_i^T / l_i, entry by entry (not
-    symmetrized)."""
-    weighted = list(zip(*[[e / li for e in eta] for eta, li in zip(etas, l)]))
-    columns = list(zip(*etas))
-    return [[(1.0 if j == k else 0.0) + 0.5 * _dot(wj, ck)
-             for k, ck in enumerate(columns)]
-            for j, wj in enumerate(weighted)]
+def _jacobian(chart: _Chart, etas, l, scale):
+    """d(legendre_map(x) - y)/dz entry by entry (not symmetrized), with
+    scale = dq/dz. Entry (a, b) is M[a][b] scale[b], plus
+    eta_j[a] (eta_j M)[b] scale[b] / (2 l_j) for each facet j outside B,
+    less eta_i[a] / 2 when b is the column of u_i. In the chart of x this
+    is the Hessian I + (1/2) sum_j eta_j eta_j^T / l_j.
+    """
+    n = len(scale)
+    outside = [j for j in range(len(l)) if j not in chart.facets]
+    weighted = [[etas[j][a] / l[j] for j in outside] for a in range(n)]
+    moved = [[chart.rows[j][b] * scale[b] for j in outside] for b in range(n)]
+    jac = [[chart.float_inverse[a][b] * scale[b]
+            + 0.5 * _dot(weighted[a], moved[b]) for b in range(n)]
+           for a in range(n)]
+    for b, i in enumerate(chart.facets):
+        for a in range(n):
+            jac[a][b] -= 0.5 * etas[i][a]
+    return jac
 
 
 def _solve(a, b):
@@ -284,6 +378,15 @@ def _solve(a, b):
     return b
 
 
+def _require_positive(slacks) -> None:
+    """Raises NotInterior, naming the first facet of smallest slack, unless
+    every exact slack is positive."""
+    worst = min(range(len(slacks)), key=slacks.__getitem__)
+    if slacks[worst] <= 0:
+        raise NotInterior(f"facet {worst + 1} slack "
+                          f"{float(slacks[worst]):.3e} below margin")
+
+
 def _require_exact_interior(p: polylattice.PolyhedralSet, x) -> None:
     """Every slack at the float point x, computed exactly, is positive.
 
@@ -293,14 +396,28 @@ def _require_exact_interior(p: polylattice.PolyhedralSet, x) -> None:
     ratios = [v.as_integer_ratio() for v in x]
     scale = max(d for _, d in ratios)  # powers of two: a common denominator
     point = [a * (scale // d) for a, d in ratios]  # scale * x, in integers
-    slacks = [Fraction(f.kappa.numerator * scale - f.kappa.denominator
-                       * sum(e * v for e, v in zip(f.eta, point)),
-                       f.kappa.denominator * scale)
-              for f in p.facets]
-    worst = min(range(len(slacks)), key=slacks.__getitem__)
-    if slacks[worst] <= 0:
-        raise NotInterior(f"facet {worst + 1} slack "
-                          f"{float(slacks[worst]):.3e} below margin")
+    _require_positive([Fraction(f.kappa.numerator * scale - f.kappa.denominator
+                                * sum(e * v for e, v in zip(f.eta, point)),
+                                f.kappa.denominator * scale)
+                       for f in p.facets])
+
+
+def _solution(p: polylattice.PolyhedralSet, chart: _Chart, z, x, iterations,
+              residual) -> NewtonResult:
+    """The result at chart coordinates z, whose exact slacks must be
+    positive: those of x itself in the chart of x, else those of the exact
+    point v + M q that the float coordinates z name."""
+    if not chart.facets:
+        _require_exact_interior(p, x)
+        return NewtonResult(tuple(x), iterations, residual)
+    k = len(chart.facets)
+    q = [-Fraction(math.exp(u)) for u in z[:k]] + [Fraction(w) for w in z[k:]]
+    point = [b + sum(m * v for m, v in zip(row, q))
+             for b, row in zip(chart.base, chart.inverse)]
+    _require_positive([f.kappa - sum(e * v for e, v in zip(f.eta, point))
+                       for f in p.facets])
+    return NewtonResult(tuple(float(v) for v in point), iterations, residual,
+                        chart.facets, tuple(z[:k]))
 
 
 def invert_legendre(p: polylattice.PolyhedralSet, y,
@@ -310,11 +427,16 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
     one target y in R^n, in plain Python floats.
 
     The start point maximizes the smallest slack (computed exactly, then
-    rounded to float). Each step solves the Hessian system and is damped
-    two ways: a fraction-to-boundary rule keeps every slack at >= 5% of its
-    current value, and the step is halved while the residual norm (the
-    merit function) fails to decrease. The solution is returned only when
-    its slacks, computed exactly from its float coordinates, are positive.
+    rounded to float). Each step solves the Jacobian system in the current
+    chart and is damped two ways: a fraction-to-boundary rule keeps every
+    slack outside the chart's facets at >= 5% of its current value, and
+    the step is halved while the residual norm (the merit function) fails
+    to decrease. The solve starts in the chart of x. When the halving runs
+    out, the float point no longer resolves its small slacks, and the
+    solve moves, at the same point, to the chart of the facets whose
+    slacks are below CHART_SLACK (once per new set of facets; an
+    iteration). The solution is returned only when its exact slacks are
+    positive (see `_solution`).
 
     Raises:
         ValueError: y does not have n coordinates.
@@ -331,31 +453,40 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
     if margin <= 0:
         raise NotInterior("set has no strict interior")
     etas = [[float(v) for v in f.eta] for f in p.facets]
-    kappas = [float(f.kappa) for f in p.facets]
-    x = [float(v) for v in start]
+    chart = _chart(p, ())
+    z = [float(v) for v in start]
     iteration = 0
     while True:
-        state = _residual(etas, kappas, x, yv)
+        state = _state(chart, etas, z, yv)
         if state is None:
             raise NoConvergence(f"iterate {iteration} left the interior")
-        l, grad, residual = state
+        l, logs, x, grad, residual = state
         if residual < tol:
-            _require_exact_interior(p, x)
-            return NewtonResult(tuple(x), iteration, residual)
+            return _solution(p, chart, z, x, iteration, residual)
         if iteration >= max_iter:
             raise NoConvergence(
                 f"residual {residual:.3e} after {max_iter} iterations")
-        step = _solve(_hessian(etas, l), [-g for g in grad])
-        ratios = [li / d for li, d in zip(l, (_dot(eta, step) for eta in etas))
-                  if d > 0]  # d: slack loss rate of the facet
+        scale = [-l[i] for i in chart.facets] + [1.0] * len(chart.columns)
+        step = _solve(_jacobian(chart, etas, l, scale), [-g for g in grad])
+        dq = [s * d for s, d in zip(scale, step)]
+        ratios = [l[j] / d for j, d in
+                  enumerate(_dot(row, dq) for row in chart.rows)
+                  if d > 0 and j not in chart.facets]  # d: slack loss rate
         t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
         for _ in range(40):
-            trial = _residual(etas, kappas,
-                              [xj + t * sj for xj, sj in zip(x, step)], yv)
-            if trial is not None and trial[2] < residual:
+            trial = _state(chart, etas,
+                           [zj + t * sj for zj, sj in zip(z, step)], yv)
+            if trial is not None and trial[-1] < residual:
                 break
             t *= 0.5
-        # an exhausted search keeps the tiny step; the iteration cap above
-        # is the arbiter of non-convergence
-        x = [xj + t * sj for xj, sj in zip(x, step)]
+        else:
+            facets = _chart_facets(p, l)
+            if facets != chart.facets:
+                chart = _chart(p, facets)
+                z = [logs[i] for i in facets] + [x[c] for c in chart.columns]
+                iteration += 1
+                continue
+        # an exhausted search in an unchanged chart keeps the tiny step;
+        # the iteration cap above is the arbiter of non-convergence
+        z = [zj + t * sj for zj, sj in zip(z, step)]
         iteration += 1

@@ -187,6 +187,20 @@ def test_invert_near_boundary(name, target):
     assert min(report["x"]) > 0
 
 
+def test_invert_reports_chart():
+    # the solution's slack at facet 2 is e^-98: x rounds onto the facet,
+    # and the report names the chart that carries the slack
+    code, text = run_cli(["invert", data("f1.json"), "--target=50"])
+    assert code == 0
+    report = json.loads(text)["report"]["invert"]
+    assert report["x"] == [1.0]
+    assert report["chart"]["facets"] == [2]
+    assert abs(report["chart"]["log_slacks"][0] + 98) < 1e-9
+    assert report["residual"] < 1e-9
+    code, text = run_cli(["invert", data("f1.json"), "--target=0.0"])
+    assert "chart" not in json.loads(text)["report"]["invert"]
+
+
 def test_exit_code_no_convergence():
     code, _ = run_cli(["invert", data("f1_maxiter1.json"),
                        "--target", "40.0"])

@@ -129,6 +129,24 @@ def test_unimodular_completion():
         il.unimodular_row_completion([[2, 0]])
 
 
+def test_rational_inverse():
+    from fractions import Fraction
+    rng = random.Random(8)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if il.determinant(mat) == 0:
+            with pytest.raises(ValueError):
+                il.rational_inverse(mat)
+            continue
+        inv = il.rational_inverse(mat)
+        assert all(isinstance(v, Fraction) for row in inv for v in row)
+        assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+                for row in mat] == il.identity_matrix(n)
+    assert il.rational_inverse([[2, 1], [0, 1]]) == [
+        [Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
+
+
 def test_solve_and_determinant():
     assert il.determinant([[0, -1], [1, 1]]) == 1
     assert il.determinant([[0, -1], [2, 1]]) == 2

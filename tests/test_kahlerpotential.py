@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +33,24 @@ def mp_symplectic(p, x):
             e * v for e, v in zip(f.eta, xs))
         total += l * mplog(l) / 2 - l / 2
     return float(total)
+
+
+def mp_gradient_error(p, res, y):
+    """Largest entry of |legendre_map - y| at an inversion's solution, in
+    50 digits: the slacks of the chart's facets are e^log_slacks, the
+    others exact at the float x."""
+    chart = dict(zip(res.chart_facets, res.log_slacks))
+    with mp.workdps(50):
+        logs = []
+        for j, f in enumerate(p.facets):
+            l = f.kappa - sum(e * Fraction(v) for e, v in zip(f.eta, res.x))
+            assert j in chart or l > 0
+            logs.append(mpf(chart[j]) if j in chart
+                        else mplog(mpf(l.numerator) / l.denominator))
+        return float(max(
+            abs(mpf(res.x[c]) - sum(lg * f.eta[c]
+                                    for lg, f in zip(logs, p.facets)) / 2
+                - y[c]) for c in range(p.n)))
 
 
 def fd_gradient(fun, x, h=1e-5):
@@ -302,11 +322,40 @@ class TestLegendre:
             kp.invert_legendre(f1(), [5.0], max_iter=1)
 
     def test_iterate_leaves_interior(self):
-        # the solution lies within rounding of the boundary: the tiny step
-        # of an exhausted line search lands outside the set, and the solve
-        # stops there
+        # the solution lies within rounding of the boundary: in x, the tiny
+        # step of an exhausted line search would land outside the set, so
+        # the solve moves to the chart of facet 3, whose slack is e^u
+        y = [49.30956189235279, 34.19801309523521]
+        res = kp.invert_legendre(f5(), y)
+        assert res.chart_facets == (2,)
+        assert res.log_slacks[0] < -60
+        assert res.residual < 1e-9
+        assert mp_gradient_error(f5(), res, y) < 1e-8 * max(map(abs, y))
+        # a slack of e^-1998 underflows to 0.0 even in the chart
         with pytest.raises(NoConvergence, match="left the interior"):
-            kp.invert_legendre(f5(), [49.30956189235279, 34.19801309523521])
+            kp.invert_legendre(f1(), [1000.0])
+
+    def test_chart_facets_independent(self):
+        # the slab's two facets are parallel: only the smaller slack joins
+        assert kp._chart_facets(slab(), [5e-4, 1e-4]) == (1,)
+        assert kp._chart_facets(f2(), [5e-4, 2e-3, 1e-4]) == (0, 2)
+        assert kp._chart_facets(cube(3), [0.5] * 6) == ()
+
+    @pytest.mark.parametrize("name, y, facets", [
+        # slacks of 1e-8 and 1.6e-10, a facet x_j >= -1 each: x_j rounded
+        # to floats misses the target by more than the tolerance
+        ("random6_12_1", (0, -7, 5, 0, 0, 0), (1,)),
+        ("random6_12_1", (-7, 1, -6, -6, 0, 0), (0,)),
+        ("random6_12_1", (-6, 0, 1, 0, -8, -8), (4,)),
+        # a slack of e^-98: x rounds onto the facet x <= 1
+        ("f1", (50,), (1,)),
+        ("f2", (20, -25), (1, 2))])
+    def test_invert_in_chart(self, name, y, facets):
+        p, _ = batch_set(name)
+        res = kp.invert_legendre(p, y)
+        assert res.chart_facets == facets
+        assert res.residual < 1e-9
+        assert mp_gradient_error(p, res, y) < 1e-8 * max(map(abs, y))
 
     def test_exact_interior_check(self):
         kp._require_exact_interior(f1(), (5e-324,))
@@ -314,6 +363,12 @@ class TestLegendre:
             kp._require_exact_interior(f1(), (-0.5,))
         with pytest.raises(NotInterior, match="facet 2 slack 0.000e"):
             kp._require_exact_interior(f1(), (1.0,))
+        # in the chart of facet 2, u = 1 names x = 1 - e, outside facet 1
+        chart = kp._chart(f1(), (1,))
+        with pytest.raises(NotInterior, match="facet 1 slack -1.718e"):
+            kp._solution(f1(), chart, [1.0], None, 0, 0.0)
+        res = kp._solution(f1(), chart, [-1.0], None, 3, 0.0)
+        assert res == ((1 - math.exp(-1.0),), 3, 0.0, (1,), (-1.0,))
 
     def test_solve_pivots(self):
         rng = np.random.default_rng(17)
@@ -425,6 +480,23 @@ class TestBatches:
                     expected).tobytes()
 
 
+def solution_batch(p, res):
+    """The one-row batch at an inversion's solution. It may lie closer to
+    a facet than the default margin of `interior_point` (f5 at (-3, 8) has
+    a slack of 3.7e-13), and the slacks of a chart's facets are
+    e^log_slacks, which x rounded to floats may not resolve (random6_12_1
+    at (-6, 0, 1, 0, -8, -8): 1.6e-10 = 1 + x_5)."""
+    x = np.array([res.x])
+    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
+    l = np.array([[float(f.kappa) for f in p.facets]]) - x @ etas.T
+    l[0, list(res.chart_facets)] = np.exp(res.log_slacks)
+    assert np.all(l > 0)
+    worst = np.argmin(l, axis=1)
+    return kp.InteriorPoints(x=x, l_values=l, l_infinity=l.sum(axis=1),
+                             etas=etas, inside=np.array([True]),
+                             worst_facet=worst, worst_slack=l[0, worst])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["f1", "f2", "f4", "f5", "cube3", "random4_12_1",
                         "random6_12_1"]),
@@ -435,5 +507,5 @@ def test_invert_matches_batch_legendre_map(name, coords):
     p, _ = batch_set(name)
     y = coords[:p.n]
     res = kp.invert_legendre(p, y)
-    image = kp.legendre_map(one(p, res.x))[0]
+    image = kp.legendre_map(solution_batch(p, res))[0]
     assert np.max(np.abs(image - y)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
