@@ -7,16 +7,21 @@ failure, 4 desk scale exceeded, 5 no convergence.
 
 The float layer (`kahlerpotential`), the quotient model (`cutmodel`) and
 the contact layer (`contactcone`) are imported by the commands that use
-them. numpy is loaded only by `potential`, `metric` and `cut --ambient`:
-`validate`, `classify`, plain `cut` and `invert` (whose Newton solve is
-plain Python) never load it.
+them. numpy is loaded only by `cut --ambient`; the float layer is plain
+Python, so `potential`, `metric` and `invert` never load it. `potential`
+evaluates and writes CSV_CHUNK_ROWS points at a time, so a grid and its
+values are never held whole. JSON reports are written by `_render`, which
+gives the bytes of json.dumps(sort_keys=True, indent=2) in one pass.
 """
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import __version__, polylattice
@@ -32,7 +37,7 @@ EXIT_NO_CONVERGENCE = 5
 DEFAULT_TOLERANCES = {"newton_tol": 1e-9, "newton_max_iter": 200}
 # a larger --grid exits 4 before any point is built
 GRID_POINT_LIMIT = 10**6
-# CSV rows rendered per write, so the text of a large grid is never held whole
+# points evaluated and written per chunk of `potential`
 CSV_CHUNK_ROWS = 4096
 
 
@@ -143,36 +148,71 @@ def load_document(path: str) -> LoadedDocument:
     return LoadedDocument(pset, echo, tolerances)
 
 
-def jsonable(value):
-    """Recursive conversion to JSON-safe values; rationals become strings."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, polylattice.FaceIndexSet):
-        return [int(i) for i in value]
-    if hasattr(value, "tolist"):  # numpy arrays and scalars
-        return value.tolist()  # nothing but lists and Python scalars
-    if isinstance(value, dict):
-        return {key: jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
+# json.dumps's text of the leaves that payloads hold most, besides floats
+_SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _emit(value, newline: str, out: list) -> None:
+    """Append to out the text that json.dumps(value, sort_keys=True,
+    indent=2) writes, where newline breaks the line and indents it as the
+    line that value starts on. Rationals are written as strings, faces as
+    lists of indices, anything with `tolist` (numpy arrays and scalars) as
+    what that returns; keys must be strings."""
+    if isinstance(value, (dict, list, tuple)):
         if hasattr(value, "_fields"):
             # a NamedTuple record would flatten into a list and lose its
             # field names; payloads spell out the fields they report
             raise TypeError(f"record {type(value).__name__} in a payload")
-        return [jsonable(v) for v in value]
-    return value
+        keyed = isinstance(value, dict)
+        brackets = "{}" if keyed else "[]"
+        if not value:
+            out.append(brackets)
+            return
+        inner = newline + "  "
+        separator = brackets[0] + inner
+        for item in sorted(value.items()) if keyed else value:
+            if keyed:
+                separator += encode_basestring_ascii(item[0]) + ": "
+                item = item[1]
+            if type(item) is float and math.isfinite(item):
+                out.append(separator + float.__repr__(item))
+            elif type(item) in _SCALAR_TEXT:
+                out.append(separator + _SCALAR_TEXT[type(item)](item))
+            else:
+                out.append(separator)
+                _emit(item, inner, out)
+            separator = "," + inner
+        out.append(newline + brackets[1])
+    elif isinstance(value, Fraction):
+        out.append(encode_basestring_ascii(str(value)))
+    elif isinstance(value, polylattice.FaceIndexSet):
+        _emit([int(i) for i in value], newline, out)
+    elif hasattr(value, "tolist"):
+        _emit(value.tolist(), newline, out)
+    else:  # a scalar: json.dumps writes it alike with and without indent
+        out.append(json.dumps(value))
 
 
-def _render(doc: LoadedDocument, report: dict) -> str:
-    out = {
+def _render(value) -> str:
+    """The JSON text of value, byte for byte that of json.dumps with
+    sort_keys=True and indent=2, with the conversions of `_emit`."""
+    out = []
+    _emit(value, "\n", out)
+    return "".join(out)
+
+
+def _write_report(doc: LoadedDocument, report: dict) -> None:
+    sys.stdout.write(_render({
         "input": doc.echo,
         "provenance": {
             "tool": "toriccut",
             "version": __version__,
             "tolerances": dict(sorted(doc.tolerances.items())),
         },
-        "report": jsonable(report),
-    }
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
+        "report": report,
+    }) + "\n")
 
 
 def _set_payload(p: polylattice.PolyhedralSet) -> dict:
@@ -201,7 +241,7 @@ def cmd_validate(doc: LoadedDocument) -> int:
     if p.kind == polylattice.CONE:
         # a cone is good exactly when its off-apex report is unimodular
         payload["good_cone"] = rep.is_unimodular
-    sys.stdout.write(_render(doc, {"validate": payload}))
+    _write_report(doc, {"validate": payload})
     return EXIT_OK if rep.is_unimodular else EXIT_INVALID
 
 
@@ -245,7 +285,7 @@ def cmd_classify(doc: LoadedDocument) -> int:
                 "reeb_vector": (list(cls.reeb_vector)
                                 if cls.reeb_vector is not None else None),
             }
-    sys.stdout.write(_render(doc, {"classify": payload}))
+    _write_report(doc, {"classify": payload})
     return code
 
 
@@ -287,7 +327,8 @@ def _load_points(path: str, n: int) -> list[list[float]]:
 
 
 def _parse_grid(spec: str, n: int):
-    """The grid points of `spec` as an (N, n) array, last axis fastest.
+    """The grid points of `spec`, last axis fastest, as a lazy iterator of
+    n-tuples, and their count.
 
     Raises:
         ScaleLimitExceeded: the grid has more than GRID_POINT_LIMIT points;
@@ -311,12 +352,10 @@ def _parse_grid(spec: str, n: int):
     if total > GRID_POINT_LIMIT:
         raise ScaleLimitExceeded(f"--grid: {total} points exceed the limit "
                                  f"of {GRID_POINT_LIMIT}")
-    import numpy as np
     axes = [[lo] if steps == 1
             else [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
             for lo, hi, steps in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([axis.ravel() for axis in mesh], axis=1)
+    return itertools.product(*axes), total
 
 
 def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
@@ -325,50 +364,54 @@ def cmd_potential(doc: LoadedDocument, points_path, grid_spec) -> int:
     p = doc.pset
     if points_path is not None:
         rows = _load_points(points_path, p.n)
+        total = len(rows)
     else:
-        rows = _parse_grid(grid_spec, p.n)
-    import numpy as np
+        rows, total = _parse_grid(grid_spec, p.n)
     from . import kahlerpotential
-    xs = np.asarray(rows, dtype=float).reshape(len(rows), p.n)
-    pts = kahlerpotential.interior_point(p, xs)
-    values = np.column_stack([pts.x,
-                              kahlerpotential.symplectic_potential(pts),
-                              kahlerpotential.guillemin_potential(pts),
-                              kahlerpotential.legendre_map(pts)])
     header = ([f"x{i}" for i in range(1, p.n + 1)] + ["sp", "guillemin"]
               + [f"gtilde{i}" for i in range(1, p.n + 1)])
     sys.stdout.write(",".join(header) + "\n")
-    if grid_spec is None:  # a --points row outside the set is written as NA
-        listed = np.full((len(rows), values.shape[1]), np.nan)
-        listed[:, :p.n] = xs
-        listed[pts.inside] = values
-        values, inside = listed, pts.inside
-    else:  # grid points outside the set are skipped and counted
-        inside = np.ones(len(values), dtype=bool)
     missing = ",NA" * (p.n + 2)
-    for start in range(0, len(values), CSV_CHUNK_ROWS):
-        chunk = slice(start, start + CSV_CHUNK_ROWS)
-        sys.stdout.write("".join(
-            ",".join(map(repr, row)) + "\n" if ok
-            else ",".join(map(repr, row[:p.n])) + missing + "\n"
-            for row, ok in zip(values[chunk].tolist(), inside[chunk].tolist())))
-    if grid_spec is not None:
-        sys.stdout.write(f"# skipped: {len(rows) - len(values)}\n")
+    rows = iter(rows)
+    interior = 0
+    # one chunk at a time, so neither the grid nor its values are held
+    # whole; the text is built column by column
+    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+        pts = kahlerpotential.interior_point(p, chunk)
+        columns = [*pts.x, kahlerpotential.symplectic_potential(pts),
+                   kahlerpotential.guillemin_potential(pts),
+                   *zip(*kahlerpotential.legendre_map(pts))]
+        lines = map(",".join, zip(*[map(repr, col) for col in columns]))
+        if grid_spec is None:  # a --points row outside the set: NA values
+            lines = [next(lines) if ok else ",".join(map(repr, row)) + missing
+                     for row, ok in zip(chunk, pts.inside)]
+        interior += sum(pts.inside)
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    if grid_spec is not None:  # grid points outside the set are skipped
+        sys.stdout.write(f"# skipped: {total - interior}\n")
     return EXIT_OK
+
+
+def _residual(a, b, c) -> float:
+    """The largest entry of |a b - c|. An entry of a b is the exact sum of
+    the rounded products of its terms, rounded once (math.fsum), so that it
+    reads the same under every Python version; terms at a zero entry of a
+    are left out."""
+    worst = [0.0]
+    for row, wanted in zip(a, c):
+        products = [[v * x for x in b_row] for v, b_row in zip(row, b) if v]
+        sums = map(math.fsum, zip(*products))
+        worst.extend(map(abs, map(operator.sub, sums, wanted)))
+    return max(worst)
 
 
 def cmd_metric(doc: LoadedDocument, points_path: str) -> int:
     p = doc.pset
     rows = _load_points(points_path, p.n)
-    import numpy as np
     from . import kahlerpotential
-    data = kahlerpotential.point_data(
-        p, np.asarray(rows, dtype=float).reshape(len(rows), p.n))
+    data = kahlerpotential.point_data(p, rows)
     pts = data.points
-    inverse_residual = np.max(np.abs(data.G @ data.G_inv - np.eye(p.n)),
-                              axis=(1, 2))
-    compatibility_residual = np.max(np.abs(data.g - data.omega @ data.J),
-                                    axis=(1, 2))
+    identity = [[float(a == b) for b in range(p.n)] for a in range(p.n)]
     entries = []
     k = 0  # position of the next interior row in data
     for index, row in enumerate(rows):
@@ -381,15 +424,16 @@ def cmd_metric(doc: LoadedDocument, points_path: str) -> int:
             "G_inv": data.G_inv[k],
             "J": data.J[k],
             "g": data.g[k],
-            "inverse_residual": float(inverse_residual[k]),
-            "compatibility_residual": float(compatibility_residual[k]),
+            "inverse_residual": _residual(data.G[k], data.G_inv[k], identity),
+            "compatibility_residual": _residual(data.omega[k], data.J[k],
+                                                data.g[k]),
         }
         if len(p.facets) == 1:
             entry["one_cut"] = kahlerpotential.one_cut_inverse(
-                p.facets[0].eta, float(pts.l_values[k, 0]))
+                p.facets[0].eta, pts.l_values[0][k])
         entries.append(entry)
         k += 1
-    sys.stdout.write(_render(doc, {"metric": {"points": entries}}))
+    _write_report(doc, {"metric": {"points": entries}})
     return EXIT_OK
 
 
@@ -411,7 +455,7 @@ def cmd_invert(doc: LoadedDocument, target_text: str) -> int:
             "facets": [i + 1 for i in result.chart_facets],
             "log_slacks": list(result.log_slacks),
         }
-    sys.stdout.write(_render(doc, payload))
+    _write_report(doc, payload)
     return EXIT_OK
 
 
@@ -482,7 +526,7 @@ def cmd_cut(doc: LoadedDocument, ambient_text) -> int:
             "rank": stab.rank,
             "saturated": stab.saturated,
         }
-    sys.stdout.write(_render(doc, {"cut": payload}))
+    _write_report(doc, {"cut": payload})
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ cone metric.
 
 The float parts (the almost contact metric structure, the dilation defect,
 normalize_moment) import numpy and the float layer where they run, so the
-exact classification loads without them.
+exact classification loads without them; the float layer returns lists,
+which they wrap in numpy arrays.
 """
 
 from __future__ import annotations
@@ -250,9 +251,9 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
     from . import kahlerpotential
     _require_cone(p)
     x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
+    pts = kahlerpotential.interior_point(p, [x]).require_all()
     _, j_stack, h_stack = kahlerpotential.block_tensors(pts)
-    j_mat, h = j_stack[0], h_stack[0]
+    j_mat, h = np.array(j_stack[0]), np.array(h_stack[0])
     g_inv = h[p.n:, p.n:]
     nu_x = g_inv @ x
     nu = np.concatenate([nu_x, np.zeros(p.n)]) / math.sqrt(float(x @ nu_x))
@@ -329,8 +330,8 @@ def cone_metric_defect(p: polylattice.PolyhedralSet,
     from . import kahlerpotential
     _require_cone(p)
     x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    pts = kahlerpotential.interior_point(p, x[None, :]).require_all()
+    pts = kahlerpotential.interior_point(p, [x]).require_all()
     g = kahlerpotential.hessian_metric(pts)
-    g_inv = kahlerpotential.hessian_metric_inverse(g)[0]
-    return max(float(np.max(np.abs(np.eye(p.n) - g[0]))),
+    g_inv = np.array(kahlerpotential.hessian_metric_inverse(g)[0])
+    return max(float(np.max(np.abs(np.eye(p.n) - np.array(g[0])))),
                float(np.max(np.abs(g_inv + g_inv @ g_inv))))

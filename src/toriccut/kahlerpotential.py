@@ -1,26 +1,24 @@
 """Canonical potentials, Hessian metrics, and the moment-coordinate
 Legendre transform for normalized polyhedral sets.
 
-Everything here is float64 and the natural logarithm is used throughout.
-The pointwise functions work on batches: points come as an (N, n) numpy
-array and each function returns one value, row or matrix per point. The
-exact facet data is converted to floats once per batch, when the slacks
-are computed.
-
-Products are taken row by row (stacked matrix-vector products), never as
-one matrix-matrix product over the whole batch: BLAS may sum a gemm in
-another order than a gemv, and a point must give the same bits whether it
-is evaluated alone, as a one-row batch, or among others.
-
-`invert_legendre` solves for one target at a time in plain Python floats,
-so that `toric invert` never loads numpy; the batch functions import numpy
-where they run.
+Everything here is plain Python float64 with the natural logarithm; no
+numpy. The pointwise functions work on batches: points come as a sequence
+of rows of n floats, and each function returns a list with one value, row
+or matrix per point. A batch is evaluated column by column, one pass over
+all rows per step (`_combinations`), which costs the interpreter far less
+than a loop over points. Every value depends on its own row alone, and
+every sum adds its terms in order from 0.0, as `_dot` does, so a point
+gives the same bits alone, as a one-row batch, or among others.
+`invert_legendre` solves for one target at a time and evaluates its
+gradient with the same formula (`_gradient`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from . import intlinalg, polylattice
@@ -36,26 +34,29 @@ CHART_SLACK = 1e-3
 class InteriorPoints(NamedTuple):
     """A batch of points with its strictly interior rows and their slacks.
 
-    x, l_values and l_infinity hold the interior rows only, in input
-    order: l_values[k, i] = kappa_i - <x[k], eta_i> > 0 and l_infinity[k]
-    is the row sum. `inside` marks which input rows they are. For every
-    input row, worst_facet (0-based) and worst_slack name its smallest
-    slack, the first facet among equal ones; a masked row reports them.
-    The float conormal matrix rides along so downstream operations need
-    only the batch.
+    x, l_values and log_values hold the interior rows only, in input order
+    and by column: x[c][k] is coordinate c of the k-th interior row,
+    l_values[i][k] = kappa_i - <x_k, eta_i> > 0 and log_values[i][k] its
+    logarithm; l_infinity[k] is the sum of the slacks of that row. `inside`
+    marks which input rows they are. For every input row, worst_facet
+    (0-based) and worst_slack name its smallest slack, the first facet
+    among equal ones, a NaN slack first of all; a masked row reports them.
+    The float conormals (one row per facet) ride along so downstream
+    operations need only the batch.
     """
 
-    x: np.ndarray
-    l_values: np.ndarray
-    l_infinity: np.ndarray
-    etas: np.ndarray
-    inside: np.ndarray
-    worst_facet: np.ndarray
-    worst_slack: np.ndarray
+    x: list[list[float]]
+    l_values: list[list[float]]
+    log_values: list[list[float]]
+    l_infinity: list[float]
+    etas: list[list[float]]
+    inside: list[bool]
+    worst_facet: list[int]
+    worst_slack: list[float]
 
     def rejection(self, row: int) -> NotInterior:
         """The error of an input row that is not interior."""
-        return NotInterior(f"facet {int(self.worst_facet[row]) + 1} slack "
+        return NotInterior(f"facet {self.worst_facet[row] + 1} slack "
                            f"{self.worst_slack[row]:.3e} below margin")
 
     def require_all(self) -> InteriorPoints:
@@ -64,26 +65,25 @@ class InteriorPoints(NamedTuple):
         Raises:
             NotInterior: for the first input row that is not.
         """
-        import numpy as np
-        masked = np.flatnonzero(~self.inside)
-        if masked.size:
-            raise self.rejection(int(masked[0]))
+        if not all(self.inside):
+            raise self.rejection(self.inside.index(False))
         return self
 
 
 class KahlerPointData(NamedTuple):
-    """All pointwise tensors of the interior rows of a batch, stacked
-    (CLI payload shape); `points` tells which input rows they belong to."""
+    """All pointwise tensors of the interior rows of a batch, one entry per
+    row (CLI payload shape); `points` tells which input rows they belong
+    to."""
 
     points: InteriorPoints
-    sp: np.ndarray
-    guillemin: np.ndarray
-    G: np.ndarray
-    G_inv: np.ndarray
-    gtilde: np.ndarray
-    omega: np.ndarray
-    J: np.ndarray
-    g: np.ndarray
+    sp: list[float]
+    guillemin: list[float]
+    G: list[list[list[float]]]
+    G_inv: list[list[list[float]]]
+    gtilde: list[list[float]]
+    omega: list[list[list[float]]]
+    J: list[list[list[float]]]
+    g: list[list[list[float]]]
 
 
 class NewtonResult(NamedTuple):
@@ -99,145 +99,6 @@ class NewtonResult(NamedTuple):
     log_slacks: tuple[float, ...] = ()
 
 
-def interior_point(p: polylattice.PolyhedralSet, x,
-                   margin: float = INTERIOR_MARGIN) -> InteriorPoints:
-    """Slacks of an (N, n) batch, with the strictly interior rows selected.
-
-    A row whose smallest slack is below `margin` (or NaN) is masked out,
-    not raised: `InteriorPoints.rejection` gives its error and
-    `require_all` raises it.
-
-    Raises:
-        ValueError: x is not an (N, n) array.
-    """
-    import numpy as np
-    polylattice.require_normalized(p)
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != p.n:
-        raise ValueError(f"expected an (N, {p.n}) batch of points")
-    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
-    kappas = np.array([float(f.kappa) for f in p.facets])
-    # <x[k], eta_i>, one matrix-vector product per row; a NaN or inf row
-    # gives NaN slacks (inf * 0, inf - inf) and is masked below
-    with np.errstate(invalid="ignore"):
-        l = kappas - (etas @ xs[:, :, None])[:, :, 0]
-    worst = np.argmin(l, axis=1)  # argmin picks a NaN slack, which fails too
-    worst_slack = np.take_along_axis(l, worst[:, None], axis=1)[:, 0]
-    inside = worst_slack >= margin
-    l = l[inside]
-    return InteriorPoints(x=xs[inside], l_values=l, l_infinity=l.sum(axis=1),
-                          etas=etas, inside=inside, worst_facet=worst,
-                          worst_slack=worst_slack)
-
-
-def symplectic_potential(pts: InteriorPoints) -> np.ndarray:
-    import numpy as np
-    x, l = pts.x, pts.l_values
-    kinetic = ((0.5 * x)[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return (kinetic + 0.5 * np.sum(l * np.log(l), axis=1)
-            - 0.5 * pts.l_infinity)
-
-
-def guillemin_potential(pts: InteriorPoints) -> np.ndarray:
-    import numpy as np
-    l = pts.l_values
-    return 0.5 * np.sum(l * np.log(l), axis=1) - 0.5 * pts.l_infinity
-
-
-def hessian_metric(pts: InteriorPoints) -> np.ndarray:
-    """Hessian of the symplectic potential at each row, as (N, n, n):
-    identity plus half the sum of rank-one conormal terms weighted by
-    inverse slacks; symmetrized against rounding."""
-    import numpy as np
-    etas = pts.etas
-    weighted = np.swapaxes(etas / pts.l_values[:, :, None], 1, 2)
-    g = np.eye(etas.shape[1]) + 0.5 * weighted @ etas
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
-def hessian_metric_inverse(g: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of a (..., n, n) stack via Cholesky.
-
-    Raises:
-        NotSPD: some factorization fails.
-    """
-    import numpy as np
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("matrix has no Cholesky factorization") from exc
-    # a full stack of identities: numpy < 2 would read a 2-D right-hand
-    # side as a stack of vectors and broadcast it against the batch axis
-    eye = np.broadcast_to(np.eye(g.shape[-1]), g.shape)
-    half = np.linalg.solve(chol, eye)
-    inv = np.linalg.solve(np.swapaxes(chol, -1, -2), half)
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
-
-
-def one_cut_inverse(eta, l: float) -> np.ndarray:
-    """Closed-form inverse metric for a single facet at slack l.
-
-    Sherman-Morrison applied to I + eta eta^T / (2 l) gives
-    I - eta eta^T / (2 l + |eta|^2).
-    """
-    import numpy as np
-    ev = np.asarray(eta, dtype=float).reshape(-1)
-    if not np.any(ev):
-        raise ValueError("conormal must be nonzero")
-    if l <= 0:
-        raise ValueError("slack must be positive")
-    return np.eye(ev.shape[0]) - np.outer(ev, ev) / (2.0 * l + ev @ ev)
-
-
-def legendre_map(pts: InteriorPoints) -> np.ndarray:
-    """Gradient of the symplectic potential at each row, as (N, n):
-    x - (1/2) sum log(l_i) eta_i."""
-    import numpy as np
-    return pts.x - 0.5 * (np.log(pts.l_values)[:, None, :] @ pts.etas)[:, 0, :]
-
-
-def _block_tensors(g_small: np.ndarray, g_inv: np.ndarray):
-    import numpy as np
-    eye = np.broadcast_to(np.eye(g_small.shape[-1]), g_small.shape)
-    zero = np.zeros_like(g_small)
-    omega = np.block([[zero, eye], [-eye, zero]])
-    jmat = np.block([[zero, -g_inv], [g_small, zero]])
-    metric = np.block([[g_small, zero], [zero, g_inv]])
-    return omega, jmat, metric
-
-
-def block_tensors(pts: InteriorPoints):
-    """Constant symplectic form, complex structure, and metric as
-    (N, 2n, 2n) stacks of blocks in the (x, theta) frame:
-
-        omega = [[0, I], [-I, 0]]
-        J     = [[0, -G^-1], [G, 0]]
-        g     = [[G, 0], [0, G^-1]]
-    """
-    g_small = hessian_metric(pts)
-    return _block_tensors(g_small, hessian_metric_inverse(g_small))
-
-
-def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
-    """Every pointwise tensor of an (N, n) batch; rows that are not
-    interior are masked as in `interior_point`."""
-    pts = interior_point(p, x)
-    g_small = hessian_metric(pts)
-    g_inv = hessian_metric_inverse(g_small)
-    omega, jmat, metric = _block_tensors(g_small, g_inv)
-    return KahlerPointData(
-        points=pts,
-        sp=symplectic_potential(pts),
-        guillemin=guillemin_potential(pts),
-        G=g_small,
-        G_inv=g_inv,
-        gtilde=legendre_map(pts),
-        omega=omega,
-        J=jmat,
-        g=metric,
-    )
-
-
 def _dot(u, v) -> float:
     """Sum of the products, taken in order (`sum` of floats rounds
     differently across Python versions)."""
@@ -245,6 +106,214 @@ def _dot(u, v) -> float:
     for a, b in zip(u, v):
         acc += a * b
     return acc
+
+
+def _combinations(columns, coefficient_rows) -> list[list[float]]:
+    """For each coefficient vector c, sum_k c[k] columns[k] over the rows,
+    with the bits of `_dot(c, row)`. Such a sum starts at 0.0 and so is
+    never -0.0: a term 0.0 * v changes it only when v is not finite, and is
+    skipped when its whole column is finite."""
+    finite = {}
+    out = []
+    for coefficients in coefficient_rows:
+        acc = None
+        for k, (c, col) in enumerate(zip(coefficients, columns)):
+            if not c:
+                if k not in finite:
+                    finite[k] = all(map(math.isfinite, col))
+                if finite[k]:
+                    continue
+            start = repeat(0.0) if acc is None else acc
+            if c in (1.0, -1.0):  # the product is v or -v exactly
+                acc = list(map(operator.add if c > 0 else operator.sub,
+                               start, col))
+            else:
+                acc = [a + c * v for a, v in zip(start, col)]
+        out.append([0.0] * len(columns[0]) if acc is None else acc)
+    return out
+
+
+def _row_sums(columns) -> list[float]:
+    return _combinations(columns, [[1.0] * len(columns)])[0]
+
+
+def interior_point(p: polylattice.PolyhedralSet, x,
+                   margin: float = INTERIOR_MARGIN) -> InteriorPoints:
+    """Slacks of a batch of points in R^n, with the strictly interior rows
+    selected. A row whose smallest slack is below `margin` or NaN (a NaN
+    or inf coordinate gives NaN slacks) is masked out, not raised:
+    `InteriorPoints.rejection` gives its error and `require_all` raises it.
+
+    Raises:
+        ValueError: x is not a sequence of rows of n numbers.
+    """
+    polylattice.require_normalized(p)
+    rows = list(x)
+    try:
+        if not all(map(p.n.__eq__, map(len, rows))):
+            raise TypeError("row length")
+        cols = ([list(map(float, col)) for col in zip(*rows)]
+                or [[] for _ in range(p.n)])
+    except TypeError as exc:
+        raise ValueError(f"expected a batch of points in R^{p.n}") from exc
+    etas = [[float(v) for v in f.eta] for f in p.facets]
+    slacks = [[kappa - d for d in dots] for kappa, dots in
+              zip([float(f.kappa) for f in p.facets],
+                  _combinations(cols, etas))]
+    totals = _row_sums(slacks)
+    worst_slack = list(map(min, *slacks, repeat(math.inf)))
+    worst = [0] * len(totals)
+    for i in reversed(range(len(slacks))):
+        worst = [i if v == low else j
+                 for v, low, j in zip(slacks[i], worst_slack, worst)]
+    for k in compress(range(len(totals)), map(math.isnan, totals)):
+        # a NaN slack counts as the smallest, but min skips one not first
+        nans = [i for i, col in enumerate(slacks) if math.isnan(col[k])]
+        if nans:
+            worst[k], worst_slack[k] = nans[0], math.nan
+    inside = [v >= margin for v in worst_slack]
+    l_values = [list(compress(col, inside)) for col in slacks]
+    return InteriorPoints(
+        x=[list(compress(col, inside)) for col in cols], l_values=l_values,
+        log_values=[list(map(math.log, col)) for col in l_values],
+        l_infinity=list(compress(totals, inside)), etas=etas, inside=inside,
+        worst_facet=worst, worst_slack=worst_slack)
+
+
+def _half_entropy(pts: InteriorPoints) -> list[float]:
+    """(1/2) sum_i l_i log l_i at each row."""
+    return [0.5 * v for v in _row_sums(
+        [list(map(operator.mul, *pair))
+         for pair in zip(pts.l_values, pts.log_values)])]
+
+
+def symplectic_potential(pts: InteriorPoints) -> list[float]:
+    kinetic = _row_sums([[(0.5 * v) * v for v in col] for col in pts.x])
+    return [(k + e) - 0.5 * total for k, e, total in
+            zip(kinetic, _half_entropy(pts), pts.l_infinity)]
+
+
+def guillemin_potential(pts: InteriorPoints) -> list[float]:
+    return [e - 0.5 * total
+            for e, total in zip(_half_entropy(pts), pts.l_infinity)]
+
+
+def _gradient(x, logs, etas) -> list[list[float]]:
+    """legendre_map by columns: for each coordinate c, the list over the
+    rows of x_c - (1/2) sum_i log(l_i) eta_i[c], from the columns of x and
+    of the log slacks."""
+    return [[v - 0.5 * s for v, s in zip(col, sums)] for col, sums in
+            zip(x, _combinations(logs, list(zip(*etas))))]
+
+
+def legendre_map(pts: InteriorPoints) -> list[list[float]]:
+    """Gradient of the symplectic potential at each row:
+    x - (1/2) sum log(l_i) eta_i."""
+    return list(map(list, zip(*_gradient(pts.x, pts.log_values, pts.etas))))
+
+
+def hessian_metric(pts: InteriorPoints) -> list[list[list[float]]]:
+    """Hessian of the symplectic potential at each row, an n x n matrix:
+    identity plus half the sum of rank-one conormal terms weighted by
+    inverse slacks; symmetrized against rounding."""
+    columns = list(zip(*pts.etas))
+    n = len(columns)
+    out = []
+    for l in zip(*pts.l_values):
+        weighted = [[e / s for e, s in zip(col, l)] for col in columns]
+        g = [[float(a == b) + 0.5 * _dot(weighted[a], col)
+              for b, col in enumerate(columns)] for a in range(n)]
+        out.append([[0.5 * (g[a][b] + g[b][a]) for b in range(n)]
+                    for a in range(n)])
+    return out
+
+
+def hessian_metric_inverse(g) -> list[list[list[float]]]:
+    """Inverse of each matrix of a stack (one n x n matrix per row): from
+    its Cholesky factor L, each column of L^-T L^-1 by forward then back
+    substitution; symmetrized against rounding.
+
+    Raises:
+        NotSPD: a pivot of some factorization is not positive.
+    """
+    out = []
+    for matrix in g:
+        n = len(matrix)
+        low = [[0.0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                s = matrix[i][j] - _dot(low[i][:j], low[j][:j])
+                if i > j:
+                    low[i][j] = s / low[j][j]
+                elif s > 0.0:
+                    low[j][j] = math.sqrt(s)
+                else:  # NaN too
+                    raise NotSPD(f"matrix has no Cholesky factorization: "
+                                 f"pivot {j + 1} is {s!r}")
+        inv = []  # by columns
+        for c in range(n):
+            z = [0.0] * n
+            for i in range(c, n):  # L z = e_c
+                z[i] = (float(i == c) - _dot(low[i][c:i], z[c:i])) / low[i][i]
+            for i in reversed(range(n)):  # L^T w = z, in place
+                z[i] = (z[i] - _dot([low[k][i] for k in range(i + 1, n)],
+                                    z[i + 1:])) / low[i][i]
+            inv.append(z)
+        out.append([[0.5 * (inv[a][b] + inv[b][a]) for b in range(n)]
+                    for a in range(n)])
+    return out
+
+
+def one_cut_inverse(eta, l: float) -> list[list[float]]:
+    """Closed-form inverse metric for a single facet at slack l.
+
+    Sherman-Morrison applied to I + eta eta^T / (2 l) gives
+    I - eta eta^T / (2 l + |eta|^2).
+    """
+    ev = [float(v) for v in eta]
+    if not any(ev):
+        raise ValueError("conormal must be nonzero")
+    if l <= 0:
+        raise ValueError("slack must be positive")
+    denominator = 2.0 * l + _dot(ev, ev)
+    return [[float(a == b) - (va * vb) / denominator
+             for b, vb in enumerate(ev)] for a, va in enumerate(ev)]
+
+
+def block_tensors(pts: InteriorPoints):
+    """Constant symplectic form, complex structure, and metric, one
+    2n x 2n matrix each per row, of blocks in the (x, theta) frame:
+
+        omega = [[0, I], [-I, 0]]
+        J     = [[0, -G^-1], [G, 0]]
+        g     = [[G, 0], [0, G^-1]]
+    """
+    g_small = hessian_metric(pts)
+    zero = [0.0] * len(pts.etas[0])
+    eye = [[float(a == b) for b in range(len(zero))] for a in range(len(zero))]
+    omega = ([zero + row for row in eye]
+             + [[-v for v in row] + zero for row in eye])
+    out = ([], [], [])
+    for small, inv in zip(g_small, hessian_metric_inverse(g_small)):
+        out[0].append(omega)
+        out[1].append([zero + [-v for v in row] for row in inv]
+                      + [row + zero for row in small])
+        out[2].append([row + zero for row in small]
+                      + [zero + row for row in inv])
+    return out
+
+
+def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
+    """Every pointwise tensor of a batch; rows that are not interior are
+    masked as in `interior_point`. G and G^-1 are the blocks of g."""
+    pts = interior_point(p, x)
+    omega, jmat, metric = block_tensors(pts)
+    n = p.n
+    return KahlerPointData(
+        pts, symplectic_potential(pts), guillemin_potential(pts),
+        [[row[:n] for row in g[:n]] for g in metric],
+        [[row[n:] for row in g[n:]] for g in metric],
+        legendre_map(pts), omega, jmat, metric)
 
 
 class _Chart(NamedTuple):
@@ -330,8 +399,9 @@ def _state(chart: _Chart, etas, z, y):
         logs[i] = u
     x = [b + _dot(row, q) for b, row in
          zip(chart.float_base, chart.float_inverse)] if k else q
-    grad = [xj - 0.5 * _dot(logs, column) - yj
-            for xj, column, yj in zip(x, zip(*etas), y)]
+    # the formula of legendre_map, on a batch of one row
+    grad = [col[0] - yj for col, yj in
+            zip(_gradient([[v] for v in x], [[v] for v in logs], etas), y)]
     return l, logs, x, grad, max(map(abs, grad))
 
 

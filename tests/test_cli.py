@@ -6,19 +6,24 @@ Golden files live in tests/golden and are byte-compared; pass
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toriccut import polylattice
-from toriccut.cli import jsonable, main
+# kahlerpotential is imported here, so that no traced run counts its import
+from toriccut import cli, kahlerpotential, polylattice  # noqa: F401
+from toriccut.cli import _render, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
                       random_set, write_document)
@@ -62,6 +67,8 @@ GOLDEN_CASES = [
      ["potential", "f1.json", "--grid", "0.1:0.9:5"], 0),
     ("potential_f2_points.csv",
      ["potential", "f2.json", "--points", "f2_points.txt"], 0),
+    ("potential_f2_grid.csv",
+     ["potential", "f2.json", "--grid=-0.1:1.1:7,-0.1:1.1:7"], 0),
     ("metric_f1.json", ["metric", "f1.json", "--points", "f1_points.txt"], 0),
     ("metric_f2.json", ["metric", "f2.json", "--points", "f2_points.txt"], 0),
     ("metric_f3.json", ["metric", "f3.json", "--points", "f3_points.txt"], 0),
@@ -360,13 +367,90 @@ def test_empty_points_file(tmp_path):
     assert json.loads(out)["report"]["metric"]["points"] == []
 
 
-def test_jsonable_refuses_records():
+def test_potential_chunks_are_invisible(monkeypatch, tmp_path):
+    # chunks of 1 and 7 rows write the bytes of the default chunk, on a grid
+    # with skipped points and on points with NA rows among interior ones
+    points = tmp_path / "mixed.txt"
+    points.write_text("".join(f"{0.1 * i} {0.5 - 0.05 * i}\n"
+                              for i in range(-3, 12)), encoding="utf-8")
+    argvs = [resolve(["potential", "f2.json", "--grid=-0.1:1.1:7,-0.1:1.1:7"]),
+             ["potential", data("f2.json"), "--points", str(points)]]
+    expected = [run_cli(argv) for argv in argvs]
+    assert expected[0][1] == (GOLDEN / "potential_f2_grid.csv").read_text(
+        encoding="utf-8")
+    assert ",NA,NA,NA,NA\n" in expected[1][1]
+    for rows in (1, 7):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+        assert [run_cli(argv) for argv in argvs] == expected
+
+
+class _Sink:
+    """A stdout that keeps no text."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_potential_grid_is_never_held_whole(monkeypatch):
+    # 90000 points: held whole, their coordinates and values take megabytes
+    # (8 MB under numpy); in chunks of 512 rows the peak stays well below
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 512)
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        code = main(["potential", data("f2.json"),
+                     "--grid=-0.1:1.1:300,-0.1:1.1:300"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10**6
+
+
+def test_overflowing_pairing_is_quiet(tmp_path, capsys):
+    # <eta_3, x> = 1e308 + 1e308 overflows; numpy warned about it on stderr
+    points = tmp_path / "huge.txt"
+    points.write_text("1e308 1e308\n", encoding="utf-8")
+    f2 = data("f2.json")
+    header = "x1,x2,sp,guillemin,gtilde1,gtilde2\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["potential", f2, "--points", str(points)]) == (
+            0, header + "1e+308,1e+308,NA,NA,NA,NA\n")
+        code, out = run_cli(["metric", f2, "--points", str(points)])
+        # rows with inf and NaN slacks: every grid point is skipped
+        assert run_cli(["potential", f2,
+                        "--grid=-1e308:1e308:3,-1e308:1e308:3"]) == (
+            0, header + "# skipped: 9\n")
+    assert code == 0
+    assert json.loads(out)["report"]["metric"]["points"] == [
+        {"x": [1e308, 1e308], "error": "facet 3 slack -inf below margin"}]
+    assert capsys.readouterr().err == ""
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf,
+                               -math.inf, 2**64 + 1, -(2**70), True, False,
+                               None, "", "tab\t \"quote\" \\ \u00e9 \u2603"]),
+              st.floats(), st.integers(), st.text()),
+    lambda children: st.lists(children) | st.dictionaries(st.text(),
+                                                          children),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_render_matches_json_dumps(value):
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_render_refuses_records():
     # a record is a tuple: flattened, its field names would be lost
     face = polylattice.FaceIndexSet((2, 1))
-    assert jsonable({"face": face, "w": (Fraction(1, 2),)}) == {
-        "face": [1, 2], "w": ["1/2"]}
+    assert _render({"face": face, "w": (Fraction(1, 2),)}) == json.dumps(
+        {"face": [1, 2], "w": ["1/2"]}, sort_keys=True, indent=2)
     with pytest.raises(TypeError, match="ConvexityReport"):
-        jsonable({"convexity": polylattice.ConvexityReport(2, 0, "x")})
+        _render({"convexity": polylattice.ConvexityReport(2, 0, "x")})
 
 
 NOT_LOADED = """
@@ -395,6 +479,15 @@ def _assert_not_loaded(absent, argvs):
     assert proc.returncode == 0, proc.stderr
 
 
+# potential and metric, on grids and points with rows outside the set
+FLOAT_COMMANDS = [
+    ["potential", data("f2.json"), "--grid=0:1:5,0:1:5"],
+    ["potential", data("f1.json"), "--points", data("f1_points.txt")],
+    ["metric", data("f2.json"), "--points", data("f2_points.txt")],
+    ["metric", data("f3.json"), "--points", data("f3_points.txt")],
+]
+
+
 def test_exact_commands_do_not_load_numpy(tmp_path):
     box = write_document(tmp_path / "cube3.json", cube(3))
     argvs = [[cmd, path] for cmd in ("validate", "classify", "cut")
@@ -405,6 +498,7 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
               ["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"],
               ["invert", random5, "--target=0,0,0,0,0"]]
+    argvs += FLOAT_COMMANDS
     _assert_not_loaded({"numpy", "dataclasses"}, argvs)
 
 
@@ -415,6 +509,7 @@ def test_commands_load_only_their_modules(tmp_path):
     argvs += [["classify", data("f2.json")], ["classify", data("slab.json")],
               ["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"]]
+    argvs += FLOAT_COMMANDS
     _assert_not_loaded({"numpy", "dataclasses", "toriccut.contactcone",
                         "toriccut.cutmodel"}, argvs)
 

@@ -86,8 +86,8 @@ def fd_hessian(fun, x, h=1e-4):
 class TestInteriorPoint:
     def test_f1_midpoint(self):
         pt = kp.interior_point(f1(), [[0.5]])
-        assert np.allclose(pt.l_values, [[0.5, 0.5]])
-        assert pt.l_infinity.tolist() == [1.0]
+        assert pt.l_values == [[0.5], [0.5]]
+        assert pt.l_infinity == [1.0]
 
     def test_boundary_rejected(self):
         with pytest.raises(NotInterior, match="facet 2"):
@@ -109,9 +109,10 @@ class TestInteriorPoint:
     def test_rows_outside_are_masked(self):
         pts = kp.interior_point(f1(), [[0.5], [1.0], [0.25], [-0.5],
                                        [float("nan")]])
-        assert pts.inside.tolist() == [True, False, True, False, False]
-        assert pts.x.tolist() == [[0.5], [0.25]]
-        assert pts.l_values.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert pts.inside == [True, False, True, False, False]
+        # the interior rows are held by column
+        assert pts.x == [[0.5, 0.25]]
+        assert pts.l_values == [[0.5, 0.25], [0.5, 0.75]]
         assert str(pts.rejection(1)) == "facet 2 slack 0.000e+00 below margin"
         assert str(pts.rejection(3)) == "facet 1 slack -5.000e-01 below margin"
         assert str(pts.rejection(4)) == "facet 1 slack nan below margin"
@@ -125,9 +126,8 @@ class TestInteriorPoint:
             pts = kp.interior_point(f2(), [[0.25, 0.25], [nan, 0.5],
                                            [inf, 0.1], [-inf, 0.1],
                                            [inf, -inf], [0.5, 0.25]])
-        assert pts.inside.tolist() == [True, False, False, False, False,
-                                       True]
-        assert pts.x.tolist() == [[0.25, 0.25], [0.5, 0.25]]
+        assert pts.inside == [True, False, False, False, False, True]
+        assert pts.x == [[0.25, 0.5], [0.25, 0.25]]
         # inf * 0 in a product makes the slack NaN, and the first NaN facet
         # is the one named
         assert [str(pts.rejection(row)) for row in (1, 2, 3, 4)] == [
@@ -138,9 +138,10 @@ class TestInteriorPoint:
             with pytest.raises(ValueError):
                 kp.interior_point(f1(), bad)
         empty = kp.interior_point(f2(), np.zeros((0, 2)))
-        assert empty.x.shape == (0, 2)
-        assert kp.symplectic_potential(empty).shape == (0,)
-        assert kp.hessian_metric(empty).shape == (0, 2, 2)
+        assert empty.x == [[], []] and empty.inside == []
+        assert kp.symplectic_potential(empty) == []
+        assert kp.legendre_map(empty) == []
+        assert kp.hessian_metric(empty) == []
 
 
 class TestPotentials:
@@ -171,8 +172,9 @@ class TestPotentials:
         p = f2()
         for x in sample_interior("f2", rng, 5):
             pt = one(p, x)
-            diff = kp.symplectic_potential(pt) - kp.guillemin_potential(pt)
-            assert diff[0] == pytest.approx(0.5 * float(x @ x), abs=1e-14)
+            diff = (kp.symplectic_potential(pt)[0]
+                    - kp.guillemin_potential(pt)[0])
+            assert diff == pytest.approx(0.5 * float(x @ x), abs=1e-14)
 
 
 class TestHessianMetric:
@@ -184,8 +186,8 @@ class TestHessianMetric:
         assert np.allclose(g, [[[4.0, 1.5], [1.5, 4.0]]], atol=1e-13)
 
     def test_inverse_frozen(self):
-        g = kp.hessian_metric(one(f2(), [1 / 3, 1 / 3]))[0]
-        ginv = kp.hessian_metric_inverse(g)
+        g = kp.hessian_metric(one(f2(), [1 / 3, 1 / 3]))
+        ginv = kp.hessian_metric_inverse(g)[0]
         expected = np.array([[16 / 55, -6 / 55], [-6 / 55, 16 / 55]])
         assert np.allclose(ginv, expected, atol=1e-13)
 
@@ -196,21 +198,22 @@ class TestHessianMetric:
             g = kp.hessian_metric(
                 kp.interior_point(p, sample_interior(name, rng, 10)))
             ginv = kp.hessian_metric_inverse(g)
-            assert np.max(np.abs(g @ ginv - np.eye(p.n))) < 1e-10
+            assert np.max(np.abs(np.array(g) @ np.array(ginv)
+                                 - np.eye(p.n))) < 1e-10
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_inverse_of_small_stacks(self, count):
-        # stack lengths below, at and above n = 2: the identity right-hand
-        # side must not be broadcast against the stack axis
+        # stack lengths below, at and above n = 2: each matrix of the stack
+        # is inverted on its own
         g = np.array([[[2.0, 0.5], [0.5, 1.0]], [[3.0, -1.0], [-1.0, 2.0]],
                       [[1.5, 0.0], [0.0, 4.0]]])[:count]
-        ginv = kp.hessian_metric_inverse(g)
+        ginv = np.array(kp.hessian_metric_inverse(g))
         assert ginv.shape == (count, 2, 2)
         assert np.max(np.abs(g @ ginv - np.eye(2))) < 1e-12
 
     def test_not_spd(self):
         with pytest.raises(NotSPD):
-            kp.hessian_metric_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            kp.hessian_metric_inverse([[[1.0, 2.0], [2.0, 1.0]]])
 
     def test_fd_hessian_of_potential(self):
         rng = np.random.default_rng(10)
@@ -260,7 +263,7 @@ class TestOneCut:
         # for eta = (1) the computed inverse is 2l/(2l+1); the naive
         # prefactor l/(l+1) differs and must not be reproduced
         for l in (0.5, 1.0, 2.0):
-            computed = kp.one_cut_inverse([1], l)[0, 0]
+            computed = kp.one_cut_inverse([1], l)[0][0]
             assert computed == pytest.approx(2 * l / (2 * l + 1), abs=1e-15)
             assert abs(computed - l / (l + 1)) > 0.01
 
@@ -315,7 +318,7 @@ class TestLegendre:
         for _ in range(50):
             a, b = sample_interior("f2", rng, 2)
             ga, gb = kp.legendre_map(kp.interior_point(p, [a, b]))
-            assert (ga - gb) @ (a - b) > 0
+            assert np.subtract(ga, gb) @ (a - b) > 0
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
@@ -391,7 +394,8 @@ class TestBlockTensors:
         for name, fix in (("f1", f1), ("f2", f2), ("slab", slab), ("f4", f4)):
             p = fix()
             pts = kp.interior_point(p, sample_interior(name, rng, 5))
-            for omega, jmat, metric in zip(*kp.block_tensors(pts)):
+            for tensors in zip(*kp.block_tensors(pts)):
+                omega, jmat, metric = map(np.array, tensors)
                 dim = 2 * p.n
                 assert np.max(np.abs(jmat @ jmat + np.eye(dim))) < 1e-10
                 assert np.max(np.abs(metric - omega @ jmat)) < 1e-10
@@ -420,32 +424,53 @@ def evaluate(p, xs):
     data = kp.point_data(p, xs)
     pts = data.points
     per_input = [pts.inside, pts.worst_facet, pts.worst_slack]
-    per_interior = [pts.x, pts.l_values, pts.l_infinity, data.sp,
+    per_interior = [list(zip(*pts.x)), list(zip(*pts.l_values)),
+                    list(zip(*pts.log_values)), pts.l_infinity, data.sp,
                     data.guillemin, data.gtilde, data.G, data.G_inv,
                     data.omega, data.J, data.g, *kp.block_tensors(pts)]
     return per_input, per_interior
 
 
+def in_order(terms):
+    """The sum of the terms in order from 0.0, as numpy sums fewer than 8."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def reference_point(p, x):
     """Slacks, both potentials, Hessian and Legendre map of one point by
-    the single-point formulas: one matrix-vector product each."""
-    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
-    kappas = np.array([float(f.kappa) for f in p.facets])
-    l = kappas - etas @ x
-    l_inf = float(l.sum())
-    sp = float(0.5 * x @ x + 0.5 * np.sum(l * np.log(l)) - 0.5 * l_inf)
-    guillemin = float(0.5 * np.sum(l * np.log(l)) - 0.5 * l_inf)
-    g = np.eye(p.n) + 0.5 * (etas / l[:, None]).T @ etas
-    gtilde = x - 0.5 * (np.log(l) @ etas)
-    return l, sp, guillemin, 0.5 * (g + g.T), gtilde
+    the single-point formulas, in plain floats: numpy's order of
+    operations, each product sum taken in order."""
+    etas = [[float(v) for v in f.eta] for f in p.facets]
+    l = [float(f.kappa) - in_order(e * v for e, v in zip(eta, x))
+         for f, eta in zip(p.facets, etas)]
+    l_inf = in_order(l)
+    entropy = 0.5 * in_order(v * math.log(v) for v in l)
+    sp = (in_order((0.5 * v) * v for v in x) + entropy) - 0.5 * l_inf
+    guillemin = entropy - 0.5 * l_inf
+    g = [[float(a == b) + 0.5 * in_order(eta[a] / v * eta[b]
+                                         for eta, v in zip(etas, l))
+          for b in range(p.n)] for a in range(p.n)]
+    g = [[0.5 * (g[a][b] + g[b][a]) for b in range(p.n)]
+         for a in range(p.n)]
+    gtilde = [x[c] - 0.5 * in_order(math.log(v) * eta[c]
+                                    for eta, v in zip(etas, l))
+              for c in range(p.n)]
+    return l, sp, guillemin, g, gtilde
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
 
 
 class TestBatches:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(BATCH_SETS)), data=st.data())
     def test_rows_match_one_row_batches(self, name, data):
-        # a gemm over the batch may sum in another order than the gemv of
-        # a single point; every row must come out with the same bits
+        # the batch is evaluated column by column; every row must come out
+        # with the bits of its own one-row batch
         p, center = batch_set(name)
         offsets = data.draw(st.lists(
             st.lists(st.floats(-1.5, 1.5), min_size=p.n, max_size=p.n),
@@ -456,12 +481,12 @@ class TestBatches:
         for i in range(len(xs)):
             one_input, one_interior = evaluate(p, xs[i:i + 1])
             for batch, single in zip(per_input, one_input):
-                assert batch[i].tobytes() == single[0].tobytes()
+                assert bits(batch[i]) == bits(single[0])
             if not per_input[0][i]:
                 assert all(len(single) == 0 for single in one_interior)
                 continue
             for batch, single in zip(per_interior, one_interior):
-                assert batch[k].tobytes() == single[0].tobytes()
+                assert bits(batch[k]) == bits(single[0])
             k += 1
         assert k == len(per_interior[0])
 
@@ -471,13 +496,12 @@ class TestBatches:
         rng = np.random.default_rng(3)
         xs = center + rng.uniform(-0.5, 0.5, size=(200, p.n))
         pts = kp.interior_point(p, xs)
-        batched = zip(pts.l_values, kp.symplectic_potential(pts),
+        batched = zip(zip(*pts.l_values), kp.symplectic_potential(pts),
                       kp.guillemin_potential(pts), kp.hessian_metric(pts),
                       kp.legendre_map(pts))
         for x, got in zip(xs[pts.inside], batched):
-            for value, expected in zip(got, reference_point(p, x)):
-                assert np.asarray(value).tobytes() == np.asarray(
-                    expected).tobytes()
+            for value, expected in zip(got, reference_point(p, x.tolist())):
+                assert bits(value) == bits(expected)
 
 
 def solution_batch(p, res):
@@ -486,15 +510,22 @@ def solution_batch(p, res):
     a slack of 3.7e-13), and the slacks of a chart's facets are
     e^log_slacks, which x rounded to floats may not resolve (random6_12_1
     at (-6, 0, 1, 0, -8, -8): 1.6e-10 = 1 + x_5)."""
-    x = np.array([res.x])
-    etas = np.array([[float(v) for v in f.eta] for f in p.facets])
-    l = np.array([[float(f.kappa) for f in p.facets]]) - x @ etas.T
-    l[0, list(res.chart_facets)] = np.exp(res.log_slacks)
-    assert np.all(l > 0)
-    worst = np.argmin(l, axis=1)
-    return kp.InteriorPoints(x=x, l_values=l, l_infinity=l.sum(axis=1),
-                             etas=etas, inside=np.array([True]),
-                             worst_facet=worst, worst_slack=l[0, worst])
+    etas = [[float(v) for v in f.eta] for f in p.facets]
+    l = [float(f.kappa) - in_order(e * v for e, v in zip(eta, res.x))
+         for f, eta in zip(p.facets, etas)]
+    for i, u in zip(res.chart_facets, res.log_slacks):
+        l[i] = math.exp(u)
+    assert all(v > 0 for v in l)
+    worst = l.index(min(l))
+    logs = [math.log(v) for v in l]
+    for i, u in zip(res.chart_facets, res.log_slacks):
+        logs[i] = u
+    return kp.InteriorPoints(x=[[v] for v in res.x],
+                             l_values=[[v] for v in l],
+                             log_values=[[v] for v in logs],
+                             l_infinity=[in_order(l)], etas=etas,
+                             inside=[True], worst_facet=[worst],
+                             worst_slack=[l[worst]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,10 +533,10 @@ def solution_batch(p, res):
                         "random6_12_1"]),
        st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
 def test_invert_matches_batch_legendre_map(name, coords):
-    # invert_legendre evaluates the gradient in plain Python and
-    # legendre_map in numpy: the two copies of the formula must agree
+    # invert_legendre evaluates the gradient of one point in its chart and
+    # legendre_map a batch in x: the two must agree at the solution
     p, _ = batch_set(name)
     y = coords[:p.n]
     res = kp.invert_legendre(p, y)
-    image = kp.legendre_map(solution_batch(p, res))[0]
+    image = np.array(kp.legendre_map(solution_batch(p, res))[0])
     assert np.max(np.abs(image - y)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
