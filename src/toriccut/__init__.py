@@ -6,8 +6,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "contactcone", "cutmodel", "errors", "intlinalg",
-               "kahlerpotential", "polylattice")
+_SUBMODULES = ("cli", "contactcone", "cutmodel", "errors", "exactreports",
+               "facelattice", "floatreports", "intlinalg", "kahlerpotential",
+               "polylattice")
 
 
 def __getattr__(name):

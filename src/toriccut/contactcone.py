@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import intlinalg, polylattice
+from . import facelattice, intlinalg, polylattice
 from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
                      PointOutside, WeaklyConvex, ZeroPoint)
 
@@ -38,7 +38,7 @@ class ReebTypeResult(NamedTuple):
 
 class ContactClassification(NamedTuple):
     good: bool
-    convexity: polylattice.ConvexityReport
+    convexity: facelattice.ConvexityReport
     reeb_vector: tuple[int, ...] | None
     type_label: str
     k_contact: bool
@@ -78,9 +78,9 @@ def extreme_rays(p: polylattice.PolyhedralSet) -> tuple[tuple[int, ...], ...]:
         WeaklyConvex: the cone contains a line, so no extreme rays exist.
     """
     _require_cone(p)
-    if polylattice.convexity_class(p).k > 0:
+    if facelattice.convexity_class(p).k > 0:
         raise WeaklyConvex("cone contains a line; no extreme rays")
-    return _rays(polylattice.face_covers(p, polylattice.active_faces(p)),
+    return _rays(facelattice.face_covers(p, facelattice.active_faces(p)),
                  p.n)
 
 
@@ -95,18 +95,20 @@ def _rays(covers, n: int) -> tuple[tuple[int, ...], ...]:
     found = set()
     for cover in covers.values():
         if cover.rank == n - 1:
-            ints, _ = intlinalg.integer_row(cover.witness)
-            g = intlinalg.vector_gcd(ints)
+            ints, _ = polylattice.integer_row(cover.witness)
+            g = polylattice.vector_gcd(ints)
             found.add(tuple(v // g for v in ints))
     return tuple(sorted(found))
 
 
-def _good_report(p: polylattice.PolyhedralSet):
-    """The unimodularity report of a good cone; NotGood otherwise."""
-    goodness = polylattice.is_good_cone(p)
-    if not goodness.good:
+def _good_report(p: polylattice.PolyhedralSet, report=None):
+    """The unimodularity report of a good cone (`report`, when the caller
+    has it); NotGood otherwise."""
+    if report is None:
+        report = facelattice.is_good_cone(p).report
+    if not report.is_unimodular:
         raise NotGood("cone is not good; classification out of scope")
-    return goodness.report
+    return report
 
 
 def is_reeb_type(p: polylattice.PolyhedralSet) -> ReebTypeResult:
@@ -133,7 +135,7 @@ def is_reeb_type(p: polylattice.PolyhedralSet) -> ReebTypeResult:
         if not res.feasible:
             raise AssertionError("pointed cone rejected its ray system")
         result = ReebTypeResult(True, tuple(res.witness))
-    if result.is_reeb_type != (polylattice.convexity_class(p).k == 0):
+    if result.is_reeb_type != (facelattice.convexity_class(p).k == 0):
         raise AssertionError("ray feasibility disagrees with conormal rank")
     return result
 
@@ -155,26 +157,25 @@ def _checked_reeb(p: polylattice.PolyhedralSet, rays) -> tuple[int, ...]:
     return vec
 
 
-def classify(p: polylattice.PolyhedralSet) -> ContactClassification:
+def classify(p: polylattice.PolyhedralSet,
+             report: facelattice.UnimodularityReport | None = None
+             ) -> ContactClassification:
     """Good-cone classification: strongly convex cones carry a Reeb vector
     and the metric-compatible label, weakly convex ones do not. The rays
-    that check the Reeb vector come from the goodness report's faces.
+    that check the Reeb vector come from the goodness report's faces;
+    `report` is that report when the caller has it.
 
     Raises:
         NotGood: non-good cones are orbifold territory and not classified.
     """
     _require_cone(p)
-    report = _good_report(p)
-    conv = polylattice.convexity_class(p)
+    report = _good_report(p, report)
+    conv = facelattice.convexity_class(p)
     strongly = conv.k == 0
-    return ContactClassification(
-        good=True,
-        convexity=conv,
-        reeb_vector=(_checked_reeb(p, _rays(report.covers, p.n))
-                     if strongly else None),
-        type_label=SASAKIAN if strongly else NON_SASAKIAN,
-        k_contact=strongly,
-    )
+    reeb = _checked_reeb(p, _rays(report.covers, p.n)) if strongly else None
+    return ContactClassification(True, conv, reeb,
+                                 SASAKIAN if strongly else NON_SASAKIAN,
+                                 strongly)
 
 
 def _unit_norm_ok(x) -> bool:

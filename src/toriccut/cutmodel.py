@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import intlinalg, polylattice
+from . import facelattice, intlinalg, polylattice
 from .errors import NotInterior, NotOnLevel, PointOutside
 
 ACTIVITY_TOL = 1e-9
@@ -82,13 +82,10 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
 
 
 def _exact_coordinates(x):
-    vals = []
-    for v in x:
-        if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            vals.append(Fraction(v))
-        else:
-            return None
-    return vals
+    if all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+           for v in x):
+        return [Fraction(v) for v in x]
+    return None
 
 
 def _active_set(p: polylattice.PolyhedralSet, x) -> polylattice.FaceIndexSet:
@@ -128,8 +125,8 @@ def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
     gens = tuple(p.facets[i - 1].eta for i in active)
     if not gens:
         return Stabilizer((), 0, True)
-    rank = intlinalg.rational_rank([list(g) for g in gens])
-    return Stabilizer(gens, rank, polylattice.saturation_check(gens))
+    rank = polylattice.rational_rank([list(g) for g in gens])
+    return Stabilizer(gens, rank, facelattice.saturation_check(gens))
 
 
 def moment_level_membership(p: polylattice.PolyhedralSet,
@@ -179,7 +176,7 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
     v = np.array([float(c) for c in theta])
     if len(active) > 0:
         rows = [list(p.facets[i - 1].eta) for i in active]
-        span_rank = intlinalg.rational_rank(rows)
+        span_rank = polylattice.rational_rank(rows)
         if span_rank == n:
             return tuple(0.0 for _ in range(n))
         perp = intlinalg.integer_kernel_basis(rows)
@@ -270,8 +267,8 @@ def freeness_table(p: polylattice.PolyhedralSet):
     face's witness settles this when its conormals are saturated.
     """
     polylattice.require_normalized(p)
-    faces = polylattice.active_faces(p)
-    covers = polylattice.face_covers(p, faces)
+    faces = facelattice.active_faces(p)
+    covers = facelattice.face_covers(p, faces)
     table = []
     for face in faces:
         for j in range(1, len(p.facets) + 1):
@@ -280,7 +277,7 @@ def freeness_table(p: polylattice.PolyhedralSet):
             combined = polylattice.FaceIndexSet((*face, j))
             if combined in faces:
                 free = (covers[combined].saturated
-                        or polylattice.saturation_check(
+                        or facelattice.saturation_check(
                             [p.facets[i - 1].eta for i in combined]))
                 table.append((face, j, free))
     return table

@@ -1,140 +1,28 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Integer normal forms on small dense matrices: Hermite and Smith normal
+forms, integer kernel bases, unimodular completion and inverse.
 
-Everything here works on plain Python lists of ints / Fractions, which is
-plenty fast at the supported problem sizes and keeps all verdicts exact.
-Matrices are lists of rows.
+Everything here works on plain Python lists of ints, which is plenty fast
+at the supported problem sizes and keeps all verdicts exact. Matrices are
+lists of rows. Rational elimination (rank, determinant, inverse) is in
+`polylattice`, whose kernel needs it on every command.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from . import polylattice
 
 
 def _copy_int_matrix(mat):
-    out = []
-    for row in mat:
-        out.append([int(v) for v in row])
-    return out
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(mat):
-    return [list(col) for col in zip(*mat)]
-
-
-def vector_gcd(vec) -> int:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
-    return g
-
-
-def integer_row(values):
-    """Scale a rational row to integers by the lcm of its denominators.
-
-    Returns (ints, scale) with ints[k] == scale * values[k].
-    """
-    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (scale // v.denominator) for v in vals], scale
-
-
-def _gauss_jordan(mat):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-    Each row is first scaled to integers. A pivot p replaces every other
-    row by (p * row - f * pivot_row) / d, where f is the row's entry in the
-    pivot column and d the previous pivot; the division is exact, so all
-    entries stay integers. Afterwards every pivot row holds the last pivot
-    d in its pivot column: the rows are d times the reduced row echelon
-    form. Pivots are the first nonzero entry at or below the current row.
-
-    Returns:
-        (rows, pivot_cols, d, det): the integer rows, the 0-based pivot
-        columns left to right, the last pivot d (1 without pivots), and the
-        exact determinant of the columns at pivot_cols, which is the
-        determinant of the input when that is square and nonsingular.
-    """
-    rows, scale = [], 1
-    for row in mat:
-        ints, s = integer_row(row)
-        rows.append(ints)
-        scale *= s
-    ncols = len(rows[0]) if rows else 0
-    pivots, d, sign = [], 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        if k != r:
-            rows[r], rows[k] = rows[k], rows[r]
-            sign = -sign
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        d = p
-        pivots.append(c)
-    return rows, pivots, d, Fraction(sign * d, scale)
-
-
-def rational_rref(mat):
-    """Reduced row echelon form over the rationals.
-
-    Returns:
-        (rows, pivot_cols) where rows is the RREF as Fractions and
-        pivot_cols lists the 0-based pivot columns left to right.
-    """
-    rows, pivots, d, _ = _gauss_jordan(mat)
-    return [[Fraction(v, d) for v in row] for row in rows], pivots
-
-
-def rational_rank(mat) -> int:
-    return len(_gauss_jordan(mat)[1])
-
-
-def determinant(mat) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    _, pivots, _, det = _gauss_jordan(mat)
-    return det if len(pivots) == len(mat) else Fraction(0)
-
-
-def _inverse_rows(mat):
-    """(rows, d, det): Gauss-Jordan on [mat | I] leaves d * [I | mat^-1],
-    and rows is its right half.
-
-    Raises:
-        ValueError: the matrix is singular.
-    """
-    n = len(mat)
-    rows, pivots, d, det = _gauss_jordan(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows], d, det
-
-
-def rational_inverse(mat):
-    """Inverse of a nonsingular square rational matrix, as Fractions."""
-    rows, d, _ = _inverse_rows(mat)
-    return [[Fraction(v, d) for v in row] for row in rows]
+    return [[int(v) for v in row] for row in mat]
 
 
 def invert_unimodular(mat):
-    """Inverse of an integer matrix with determinant +-1, as integers."""
-    rows, d, det = _inverse_rows(mat)
-    if abs(det) != 1:
+    """Inverse of an integer matrix with determinant +-1, as integers; the
+    inverse of an integer matrix is integral exactly then."""
+    inverse = polylattice.rational_inverse(mat)
+    if any(v.denominator != 1 for row in inverse for v in row):
         raise ValueError("matrix is not unimodular")
-    return [[d * v for v in row] for row in rows]  # d = +-1
+    return [[v.numerator for v in row] for row in inverse]
 
 
 def hermite_normal_form(mat):
@@ -188,8 +76,8 @@ def smith_normal_form(mat):
     a = _copy_int_matrix(mat)
     m = len(a)
     n = len(a[0]) if a else 0
-    u = identity_matrix(m)
-    v = identity_matrix(n)
+    u = polylattice.identity_matrix(m)
+    v = polylattice.identity_matrix(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -210,10 +98,6 @@ def smith_normal_form(mat):
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(m, n)
@@ -251,7 +135,8 @@ def smith_normal_form(mat):
                         swap_cols(t, j)
                         dirty = True
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
         # enforce divisibility of the remaining block by the pivot
         offender = None
         for i in range(t + 1, m):
@@ -280,7 +165,7 @@ def integer_kernel_basis(mat, ncols: int | None = None):
             raise ValueError("need ncols for an empty matrix")
         ncols = len(mat[0])
     if not mat:
-        return [tuple(r) for r in identity_matrix(ncols)]
+        return [tuple(r) for r in polylattice.identity_matrix(ncols)]
     factors, _, v = smith_normal_form(mat)
     return kernel_basis_from_smith(len(factors), v)
 
@@ -319,7 +204,7 @@ def unimodular_row_completion(rows):
     comp = [list(h[i]) for i in range(r)]
     for i in range(r, n):
         comp.append(list(vinv[i]))
-    det = determinant(comp)
+    det = polylattice.determinant(comp)
     if abs(det) != 1:
         raise AssertionError("completion construction lost unimodularity")
     return comp

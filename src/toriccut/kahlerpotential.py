@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import NamedTuple
 
-from . import intlinalg, polylattice
+from . import polylattice
 from .errors import NoConvergence, NotInterior, NotSPD
 
 INTERIOR_MARGIN = 1e-12
@@ -180,22 +180,25 @@ def interior_point(p: polylattice.PolyhedralSet, x,
         worst_facet=worst, worst_slack=worst_slack)
 
 
-def _half_entropy(pts: InteriorPoints) -> list[float]:
-    """(1/2) sum_i l_i log l_i at each row."""
+def half_entropy(pts: InteriorPoints) -> list[float]:
+    """(1/2) sum_i l_i log l_i at each row, the term both potentials share;
+    a caller that needs both computes it once and passes it to each."""
     return [0.5 * v for v in _row_sums(
         [list(map(operator.mul, *pair))
          for pair in zip(pts.l_values, pts.log_values)])]
 
 
-def symplectic_potential(pts: InteriorPoints) -> list[float]:
+def symplectic_potential(pts: InteriorPoints,
+                         entropy: list[float] | None = None) -> list[float]:
     kinetic = _row_sums([[(0.5 * v) * v for v in col] for col in pts.x])
     return [(k + e) - 0.5 * total for k, e, total in
-            zip(kinetic, _half_entropy(pts), pts.l_infinity)]
+            zip(kinetic, entropy or half_entropy(pts), pts.l_infinity)]
 
 
-def guillemin_potential(pts: InteriorPoints) -> list[float]:
-    return [e - 0.5 * total
-            for e, total in zip(_half_entropy(pts), pts.l_infinity)]
+def guillemin_potential(pts: InteriorPoints,
+                        entropy: list[float] | None = None) -> list[float]:
+    return [e - 0.5 * total for e, total in
+            zip(entropy or half_entropy(pts), pts.l_infinity)]
 
 
 def _gradient(x, logs, etas) -> list[list[float]]:
@@ -212,6 +215,15 @@ def legendre_map(pts: InteriorPoints) -> list[list[float]]:
     return list(map(list, zip(*_gradient(pts.x, pts.log_values, pts.etas))))
 
 
+def _hessian(columns, l) -> list[list[float]]:
+    """I + (1/2) sum_j eta_j eta_j^T / l_j at one point, not symmetrized,
+    from the conormals by column (columns[a][j] = eta_j[a]) and the slacks
+    l_j."""
+    weighted = [[e / s for e, s in zip(col, l)] for col in columns]
+    return [[float(a == b) + 0.5 * _dot(w, col)
+             for b, col in enumerate(columns)] for a, w in enumerate(weighted)]
+
+
 def hessian_metric(pts: InteriorPoints) -> list[list[list[float]]]:
     """Hessian of the symplectic potential at each row, an n x n matrix:
     identity plus half the sum of rank-one conormal terms weighted by
@@ -220,9 +232,7 @@ def hessian_metric(pts: InteriorPoints) -> list[list[list[float]]]:
     n = len(columns)
     out = []
     for l in zip(*pts.l_values):
-        weighted = [[e / s for e, s in zip(col, l)] for col in columns]
-        g = [[float(a == b) + 0.5 * _dot(weighted[a], col)
-              for b, col in enumerate(columns)] for a in range(n)]
+        g = _hessian(columns, l)
         out.append([[0.5 * (g[a][b] + g[b][a]) for b in range(n)]
                     for a in range(n)])
     return out
@@ -309,8 +319,10 @@ def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
     pts = interior_point(p, x)
     omega, jmat, metric = block_tensors(pts)
     n = p.n
+    entropy = half_entropy(pts)
     return KahlerPointData(
-        pts, symplectic_potential(pts), guillemin_potential(pts),
+        pts, symplectic_potential(pts, entropy),
+        guillemin_potential(pts, entropy),
         [[row[:n] for row in g[:n]] for g in metric],
         [[row[n:] for row in g[n:]] for g in metric],
         legendre_map(pts), omega, jmat, metric)
@@ -341,7 +353,7 @@ class _Chart(NamedTuple):
 def _chart(p: polylattice.PolyhedralSet, facets) -> _Chart:
     n = p.n
     if not facets:  # x itself: no exact arithmetic needed
-        identity = intlinalg.identity_matrix(n)
+        identity = polylattice.identity_matrix(n)
         return _Chart((), tuple(range(n)), identity, [0] * n,
                       [float(f.kappa) for f in p.facets],
                       [[float(v) for v in f.eta] for f in p.facets],
@@ -351,10 +363,10 @@ def _chart(p: polylattice.PolyhedralSet, facets) -> _Chart:
     columns = []
     for c in range(n):
         unit = [int(j == c) for j in range(n)]
-        if len(a) < n and intlinalg.rational_rank(a + [unit]) > len(a):
+        if len(a) < n and polylattice.rational_rank(a + [unit]) > len(a):
             a.append(unit)
             columns.append(c)
-    inverse = intlinalg.rational_inverse(a)
+    inverse = polylattice.rational_inverse(a)
     rhs = [p.facets[i].kappa for i in facets] + [0] * len(columns)
     base = [sum(m * r for m, r in zip(row, rhs)) for row in inverse]
     rows = [[sum(e * m for e, m in zip(f.eta, col)) for col in zip(*inverse)]
@@ -376,7 +388,7 @@ def _chart_facets(p: polylattice.PolyhedralSet, l) -> tuple[int, ...]:
         if l[j] >= CHART_SLACK or len(chosen) == p.n:
             break
         rows = [p.facets[i].eta for i in (*chosen, j)]
-        if intlinalg.rational_rank(rows) == len(rows):
+        if polylattice.rational_rank(rows) == len(rows):
             chosen.append(j)
     return tuple(sorted(chosen))
 
@@ -410,8 +422,10 @@ def _jacobian(chart: _Chart, etas, l, scale):
     scale = dq/dz. Entry (a, b) is M[a][b] scale[b], plus
     eta_j[a] (eta_j M)[b] scale[b] / (2 l_j) for each facet j outside B,
     less eta_i[a] / 2 when b is the column of u_i. In the chart of x this
-    is the Hessian I + (1/2) sum_j eta_j eta_j^T / l_j.
+    is the Hessian I + (1/2) sum_j eta_j eta_j^T / l_j (`_hessian`).
     """
+    if not chart.facets:
+        return _hessian(list(zip(*etas)), l)
     n = len(scale)
     outside = [j for j in range(len(l)) if j not in chart.facets]
     weighted = [[etas[j][a] / l[j] for j in outside] for a in range(n)]
@@ -448,46 +462,27 @@ def _solve(a, b):
     return b
 
 
-def _require_positive(slacks) -> None:
-    """Raises NotInterior, naming the first facet of smallest slack, unless
-    every exact slack is positive."""
+def _solution(p: polylattice.PolyhedralSet, chart: _Chart, z, x, iterations,
+              residual) -> NewtonResult:
+    """The result at chart coordinates z: x itself in the chart of x, else
+    the exact point v + M q that the float coordinates z name.
+
+    Raises:
+        NotInterior: an exact slack of that point is not positive; names
+            the first facet of smallest slack.
+    """
+    k = len(chart.facets)
+    q = [-Fraction(math.exp(u)) for u in z[:k]] + [Fraction(w) for w in z[k:]]
+    point = [b + sum(m * v for m, v in zip(row, q))
+             for b, row in zip(chart.base, chart.inverse)] if k else q
+    slacks = [f.kappa - sum(e * v for e, v in zip(f.eta, point))
+              for f in p.facets]
     worst = min(range(len(slacks)), key=slacks.__getitem__)
     if slacks[worst] <= 0:
         raise NotInterior(f"facet {worst + 1} slack "
                           f"{float(slacks[worst]):.3e} below margin")
-
-
-def _require_exact_interior(p: polylattice.PolyhedralSet, x) -> None:
-    """Every slack at the float point x, computed exactly, is positive.
-
-    Raises:
-        NotInterior: naming the first facet of smallest exact slack.
-    """
-    ratios = [v.as_integer_ratio() for v in x]
-    scale = max(d for _, d in ratios)  # powers of two: a common denominator
-    point = [a * (scale // d) for a, d in ratios]  # scale * x, in integers
-    _require_positive([Fraction(f.kappa.numerator * scale - f.kappa.denominator
-                                * sum(e * v for e, v in zip(f.eta, point)),
-                                f.kappa.denominator * scale)
-                       for f in p.facets])
-
-
-def _solution(p: polylattice.PolyhedralSet, chart: _Chart, z, x, iterations,
-              residual) -> NewtonResult:
-    """The result at chart coordinates z, whose exact slacks must be
-    positive: those of x itself in the chart of x, else those of the exact
-    point v + M q that the float coordinates z name."""
-    if not chart.facets:
-        _require_exact_interior(p, x)
-        return NewtonResult(tuple(x), iterations, residual)
-    k = len(chart.facets)
-    q = [-Fraction(math.exp(u)) for u in z[:k]] + [Fraction(w) for w in z[k:]]
-    point = [b + sum(m * v for m, v in zip(row, q))
-             for b, row in zip(chart.base, chart.inverse)]
-    _require_positive([f.kappa - sum(e * v for e, v in zip(f.eta, point))
-                       for f in p.facets])
-    return NewtonResult(tuple(float(v) for v in point), iterations, residual,
-                        chart.facets, tuple(z[:k]))
+    return NewtonResult(tuple(map(float, point)) if k else tuple(x),
+                        iterations, residual, chart.facets, tuple(z[:k]))
 
 
 def invert_legendre(p: polylattice.PolyhedralSet, y,

@@ -18,6 +18,7 @@ import sympy
 
 from toriccut import contactcone as cc
 from toriccut import cutmodel as cm
+from toriccut import facelattice as fl
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NotGood
@@ -202,10 +203,10 @@ def test_c06_saturation_oracle_and_fixture_verdicts():
                     for _ in range(r)]
             if any(not any(row) for row in rows):
                 continue
-            assert pl.saturation_check(rows) == _minor_gcd_saturated(rows)
-        assert pl.unimodularity_report(FIXTURES["f1"]()).is_unimodular
-        assert pl.unimodularity_report(FIXTURES["f2"]()).is_unimodular
-        rep5 = pl.unimodularity_report(FIXTURES["f5"]())
+            assert fl.saturation_check(rows) == _minor_gcd_saturated(rows)
+        assert fl.unimodularity_report(FIXTURES["f1"]()).is_unimodular
+        assert fl.unimodularity_report(FIXTURES["f2"]()).is_unimodular
+        rep5 = fl.unimodularity_report(FIXTURES["f5"]())
         assert not rep5.is_unimodular
         assert not rep5.saturated_faces
         assert tuple(rep5.saturated_witness) == (2, 3)
@@ -215,11 +216,11 @@ def test_c07_weakly_convex_splitting():
     with criterion("C07 weakly convex sets split off exact line factors"):
         for name in ("f3", "slab"):
             p = FIXTURES[name]()
-            split = pl.split_weakly_convex(p)
+            split = fl.split_weakly_convex(p)
             assert split.k == 1
             proj = split.projected_set
-            assert pl.convexity_class(proj).label == "strongly_convex"
-            assert pl.unimodularity_report(proj).is_unimodular
+            assert fl.convexity_class(proj).label == "strongly_convex"
+            assert fl.unimodularity_report(proj).is_unimodular
             change = split.unimodular_change
             for f in p.facets:
                 moved = [sum(change[r][c] * f.eta[c] for c in range(p.n))
@@ -243,7 +244,7 @@ def test_c08_cone_classification():
         for name in ("f3", "f4", "lens", "halfspace_r3"):
             p = FIXTURES[name]()
             lp_verdict = cc.is_reeb_type(p).is_reeb_type
-            assert lp_verdict == (pl.convexity_class(p).k == 0)
+            assert lp_verdict == (fl.convexity_class(p).k == 0)
         with pytest.raises(NotGood):
             cc.is_reeb_type(FIXTURES["f5_lift"]())
 

@@ -13,7 +13,7 @@ import sys
 import time
 import tracemalloc
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-# kahlerpotential is imported here, so that no traced run counts its import
-from toriccut import cli, kahlerpotential, polylattice  # noqa: F401
+# kahlerpotential and the handlers are imported here, so that no traced run
+# counts their import
+from toriccut import (exactreports, facelattice, floatreports,  # noqa: F401
+                      kahlerpotential, polylattice)
 from toriccut.cli import _render, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
@@ -380,7 +382,7 @@ def test_potential_chunks_are_invisible(monkeypatch, tmp_path):
         encoding="utf-8")
     assert ",NA,NA,NA,NA\n" in expected[1][1]
     for rows in (1, 7):
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+        monkeypatch.setattr(floatreports, "CSV_CHUNK_ROWS", rows)
         assert [run_cli(argv) for argv in argvs] == expected
 
 
@@ -394,7 +396,7 @@ class _Sink:
 def test_potential_grid_is_never_held_whole(monkeypatch):
     # 90000 points: held whole, their coordinates and values take megabytes
     # (8 MB under numpy); in chunks of 512 rows the peak stays well below
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 512)
+    monkeypatch.setattr(floatreports, "CSV_CHUNK_ROWS", 512)
     monkeypatch.setattr(sys, "stdout", _Sink())
     tracemalloc.start()
     try:
@@ -450,7 +452,7 @@ def test_render_refuses_records():
     assert _render({"face": face, "w": (Fraction(1, 2),)}) == json.dumps(
         {"face": [1, 2], "w": ["1/2"]}, sort_keys=True, indent=2)
     with pytest.raises(TypeError, match="ConvexityReport"):
-        _render({"convexity": polylattice.ConvexityReport(2, 0, "x")})
+        _render({"convexity": facelattice.ConvexityReport(2, 0, "x")})
 
 
 NOT_LOADED = """
@@ -466,15 +468,20 @@ for argv in {argvs!r}:
 """
 
 
-def _assert_not_loaded(absent, argvs):
-    """Run the commands in one fresh interpreter; none may load `absent`."""
+def _child_env():
+    """The environment of a fresh interpreter that imports this toriccut."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _assert_not_loaded(absent, argvs):
+    """Run the commands in one fresh interpreter; none may load `absent`."""
     proc = subprocess.run([sys.executable, "-c",
                            NOT_LOADED.format(absent=absent, argvs=argvs)],
-                          env=env, capture_output=True, text=True,
+                          env=_child_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -504,14 +511,159 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
 
 def test_commands_load_only_their_modules(tmp_path):
     box = write_document(tmp_path / "cube3.json", cube(3))
-    argvs = [["validate", path]
+    common = {"argparse", "numpy", "dataclasses", "toriccut.contactcone",
+              "toriccut.cutmodel"}
+    exact = [["validate", path]
              for path in (data("f2.json"), data("f5_lift.json"), box)]
-    argvs += [["classify", data("f2.json")], ["classify", data("slab.json")],
-              ["invert", data("f2.json"), "--target=6,6"],
-              ["invert", box, "--target=0.5,-1,2"]]
-    argvs += FLOAT_COMMANDS
-    _assert_not_loaded({"numpy", "dataclasses", "toriccut.contactcone",
-                        "toriccut.cutmodel"}, argvs)
+    exact += [["classify", data("f2.json")], ["classify", data("slab.json")]]
+    _assert_not_loaded(common | {"toriccut.kahlerpotential",
+                                 "toriccut.floatreports"}, exact)
+    floats = [["invert", data("f2.json"), "--target=6,6"],
+              ["invert", box, "--target=0.5,-1,2"]] + FLOAT_COMMANDS
+    _assert_not_loaded(common | {"toriccut.facelattice", "toriccut.intlinalg",
+                                 "toriccut.exactreports"}, floats)
+
+
+COMPILED_LINES = """
+import contextlib, io, sys
+import toriccut.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = toriccut.cli.main({argv!r})
+assert code == 0, code
+loaded = [module.__file__ for name, module in sys.modules.items()
+          if name.partition(".")[0] == "toriccut"]
+print(sum(len(open(path, "rb").readlines()) for path in loaded))
+"""
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["invert", "f2.json", "--target=6,6"], 1750),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1750),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1750),
+    (["validate", "f2.json"], 1797),
+    (["classify", "f4.json"], 2134),
+    (["cut", "f2.json"], 2089),
+], ids=["invert", "potential", "metric", "validate", "classify", "cut"])
+def test_compile_budget(argv, budget):
+    # the source lines of the toriccut modules one command loads: without
+    # bytecode caches (PYTHONDONTWRITEBYTECODE) each is compiled on every
+    # run. The float commands compile no face lattice, normal forms or
+    # exact handlers; no command compiles more than before the split
+    proc = subprocess.run(
+        [sys.executable, "-c", COMPILED_LINES.format(argv=resolve(argv))],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= budget
+
+
+ENTRY = "from toriccut.cli import entry; entry()"
+# what entry ran before it skipped teardown
+OLD_ENTRY = "from toriccut.cli import main; raise SystemExit(main())"
+
+# one golden per command, and each exit code from 2 to 5
+ENTRY_CASES = [
+    ["validate", "f2.json"], ["classify", "f4.json"],
+    ["potential", "f1.json", "--grid", "0.1:0.9:5"],
+    ["metric", "f2.json", "--points", "f2_points.txt"],
+    ["invert", "f2.json", "--target", "6.0,6.0"], ["cut", "f1.json"],
+    ["validate", "no_such_file.json"], ["validate", "f5.json"],
+    ["validate", "toobig9d.json"], ["invert", "f1_maxiter1.json",
+                                    "--target", "40.0"],
+]
+
+
+@pytest.mark.parametrize("argv", ENTRY_CASES,
+                         ids=[" ".join(argv[:2]) for argv in ENTRY_CASES])
+def test_entry_writes_what_main_writes(tmp_path, argv):
+    argv = resolve(argv)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        expected = run_cli(argv)
+    command = [sys.executable, "-c", ENTRY, *argv]
+    piped = subprocess.run(command, env=_child_env(), capture_output=True,
+                           text=True, timeout=120)
+    assert (piped.returncode, piped.stdout) == expected
+    assert piped.stderr == err.getvalue()
+    out = tmp_path / "stdout"
+    with open(out, "w", encoding="utf-8") as handle:
+        to_file = subprocess.run(command, env=_child_env(), stdout=handle,
+                                 stderr=subprocess.DEVNULL, timeout=120)
+    assert (to_file.returncode, out.read_text(encoding="utf-8")) == expected
+    assert expected[0] in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_entry_exit_code_for_a_closed_reader(buffered):
+    # a write or the final flush fails with a broken pipe; entry falls back
+    # to the ordinary exit, whose code is that of the old entry
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (["validate", data("f2.json")],
+                 ["potential", data("f2.json"), "--grid=0:1:60,0:1:60"]):
+        codes = []
+        for script in (ENTRY, OLD_ENTRY):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                codes.append(subprocess.run(
+                    [sys.executable, "-c", script, *argv], env=env,
+                    stdout=write, stderr=subprocess.DEVNULL,
+                    timeout=120).returncode)
+            finally:
+                os.close(write)
+        assert codes[0] == codes[1], argv
+        assert codes[0] != 0, argv
+
+
+def _usage_block():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return readme.split("## Command line\n\n```\n")[1].split("```")[0]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["validate", "-h"],
+                                  ["invert", "f1.json", "--help"]])
+def test_help_prints_usage(argv, capsys):
+    assert run_cli(argv) == (0, _usage_block())
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["frobnicate", "f1.json"], "unknown command 'frobnicate'"),
+    (["validate", "f1.json", "--points", "x"], "unknown flag --points"),
+    (["invert", "f1.json", "--tar=1"], "unknown flag --tar"),
+    (["validate", "f1.json", "-x"], "unknown flag -x"),
+    (["invert", "f1.json"], "--target is required"),
+    (["metric", "f1.json"], "--points is required"),
+    (["invert", "f1.json", "--target=1", "--target", "2"],
+     "--target given twice"),
+    (["invert", "f1.json", "--target"], "--target needs a value"),
+    (["potential", "f1.json", "--points", "--grid=0:1:3"],
+     "--points needs a value"),
+    (["validate"], "INPUT is required"),
+    (["invert", "--target=1"], "INPUT is required"),
+    (["validate", "f1.json", "f2.json"], "unexpected argument"),
+])
+def test_bad_argv_exits_2(argv, message, capsys):
+    argv = [data(arg) if arg.endswith(".json") else arg for arg in argv]
+    assert run_cli(argv) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_flag_value_forms():
+    # --flag=value and --flag value, in any order around INPUT; a value may
+    # start with a minus sign
+    golden = (GOLDEN / "invert_f2_far.json").read_text(encoding="utf-8")
+    for argv in (["invert", data("f2.json"), "--target=6.0,6.0"],
+                 ["invert", "--target", "6.0,6.0", data("f2.json")]):
+        assert run_cli(argv) == (0, golden)
+    code, text = run_cli(["invert", data("f1.json"), "--target", "-0.25"])
+    assert code == 0
+    assert json.loads(text)["report"]["invert"]["target"] == [-0.25]
 
 
 @pytest.mark.parametrize("m", [17, 24, 40])
@@ -549,23 +701,24 @@ def _count_calls(monkeypatch, module, name):
 def test_each_artifact_built_once_per_command(monkeypatch, tmp_path):
     cone = write_document(tmp_path / "orthant3.json", orthant(3))
     box = write_document(tmp_path / "cube3.json", cube(3))
-    reports = _count_calls(monkeypatch, polylattice, "unimodularity_report")
+    reports = _count_calls(monkeypatch, facelattice, "unimodularity_report")
     assert run_cli(["validate", cone])[0] == 0
     assert len(reports) == 1
-    splits = _count_calls(monkeypatch, polylattice, "split_weakly_convex")
+    splits = _count_calls(monkeypatch, facelattice, "split_weakly_convex")
     for name in ("orthant3", "halfspace_r3", "slab"):
         path = cone if name == "orthant3" else data(f"{name}.json")
         splits.clear()
         assert run_cli(["classify", path])[0] == 0
         assert len(splits) == 1, name
-    faces = _count_calls(monkeypatch, polylattice, "active_faces")
+    faces = _count_calls(monkeypatch, facelattice, "active_faces")
     assert run_cli(["cut", box])[0] == 0
     assert len(faces) == 1
-    # the cone's report and the projected core's report inside the
-    # splitting (lens has no splitting: its conormals are not saturated);
-    # the rays and the Reeb check read the cone report's faces
-    for path, count in ((cone, 2), (data("lens.json"), 1)):
+    # one report of the cone: with k = 0 the splitting's core is the cone
+    # in another basis and reads its verdict (lens has no splitting: its
+    # conormals are not saturated); the rays and the Reeb check read the
+    # report's faces
+    for path in (cone, data("lens.json")):
         faces.clear()
         reports.clear()
         assert run_cli(["classify", path])[0] == 0
-        assert (len(faces), len(reports)) == (count, count), path
+        assert (len(faces), len(reports)) == (1, 1), path

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toriccut import contactcone as cc
-from toriccut import intlinalg as il
+from toriccut import facelattice as fl
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
@@ -50,7 +50,7 @@ def reference_rays(p):
     rows = [list(f.eta) for f in p.facets]
     found = set()
     for combo in itertools.combinations(rows, p.n - 1):
-        line = [int((-1) ** j * il.determinant([r[:j] + r[j + 1:]
+        line = [int((-1) ** j * pl.determinant([r[:j] + r[j + 1:]
                                                  for r in combo]))
                 for j in range(p.n)]
         if not any(line):  # rank below n - 1
@@ -76,7 +76,7 @@ def random_pointed_cones(count, seed):
             eta = [rng.randint(-3, 3) for _ in range(n)]
             if any(eta):
                 etas.append(eta)
-        if il.rational_rank(etas) == n:
+        if pl.rational_rank(etas) == n:
             cones.append(pl.normalize(pl.polyhedral_set(
                 n, [(eta, 0) for eta in etas], kind=pl.CONE)))
     return cones
@@ -145,7 +145,7 @@ def test_reeb_type_requires_good():
 def test_ray_program_matches_rank(name):
     p = FIXTURES[name]()
     verdict = cc.is_reeb_type(p).is_reeb_type
-    assert verdict == (pl.convexity_class(p).k == 0)
+    assert verdict == (fl.convexity_class(p).k == 0)
 
 
 def test_reeb_vector_values():

@@ -361,11 +361,14 @@ class TestLegendre:
         assert mp_gradient_error(p, res, y) < 1e-8 * max(map(abs, y))
 
     def test_exact_interior_check(self):
-        kp._require_exact_interior(f1(), (5e-324,))
+        # in the chart of x, z is x itself
+        x_chart = kp._chart(f1(), ())
+        res = kp._solution(f1(), x_chart, [5e-324], [5e-324], 2, 0.0)
+        assert res == ((5e-324,), 2, 0.0, (), ())
         with pytest.raises(NotInterior, match="facet 1 slack -5.000e-01"):
-            kp._require_exact_interior(f1(), (-0.5,))
+            kp._solution(f1(), x_chart, [-0.5], [-0.5], 0, 0.0)
         with pytest.raises(NotInterior, match="facet 2 slack 0.000e"):
-            kp._require_exact_interior(f1(), (1.0,))
+            kp._solution(f1(), x_chart, [1.0], [1.0], 0, 0.0)
         # in the chart of facet 2, u = 1 names x = 1 - e, outside facet 1
         chart = kp._chart(f1(), (1,))
         with pytest.raises(NotInterior, match="facet 1 slack -1.718e"):

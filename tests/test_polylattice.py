@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from toriccut import facelattice as fl
 from toriccut import polylattice as pl
 from toriccut.errors import (
     ConeWithNonzeroOffset,
@@ -207,17 +208,17 @@ class TestFeasible:
 
 class TestMinimal:
     def test_f1(self):
-        assert pl.is_minimal(f1()) == pl.MinimalityResult(True, None)
+        assert fl.is_minimal(f1()) == fl.MinimalityResult(True, None)
 
     def test_redundant(self):
         p = pl.normalize(pl.polyhedral_set(1, [((1,), 1), ((1,), 2)]))
-        res = pl.is_minimal(p)
+        res = fl.is_minimal(p)
         assert not res.minimal
         assert res.witness == 2
 
     def test_half_space(self):
         p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0)]))
-        assert pl.is_minimal(p).minimal
+        assert fl.is_minimal(p).minimal
 
 
 class TestFaceIndexSet:
@@ -255,20 +256,20 @@ class TestFaceIndexSet:
 
 class TestActiveFaces:
     def test_f1(self):
-        faces = pl.active_faces(f1())
+        faces = fl.active_faces(f1())
         assert [f.indices for f in faces] == [(), (1,), (2,)]
 
     def test_f4_excludes_apex(self):
-        faces = pl.active_faces(f4())
+        faces = fl.active_faces(f4())
         assert [f.indices for f in faces] == [(), (1,), (2,)]
 
     def test_single_facet(self):
         p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0)]))
-        faces = pl.active_faces(p)
+        faces = fl.active_faces(p)
         assert [f.indices for f in faces] == [(), (1,)]
 
     def test_f2(self):
-        faces = pl.active_faces(f2())
+        faces = fl.active_faces(f2())
         assert [f.indices for f in faces] == [
             (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
 
@@ -276,25 +277,25 @@ class TestActiveFaces:
         # the square has 9 faces among 11 candidates: the empty set, 4
         # facets and 6 pairs, of which the opposite {1, 2} and {3, 4} are empty
         square = cube(2)
-        monkeypatch.setattr(pl, "FACE_CANDIDATE_BUDGET", 11)
-        assert len(pl.active_faces(square)) == 9
-        monkeypatch.setattr(pl, "FACE_CANDIDATE_BUDGET", 10)
+        monkeypatch.setattr(fl, "FACE_CANDIDATE_BUDGET", 11)
+        assert len(fl.active_faces(square)) == 9
+        monkeypatch.setattr(fl, "FACE_CANDIDATE_BUDGET", 10)
         with pytest.raises(ScaleLimitExceeded, match="budget of 10 candidate"):
-            pl.active_faces(square)
+            fl.active_faces(square)
 
     @pytest.mark.parametrize("m", [17, 24, 40])
     def test_delzant_polygon(self, m):
         # more facets than any subset walk could take; the faces are the
         # polygon, its m edges and its m vertices
-        assert len(pl.active_faces(delzant_polygon(m))) == 2 * m + 1
+        assert len(fl.active_faces(delzant_polygon(m))) == 2 * m + 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_closed_form_counts(self, n):
         # cube: each coordinate free, 0 or 1; simplex: every proper subset
         # of its n + 1 facets; orthant: every subset but the apex
-        assert len(pl.active_faces(cube(n))) == 3 ** n
-        assert len(pl.active_faces(simplex(n))) == 2 ** (n + 1) - 1
-        assert len(pl.active_faces(orthant(n))) == 2 ** n - 1
+        assert len(fl.active_faces(cube(n))) == 3 ** n
+        assert len(fl.active_faces(simplex(n))) == 2 ** (n + 1) - 1
+        assert len(fl.active_faces(orthant(n))) == 2 ** n - 1
 
     @pytest.mark.parametrize("make", [f1, f2, f5, pyramid, lambda: cube(3),
                                       lambda: simplex(4)],
@@ -304,9 +305,9 @@ class TestActiveFaces:
         # a face of a polytope is the hull of its vertices, so distinct
         # vertex sets count the faces whatever facet subsets cut them out
         p = make()
-        faces = pl.active_faces(p)
+        faces = fl.active_faces(p)
         vertices = {w for fi, w in faces.items()
-                    if pl.intlinalg.rational_rank([p.facets[i - 1].eta
+                    if pl.rational_rank([p.facets[i - 1].eta
                                                    for i in fi]) == p.n}
 
         def on_face(v, fi):
@@ -318,7 +319,7 @@ class TestActiveFaces:
         euler = 0
         for vs in distinct:
             v0, *rest = sorted(vs)
-            dim = pl.intlinalg.rational_rank(
+            dim = pl.rational_rank(
                 [[a - b for a, b in zip(v, v0)] for v in rest])
             euler += (-1) ** dim
         assert euler == 1
@@ -368,13 +369,13 @@ REFERENCE_SETS = {
 
 
 def _rank(p, combo):
-    return pl.intlinalg.rational_rank([p.facets[i - 1].eta for i in combo])
+    return pl.rational_rank([p.facets[i - 1].eta for i in combo])
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_SETS))
 def test_active_faces_match_subset_walk(name):
     p = REFERENCE_SETS[name]()
-    faces = pl.active_faces(p)
+    faces = fl.active_faces(p)
     reference = _subset_walk(p)
     assert [fi.indices for fi in faces] == list(reference)
     for fi, w in faces.items():
@@ -390,11 +391,11 @@ def test_active_faces_match_subset_walk(name):
 def test_one_lp_per_new_vertex(monkeypatch):
     # the subset walk takes 952 LPs on this set, one per candidate
     calls = []
-    original = pl.face_witness
-    monkeypatch.setattr(pl, "face_witness",
-                        lambda p, indices: calls.append(indices)
-                        or original(p, indices))
-    assert len(pl.active_faces(random_set(6, 12, 1))) == 922
+    original = fl.face_witness
+    monkeypatch.setattr(fl, "face_witness",
+                        lambda p, indices, *rank: calls.append(indices)
+                        or original(p, indices, *rank))
+    assert len(fl.active_faces(random_set(6, 12, 1))) == 922
     assert len(calls) == 102
 
 
@@ -407,7 +408,7 @@ def test_one_slice_on_pointed_cones(monkeypatch, make, face):
     original = pl.feasible
     monkeypatch.setattr(pl, "feasible",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
-    w = pl.face_witness(p, face)
+    w = fl.face_witness(p, face)
     assert len(calls) == 1
     assert (w is None) == (_rank(p, face) == p.n)
 
@@ -422,98 +423,98 @@ def test_lineality_witness_needs_no_lp(monkeypatch, make):
     original = pl.feasible
     monkeypatch.setattr(pl, "feasible",
                         lambda *a, **k: calls.append(a) or original(*a, **k))
-    assert len(pl.active_faces(p)) == 2 ** len(p.facets)
+    assert len(fl.active_faces(p)) == 2 ** len(p.facets)
     assert calls == []
 
 
 class TestSaturation:
     def test_examples(self):
-        assert pl.saturation_check([(1, 0)])
-        assert pl.saturation_check([(1, 0), (1, 1)])
-        assert not pl.saturation_check([(0, -1), (2, 1)])
-        assert not pl.saturation_check([(1, 0), (-1, 0)])  # dependent
+        assert fl.saturation_check([(1, 0)])
+        assert fl.saturation_check([(1, 0), (1, 1)])
+        assert not fl.saturation_check([(0, -1), (2, 1)])
+        assert not fl.saturation_check([(1, 0), (-1, 0)])  # dependent
 
 
 class TestUnimodularity:
     def test_f1_f2(self):
         for fix in (f1, f2):
-            rep = pl.unimodularity_report(fix())
+            rep = fl.unimodularity_report(fix())
             assert rep.is_unimodular
 
     def test_f5(self):
-        rep = pl.unimodularity_report(f5())
+        rep = fl.unimodularity_report(f5())
         assert rep.minimal and rep.primitive and rep.simple_vertices
         assert not rep.saturated_faces
         assert rep.saturated_witness.indices == (2, 3)
         assert not rep.is_unimodular
         # the witness family really fails in isolation
         etas = [f5().facets[i - 1].eta for i in rep.saturated_witness]
-        assert not pl.saturation_check(etas)
+        assert not fl.saturation_check(etas)
 
     def test_non_primitive(self):
         p = pl.normalize(pl.polyhedral_set(2, [((2, 2), 1)]))
-        rep = pl.unimodularity_report(p)
+        rep = fl.unimodularity_report(p)
         assert not rep.primitive
         assert rep.primitive_witness == 1
 
     def test_pyramid_not_simple(self):
-        rep = pl.unimodularity_report(pyramid())
+        rep = fl.unimodularity_report(pyramid())
         assert not rep.simple_vertices
         assert rep.simple_witness == (0, 0, 1)
 
     def test_unimodular_implies_simple(self):
         for fix in (f1, f2, f3, f4, lens_cone, slab, halfspace_r3):
-            rep = pl.unimodularity_report(fix())
+            rep = fl.unimodularity_report(fix())
             if rep.saturated_faces:
                 assert rep.simple_vertices
 
 
 class TestConvexity:
     def test_labels(self):
-        assert pl.convexity_class(f2()) == pl.ConvexityReport(2, 0, "strongly_convex")
-        assert pl.convexity_class(f4()).k == 0
-        assert pl.convexity_class(f3()) == pl.ConvexityReport(1, 1, "weakly_convex")
-        assert pl.convexity_class(slab()).k == 1
-        assert pl.convexity_class(halfspace_r3()).k == 2
+        assert fl.convexity_class(f2()) == fl.ConvexityReport(2, 0, "strongly_convex")
+        assert fl.convexity_class(f4()).k == 0
+        assert fl.convexity_class(f3()) == fl.ConvexityReport(1, 1, "weakly_convex")
+        assert fl.convexity_class(slab()).k == 1
+        assert fl.convexity_class(halfspace_r3()).k == 2
 
 
 class TestGoodCone:
     def test_good(self):
-        assert pl.is_good_cone(f4()).good
-        assert pl.is_good_cone(lens_cone()).good
-        assert pl.is_good_cone(f3()).good
-        assert pl.is_good_cone(halfspace_r3()).good
+        assert fl.is_good_cone(f4()).good
+        assert fl.is_good_cone(lens_cone()).good
+        assert fl.is_good_cone(f3()).good
+        assert fl.is_good_cone(halfspace_r3()).good
 
     def test_not_good(self):
-        res = pl.is_good_cone(f5_lift_cone())
+        res = fl.is_good_cone(f5_lift_cone())
         assert not res.good
         assert res.report.saturated_witness.indices == (2, 3)
 
     def test_requires_cone(self):
         with pytest.raises(NotACone):
-            pl.is_good_cone(f2())
+            fl.is_good_cone(f2())
 
 
 class TestSplit:
     def test_f3(self):
-        sr = pl.split_weakly_convex(f3())
+        sr = fl.split_weakly_convex(f3())
         assert sr.k == 1
         assert sr.coordinate_indices == (1,)
         assert sr.projected_set.n == 1
         assert sr.projected_set.facets[0].eta == (-1,)
         assert sr.projected_set.kind == pl.CONE
-        assert abs(pl.intlinalg.determinant(
+        assert abs(pl.determinant(
             [list(r) for r in sr.unimodular_change])) == 1
 
     def test_slab(self):
-        sr = pl.split_weakly_convex(slab())
+        sr = fl.split_weakly_convex(slab())
         assert sr.k == 1
         proj = sr.projected_set
         assert [f.eta for f in proj.facets] == [(-1,), (1,)]
         assert [f.kappa for f in proj.facets] == [0, 1]
 
     def test_strongly_convex_identity(self):
-        sr = pl.split_weakly_convex(f2())
+        sr = fl.split_weakly_convex(f2())
         assert sr.k == 0
         assert sr.unimodular_change == ((1, 0), (0, 1))
         assert sr.projected_set == f2()
@@ -521,36 +522,36 @@ class TestSplit:
     def test_tail_zero_and_projected_checks(self):
         for fix in (f3, slab, halfspace_r3):
             p = fix()
-            sr = pl.split_weakly_convex(p)
+            sr = fl.split_weakly_convex(p)
             change = sr.unimodular_change
             rank = p.n - sr.k
             for f in p.facets:
                 transformed = [sum(change[r][c] * f.eta[c] for c in range(p.n))
                                for r in range(p.n)]
                 assert all(v == 0 for v in transformed[rank:])
-            assert pl.convexity_class(sr.projected_set).k == 0
-            assert pl.unimodularity_report(sr.projected_set).is_unimodular
+            assert fl.convexity_class(sr.projected_set).k == 0
+            assert fl.unimodularity_report(sr.projected_set).is_unimodular
 
     def test_unsaturated_span(self):
         p = pl.normalize(pl.polyhedral_set(2, [((2, 0), 0)]))
         with pytest.raises(NotUnimodular):
-            pl.split_weakly_convex(p)
+            fl.split_weakly_convex(p)
 
 
 class TestHomotopy:
     def test_f3(self):
-        hr = pl.homotopy_report(pl.split_weakly_convex(f3()))
+        hr = fl.homotopy_report(fl.split_weakly_convex(f3()))
         assert hr.k == 1
         assert hr.pi1 == "Z^1 x pi_1(M_core)"
         assert hr.pi0 == "trivial"
 
     def test_f2(self):
-        hr = pl.homotopy_report(pl.split_weakly_convex(f2()))
+        hr = fl.homotopy_report(fl.split_weakly_convex(f2()))
         assert hr.k == 0
         assert hr.pi1 == "pi_1(M_core)"
 
     def test_halfspace_r3(self):
-        hr = pl.homotopy_report(pl.split_weakly_convex(halfspace_r3()))
+        hr = fl.homotopy_report(fl.split_weakly_convex(halfspace_r3()))
         assert hr.k == 2
         assert hr.pi1 == "Z^2 x pi_1(M_core)"
 
@@ -617,12 +618,12 @@ class TestHardRandomSets:
 
     def test_face_witness(self):
         p = random_set(5, 12, 1)
-        w = pl.face_witness(p, ())
+        w = fl.face_witness(p, ())
         assert w is not None
         _assert_witness([(f.eta, pl.LE, f.kappa) for f in p.facets], w)
 
     def test_is_minimal(self):
-        assert pl.is_minimal(random_set(6, 12, 1)) == pl.MinimalityResult(True, None)
+        assert fl.is_minimal(random_set(6, 12, 1)) == fl.MinimalityResult(True, None)
 
     @pytest.mark.parametrize("s, margin", [(1, Fraction(1)), (2, Fraction(11, 10))])
     def test_max_margin(self, s, margin):
