@@ -13,7 +13,7 @@ _SUBMODULES = ("cli", "contactcone", "cutmodel", "errors", "exactreports",
 
 def __getattr__(name):
     # `toriccut.<submodule>` imports the submodule on first use, so the
-    # package exposes every layer without loading numpy up front
+    # package exposes every layer and `import toriccut` compiles none
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

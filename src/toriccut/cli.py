@@ -168,9 +168,8 @@ _SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
 def _emit(value, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(value, sort_keys=True,
     indent=2) writes, where newline breaks the line and indents it as the
-    line that value starts on. Rationals are written as strings, faces as
-    lists of indices, anything with `tolist` (numpy arrays and scalars) as
-    what that returns; keys must be strings."""
+    line that value starts on. Rationals are written as strings and faces
+    as lists of indices; keys must be strings."""
     if isinstance(value, (dict, list, tuple)):
         if hasattr(value, "_fields"):
             # a NamedTuple record would flatten into a list and lose its
@@ -200,8 +199,6 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(encode_basestring_ascii(str(value)))
     elif isinstance(value, polylattice.FaceIndexSet):
         _emit([int(i) for i in value], newline, out)
-    elif hasattr(value, "tolist"):
-        _emit(value.tolist(), newline, out)
     else:  # a scalar: json.dumps writes it alike with and without indent
         out.append(json.dumps(value))
 

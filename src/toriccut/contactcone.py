@@ -6,9 +6,8 @@ structure, and a dilation defect showing the canonical metric is not a
 cone metric.
 
 The float parts (the almost contact metric structure, the dilation defect,
-normalize_moment) import numpy and the float layer where they run, so the
-exact classification loads without them; the float layer returns lists,
-which they wrap in numpy arrays.
+normalize_moment) are plain Python on lists; they import the float layer
+where they run, so the exact classification loads without it.
 """
 
 from __future__ import annotations
@@ -54,14 +53,15 @@ class ContactPoint(NamedTuple):
 
 class AlmostContactMetric(NamedTuple):
     """Induced structure on the unit-level hypersurface, expressed in the
-    columns of `frame` (sphere-tangent directions then angular directions).
+    columns of `frame` (sphere-tangent directions then angular directions);
+    matrices are lists of rows.
     """
 
-    alpha: np.ndarray
-    xi: np.ndarray
-    phi: np.ndarray
-    metric: np.ndarray
-    frame: np.ndarray
+    alpha: list[float]
+    xi: list[float]
+    phi: list[list[float]]
+    metric: list[list[float]]
+    frame: list[list[float]]
 
 
 def _require_cone(p: polylattice.PolyhedralSet) -> None:
@@ -222,91 +222,92 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
         ZeroPoint: the apex has no direction.
         PointOutside: x is not in the cone.
     """
-    import numpy as np
+    from .kahlerpotential import _dot
     _require_cone(p)
-    v = np.array([float(c) for c in x])
-    norm = float(np.linalg.norm(v))
+    v = [float(c) for c in x]
+    norm = math.hypot(*v)
     if norm == 0.0:
         raise ZeroPoint("cannot normalize the apex")
     for i, f in enumerate(p.facets, start=1):
-        if float(np.array(f.eta, dtype=float) @ v) > BOUNDARY_TOL * norm:
+        if _dot(f.eta, v) > BOUNDARY_TOL * norm:
             raise PointOutside(f"facet {i} violated")
-    return tuple(v / norm)
+    return tuple(c / norm for c in v)
+
+
+def _hessians(p: polylattice.PolyhedralSet, cp: ContactPoint):
+    """The point x = e^t cp.x, the Hessian G there and its inverse."""
+    from . import kahlerpotential
+    _require_cone(p)
+    scale = math.exp(cp.t)
+    x = [float(v) * scale for v in cp.x]
+    g = kahlerpotential.hessian_metric(
+        kahlerpotential.interior_point(p, [x]).require_all())
+    return x, g[0], kahlerpotential.hessian_metric_inverse(g)[0]
 
 
 def induced_acm_structure(p: polylattice.PolyhedralSet,
                           cp: ContactPoint) -> AlmostContactMetric:
     """Hypersurface-induced structure on the unit level at cp.
 
-    The metric-unit normal of the sphere level is nu, the field xi is
-    -J nu, alpha is its metric dual on the tangent frame, and phi is the
-    tangential part of J. The frame takes the n - 1 rotations of x in the
-    base block against its largest coordinate, then all angular directions.
-    All four structure identities are verified before returning.
+    The metric diag(G, G^-1) and J = [[0, -G^-1], [G, 0]] in (x, theta)
+    give every field in closed form. With s^2 = <x, G^-1 x>, the unit
+    normal of the level is nu = (G^-1 x, 0) / s, xi = -J nu = (0, -x / s)
+    and its metric dual alpha = (0, -G^-1 x / s). The frame takes the
+    rotations r_j = x_m e_j - x_j e_m (j != m) of x against its largest
+    coordinate x_m, then the angular unit vectors. In it the metric is
+    diag(R^T G R, G^-1), and phi, the tangential part of J, sends r_j to
+    (0, G r_j) and the angular e_j to the rotation coordinates w_k / x_m
+    (k != m) of w = -G^-1 e_j + (<x, G^-1 e_j> / s^2) G^-1 x, which must
+    be orthogonal to x; that and the four identities are checked.
 
     Raises:
         NotInterior: cp touches the cone boundary.
-        IdentityViolation: a structure identity fails beyond 1e-9.
+        IdentityViolation: a check fails beyond 1e-9.
     """
-    import numpy as np
-    from . import kahlerpotential
-    _require_cone(p)
-    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    pts = kahlerpotential.interior_point(p, [x]).require_all()
-    _, j_stack, h_stack = kahlerpotential.block_tensors(pts)
-    j_mat, h = np.array(j_stack[0]), np.array(h_stack[0])
-    g_inv = h[p.n:, p.n:]
-    nu_x = g_inv @ x
-    nu = np.concatenate([nu_x, np.zeros(p.n)]) / math.sqrt(float(x @ nu_x))
-    xi_amb = -(j_mat @ nu)
+    from .kahlerpotential import _dot
+    x, g, g_inv = _hessians(p, cp)
     n = p.n
-    dim = 2 * n - 1
-    m = int(np.argmax(np.abs(x)))
-    cols = []
-    for jdx in range(n):
-        if jdx == m:
-            continue
-        col = np.zeros(2 * n)
-        col[jdx] = x[m]
-        col[m] = -x[jdx]
-        cols.append(col)
-    for jdx in range(n):
-        col = np.zeros(2 * n)
-        col[n + jdx] = 1.0
-        cols.append(col)
-    frame = np.column_stack(cols)
-    basis = np.column_stack([frame, nu])
-    h_nu = h @ nu
-    alpha = frame.T @ (h @ xi_amb)
-    metric = frame.T @ h @ frame
-    xi_coords = np.linalg.solve(basis, xi_amb)
-    if abs(xi_coords[dim]) > ACM_TOL:
-        raise IdentityViolation("xi is not tangent to the level")
-    phi_cols = []
-    for k in range(dim):
-        image = j_mat @ frame[:, k]
-        image = image - float(image @ h_nu) * nu
-        phi_cols.append(np.linalg.solve(basis, image)[:dim])
-    acm = AlmostContactMetric(alpha, xi_coords[:dim],
-                              np.column_stack(phi_cols), metric, frame)
+    g_inv_x = [_dot(row, x) for row in g_inv]
+    s_sq = _dot(x, g_inv_x)
+    s = math.sqrt(s_sq)
+    m = max(range(n), key=lambda j: abs(x[j]))
+    rotations = [[x[m] if k == j else -x[j] if k == m else 0.0
+                  for k in range(n)] for j in range(n) if j != m]
+    zeros = [0.0] * (n - 1)
+    ws = [[c * g_inv_x[j] / s_sq - row[j] for row, c in zip(g_inv, g_inv_x)]
+          for j in range(n)]
+    if max(abs(_dot(x, w)) for w in ws) > ACM_TOL:
+        raise IdentityViolation("J of an angle direction leaves the level")
+    g_r = [[_dot(row, r) for row in g] for r in rotations]
+    phi = ([zeros + [w[k] / x[m] for w in ws] for k in range(n) if k != m]
+           + [[col[a] for col in g_r] + [0.0] * n for a in range(n)])
+    metric = ([[_dot(r, q) for q in g_r] + [0.0] * n for r in rotations]
+              + [zeros + row for row in g_inv])
+    frame = ([[r[a] for r in rotations] + [0.0] * n for a in range(n)]
+             + [zeros + [float(a == b) for b in range(n)] for a in range(n)])
+    acm = AlmostContactMetric(zeros + [-v / s for v in g_inv_x],
+                              zeros + [-v / s for v in x], phi, metric, frame)
     _verify_structure(acm)
     return acm
 
 
 def _verify_structure(acm: AlmostContactMetric) -> None:
-    import numpy as np
-    dim = acm.alpha.shape[0]
-    pairing = float(acm.alpha @ acm.xi)
+    from .kahlerpotential import _dot
+    pairing = _dot(acm.alpha, acm.xi)
     if abs(pairing - 1.0) > ACM_TOL:
         raise IdentityViolation(f"alpha(xi) = {pairing!r}, expected 1")
-    if float(np.max(np.abs(acm.phi @ acm.xi))) > ACM_TOL:
+    if max(abs(_dot(row, acm.xi)) for row in acm.phi) > ACM_TOL:
         raise IdentityViolation("phi does not annihilate xi")
-    square = acm.phi @ acm.phi + np.eye(dim) - np.outer(acm.xi, acm.alpha)
-    if float(np.max(np.abs(square))) > ACM_TOL:
+    cols = list(zip(*acm.phi))
+    square = [_dot(row, col) + float(a == b) - acm.xi[a] * acm.alpha[b]
+              for a, row in enumerate(acm.phi) for b, col in enumerate(cols)]
+    if max(map(abs, square)) > ACM_TOL:
         raise IdentityViolation("phi squared misses -id + xi (x) alpha")
-    compat = (acm.phi.T @ acm.metric @ acm.phi
-              - acm.metric + np.outer(acm.alpha, acm.alpha))
-    if float(np.max(np.abs(compat))) > ACM_TOL:
+    g_phi = [[_dot(row, col) for row in acm.metric] for col in cols]
+    compat = [_dot(cols[a], g_phi[b]) - acm.metric[a][b]
+              + acm.alpha[a] * acm.alpha[b]
+              for a in range(len(cols)) for b in range(len(cols))]
+    if max(map(abs, compat)) > ACM_TOL:
         raise IdentityViolation("metric is not phi-compatible")
 
 
@@ -327,12 +328,9 @@ def cone_metric_defect(p: polylattice.PolyhedralSet,
     Raises:
         NotInterior: cp touches the cone boundary.
     """
-    import numpy as np
-    from . import kahlerpotential
-    _require_cone(p)
-    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    pts = kahlerpotential.interior_point(p, [x]).require_all()
-    g = kahlerpotential.hessian_metric(pts)
-    g_inv = np.array(kahlerpotential.hessian_metric_inverse(g)[0])
-    return max(float(np.max(np.abs(np.eye(p.n) - np.array(g[0])))),
-               float(np.max(np.abs(g_inv + g_inv @ g_inv))))
+    from .kahlerpotential import _dot
+    _, g, g_inv = _hessians(p, cp)
+    return max(max(abs(float(a == b) - v) for a, row in enumerate(g)
+                   for b, v in enumerate(row)),
+               max(abs(v + _dot(row, col)) for row in g_inv
+                   for v, col in zip(row, zip(*g_inv))))

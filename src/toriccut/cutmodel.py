@@ -5,14 +5,16 @@ level of the ambient moment map, canonical per-orbit representatives with
 their residual angle reduction, stabilizer data at boundary points, and
 the freeness table for stepwise cutting.
 
-The angle arithmetic imports numpy where it runs, so the exact parts of
-this module load without it.
+The angle arithmetic is plain Python floats on an exact projection; it
+imports the float layer's `_dot` where it runs, so plain `cut` loads no
+float layer.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -144,17 +146,18 @@ def moment_level_membership(p: polylattice.PolyhedralSet,
 def _babai_reduce(v, basis_vectors):
     # nearest-plane rounding: subtracts an integer combination so the
     # result lands in the Gram-Schmidt fundamental domain of the lattice
-    import numpy as np
+    from .kahlerpotential import _dot
     gs = []
     for b in basis_vectors:
-        w = np.array(b, dtype=float)
+        w = list(b)
         for g in gs:
-            w = w - (w @ g) / (g @ g) * g
+            c = _dot(w, g) / _dot(g, g)
+            w = [wi - c * gi for wi, gi in zip(w, g)]
         gs.append(w)
-    out = np.array(v, dtype=float)
-    for j in range(len(basis_vectors) - 1, -1, -1):
-        coeff = round(float((out @ gs[j]) / (gs[j] @ gs[j])))
-        out = out - coeff * np.asarray(basis_vectors[j], dtype=float)
+    out = list(v)
+    for b, g in reversed(list(zip(basis_vectors, gs))):
+        coeff = round(_dot(out, g) / _dot(g, g))
+        out = [o - coeff * bi for o, bi in zip(out, b)]
     return out
 
 
@@ -164,37 +167,35 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
 
     Active conormals act with free phases, so theta is only defined modulo
     their real span plus 2*pi times the integer lattice. The span part is
-    removed by orthogonal projection; what survives of the integer lattice
-    is generated by the projected tail of a unimodular completion of the
-    span's saturated sublattice, and Babai rounding against that generator
-    set picks one representative per coset. A final componentwise floor
-    into [0, 2*pi) with a seam snap makes the result stable under float
-    noise on either side of 0.
+    removed by the projection K^T (K K^T)^-1 K onto the integer kernel K of
+    the active conormals, computed exactly and rounded to floats; what
+    survives of the integer lattice is generated by the projected tail of a
+    unimodular completion of the span's saturated sublattice, and Babai
+    rounding against that generator set picks one representative per
+    coset. A final componentwise floor into [0, 2*pi) with a seam snap
+    makes the result stable under float noise on either side of 0.
     """
-    import numpy as np
+    from .kahlerpotential import _dot
     n = p.n
-    v = np.array([float(c) for c in theta])
+    v = [float(c) for c in theta]
     if len(active) > 0:
-        rows = [list(p.facets[i - 1].eta) for i in active]
-        span_rank = polylattice.rational_rank(rows)
-        if span_rank == n:
-            return tuple(0.0 for _ in range(n))
-        perp = intlinalg.integer_kernel_basis(rows)
+        perp = intlinalg.integer_kernel_basis(
+            [list(p.facets[i - 1].eta) for i in active])
+        if not perp:  # the conormals span: every angle is gauge
+            return (0.0,) * n
         saturated = intlinalg.integer_kernel_basis(
             [list(r) for r in perp], n)
         completion = intlinalg.unimodular_row_completion(saturated)
-        tail = completion[len(saturated):]
-        span = np.array(rows, dtype=float).T
-        u, _, _ = np.linalg.svd(span)
-        basis = u[:, :span_rank]
-        project = np.eye(n) - basis @ basis.T
-        v = project @ v
-        lattice = [TWO_PI * (project @ np.array(t, dtype=float))
-                   for t in tail]
-        v = _babai_reduce(v, lattice)
-    out = np.mod(v, TWO_PI)
-    out[out >= TWO_PI - SEAM_TOL] = 0.0
-    return tuple(float(c) for c in out)
+        gram = [[sum(map(operator.mul, r, s)) for s in perp] for r in perp]
+        weights = [[sum(map(operator.mul, row, col)) for col in zip(*perp)]
+                   for row in polylattice.rational_inverse(gram)]
+        project = [[float(sum(map(operator.mul, a, b))) for b in zip(*weights)]
+                   for a in zip(*perp)]  # K^T (K K^T)^-1 K
+        lattice = [[TWO_PI * _dot(row, t) for row in project]
+                   for t in completion[len(saturated):]]
+        v = _babai_reduce([_dot(row, v) for row in project], lattice)
+    out = [c % TWO_PI for c in v]
+    return tuple(0.0 if c >= TWO_PI - SEAM_TOL else c for c in out)
 
 
 def canonical_representative(p: polylattice.PolyhedralSet,
@@ -212,14 +213,14 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     polylattice.require_normalized(p)
     if not moment_level_membership(p, a):
         raise NotOnLevel("|z_i|^2 does not match the facet slacks")
-    import numpy as np
     x = tuple(float(v) for v in a.x)
     active = _active_set(p, x)
-    theta = np.array([float(v) for v in a.theta])
+    theta = [float(v) for v in a.theta]
     for i, (f, z) in enumerate(zip(p.facets, a.z), start=1):
         if i in active or z == 0:
             continue
-        theta = theta - cmath.phase(z) * np.array(f.eta, dtype=float)
+        phase = cmath.phase(z)
+        theta = [t - phase * e for t, e in zip(theta, f.eta)]
     return CutPoint(x, active, _reduce_theta(p, theta, active))
 
 
@@ -283,7 +284,6 @@ def freeness_table(p: polylattice.PolyhedralSet):
     return table
 
 
-def moment_map(cp: CutPoint) -> np.ndarray:
+def moment_map(cp: CutPoint) -> tuple[float, ...]:
     """Image of a quotient point, which is just its base coordinates."""
-    import numpy as np
-    return np.array([float(v) for v in cp.x])
+    return tuple(float(v) for v in cp.x)

@@ -148,9 +148,7 @@ def cmd_metric(doc: LoadedDocument, points: str) -> int:
         entry = {"x": row, "G": data.G[k], "G_inv": data.G_inv[k],
                  "J": data.J[k], "g": data.g[k],
                  "inverse_residual": _residual(data.G[k], data.G_inv[k],
-                                               identity),
-                 "compatibility_residual": _residual(data.omega[k], data.J[k],
-                                                     data.g[k])}
+                                               identity)}
         if len(p.facets) == 1:
             entry["one_cut"] = kahlerpotential.one_cut_inverse(
                 p.facets[0].eta, pts.l_values[0][k])

@@ -307,8 +307,9 @@ def test_c10_almost_contact_identities_and_defect():
             for _ in range(20):
                 x = _unit_in_cone(name, rng)
                 theta = rng.uniform(0.0, 2.0 * math.pi, size=p.n)
-                acm = cc.induced_acm_structure(
-                    p, cc.contact_point(p, x, theta))
+                acm = cc.AlmostContactMetric(*map(
+                    np.array, cc.induced_acm_structure(
+                        p, cc.contact_point(p, x, theta))))
                 dim = len(acm.xi)
                 eye = np.eye(dim)
                 assert abs(acm.alpha @ acm.xi - 1.0) <= 1e-9

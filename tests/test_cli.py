@@ -495,6 +495,23 @@ FLOAT_COMMANDS = [
 ]
 
 
+# the float parts of the contact and cut layers, on a cone and a triangle
+CONTACT_AND_ANGLES = """
+import sys
+from toriccut import contactcone as cc, cutmodel as cm, polylattice as pl
+cone = pl.normalize(pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)],
+                                      kind=pl.CONE))
+cp = cc.contact_point(cone, cc.normalize_moment(cone, (3, 1)), t=0.2)
+cc.induced_acm_structure(cone, cp)
+cc.cone_metric_defect(cone, cp)
+triangle = pl.normalize(pl.polyhedral_set(
+    2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]))
+a = cm.ambient_point((0.25, 0.75), (1.0, 2.0), (0.5, 0.75 ** 0.5 * 1j, 0))
+cm.canonical_representative(triangle, a)
+assert "numpy" not in sys.modules
+"""
+
+
 def test_exact_commands_do_not_load_numpy(tmp_path):
     box = write_document(tmp_path / "cube3.json", cube(3))
     argvs = [[cmd, path] for cmd in ("validate", "classify", "cut")
@@ -502,11 +519,16 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     random5 = write_document(tmp_path / "random5_12_1.json",
                              random_set(5, 12, 1))
     argvs += [["classify", data("f4.json")], ["classify", data("lens.json")],
+              ["cut", data("f1.json"), "--ambient", AMBIENT_F1],
               ["invert", data("f2.json"), "--target=6,6"],
               ["invert", box, "--target=0.5,-1,2"],
               ["invert", random5, "--target=0,0,0,0,0"]]
     argvs += FLOAT_COMMANDS
     _assert_not_loaded({"numpy", "dataclasses"}, argvs)
+    proc = subprocess.run([sys.executable, "-c", CONTACT_AND_ANGLES],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_commands_load_only_their_modules(tmp_path):

@@ -3,20 +3,26 @@
 import itertools
 import math
 import random
+import typing
 
 import numpy as np
 import pytest
 
 from toriccut import contactcone as cc
+from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
                              WeaklyConvex, ZeroPoint)
 
-from conftest import FIXTURES, orthant
+from conftest import FIXTURES, delzant_cone, orthant
 
 GOOD_CONES = ["f3", "f4", "lens", "halfspace_r3"]
+# pointed good cones for the almost contact metric structure
+ACM_CONES = {"f4": FIXTURES["f4"], "lens": FIXTURES["lens"],
+             "orthant3": lambda: orthant(3),
+             "delzant_cone4": lambda: delzant_cone(4)}
 
 
 def unit_f4(phi):
@@ -27,6 +33,10 @@ def unit_lens(s):
     # between the boundary rays (0, 1) and (2, -1)
     v = np.array([2.0 * s, 1.0 - 2.0 * s])
     return tuple(v / np.linalg.norm(v))
+
+
+def unit(v):
+    return tuple(np.asarray(v) / np.linalg.norm(v))
 
 
 def diag_defect_oracle(x):
@@ -221,15 +231,17 @@ def test_normalize_moment():
 
 
 @pytest.mark.parametrize("name,sampler", [
-    ("f4", lambda u: unit_f4(0.05 + u * (math.pi / 2 - 0.1))),
-    ("lens", lambda u: unit_lens(0.05 + 0.9 * u)),
+    ("f4", lambda rng: unit_f4(0.05 + rng.uniform() * (math.pi / 2 - 0.1))),
+    ("lens", lambda rng: unit_lens(0.05 + 0.9 * rng.uniform())),
+    ("orthant3", lambda rng: unit(rng.uniform(0.1, 1.0, size=3))),
 ])
 def test_acm_identities_random_points(name, sampler):
-    p = FIXTURES[name]()
+    p = ACM_CONES[name]()
     rng = np.random.default_rng(29)
     for _ in range(20):
-        cp = cc.contact_point(p, sampler(rng.uniform()))
-        acm = cc.induced_acm_structure(p, cp)
+        cp = cc.contact_point(p, sampler(rng))
+        acm = cc.AlmostContactMetric(
+            *map(np.array, cc.induced_acm_structure(p, cp)))
         dim = 2 * p.n - 1
         assert abs(float(acm.alpha @ acm.xi) - 1.0) <= 1e-9
         assert np.max(np.abs(acm.phi @ acm.xi)) <= 1e-9
@@ -244,14 +256,72 @@ def test_acm_identities_random_points(name, sampler):
 def test_acm_fixture_point_compatibility():
     p = FIXTURES["f4"]()
     root_half = math.sqrt(0.5)
-    acm = cc.induced_acm_structure(
-        p, cc.contact_point(p, (root_half, root_half)))
+    acm = cc.AlmostContactMetric(*map(np.array, cc.induced_acm_structure(
+        p, cc.contact_point(p, (root_half, root_half)))))
     rng = np.random.default_rng(41)
     for _ in range(20):
         vec = rng.uniform(-2, 2, size=3)
         lhs = float(vec @ acm.phi.T @ acm.metric @ acm.phi @ vec)
         rhs = float(vec @ acm.metric @ vec) - float(acm.alpha @ vec) ** 2
         assert abs(lhs - rhs) < 1e-9
+
+
+def reference_acm(p, cp):
+    """The structure by the numpy construction that the closed form
+    replaced: nu, xi = -J nu and the tangential part of J taken from the
+    2n x 2n tensors, with every frame coordinate from a linear solve in the
+    basis (frame, nu)."""
+    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    _, j_stack, h_stack = kp.block_tensors(
+        kp.interior_point(p, [x]).require_all())
+    j_mat, h = np.array(j_stack[0]), np.array(h_stack[0])
+    n = p.n
+    nu_x = h[n:, n:] @ x
+    nu = np.concatenate([nu_x, np.zeros(n)]) / math.sqrt(float(x @ nu_x))
+    xi_amb = -(j_mat @ nu)
+    m = int(np.argmax(np.abs(x)))
+    cols = []
+    for j in range(n):
+        if j != m:
+            col = np.zeros(2 * n)
+            col[j], col[m] = x[m], -x[j]
+            cols.append(col)
+    cols += [np.eye(2 * n)[n + j] for j in range(n)]
+    frame = np.column_stack(cols)
+    basis = np.column_stack([frame, nu])
+    phi_cols = []
+    for k in range(2 * n - 1):
+        image = j_mat @ frame[:, k]
+        image = image - float(image @ (h @ nu)) * nu
+        phi_cols.append(np.linalg.solve(basis, image)[:-1])
+    return cc.AlmostContactMetric(
+        frame.T @ (h @ xi_amb), np.linalg.solve(basis, xi_amb)[:-1],
+        np.column_stack(phi_cols), frame.T @ h @ frame, frame)
+
+
+@pytest.mark.parametrize("name", sorted(ACM_CONES))
+def test_acm_matches_numpy_reference(name):
+    # every field within 1e-12 of its largest entry (at least 1): over the
+    # Delzant square the entries of G reach ~1e6
+    p = ACM_CONES[name]()
+    rays = np.array(cc.extreme_rays(p), dtype=float)
+    rng = np.random.default_rng(53)
+    for _ in range(25):
+        x = unit(rng.uniform(0.1, 1.0, size=len(rays)) @ rays)
+        cp = cc.contact_point(p, x, rng.uniform(0, 2 * math.pi, size=p.n),
+                              t=rng.uniform(-0.5, 0.5))
+        for field, got, want in zip(cc.AlmostContactMetric._fields,
+                                    cc.induced_acm_structure(p, cp),
+                                    reference_acm(p, cp)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * scale, \
+                (field, x)
+
+
+def test_float_type_hints_resolve():
+    hints = typing.get_type_hints(cc.AlmostContactMetric)
+    assert set(hints) == set(cc.AlmostContactMetric._fields)
+    assert typing.get_type_hints(cm.moment_map)["return"] == tuple[float, ...]
 
 
 def test_acm_needs_interior():

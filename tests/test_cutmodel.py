@@ -15,7 +15,7 @@ from toriccut import intlinalg as il
 from toriccut import polylattice as pl
 from toriccut.errors import NotInterior, NotOnLevel, PointOutside
 
-from conftest import FIXTURES, sample_interior
+from conftest import FIXTURES, sample_interior, simplex
 
 TWO_PI = 2.0 * math.pi
 
@@ -316,3 +316,63 @@ def test_cut_point_canonicalizes_theta():
     assert boundary.theta == (0.0,)
     with pytest.raises(PointOutside):
         cm.cut_point(p, (-0.1,))
+
+
+def reference_reduce_theta(p, theta, active):
+    """The angle reduction by the numpy construction that the exact
+    projection replaced: the span of the active conormals is removed with
+    the left singular vectors of their matrix."""
+    n = p.n
+    v = np.array([float(c) for c in theta])
+    if len(active) > 0:
+        rows = [list(p.facets[i - 1].eta) for i in active]
+        span_rank = pl.rational_rank(rows)
+        if span_rank == n:
+            return (0.0,) * n
+        saturated = il.integer_kernel_basis(il.integer_kernel_basis(rows), n)
+        tail = il.unimodular_row_completion(saturated)[len(saturated):]
+        u, _, _ = np.linalg.svd(np.array(rows, dtype=float).T)
+        project = np.eye(n) - u[:, :span_rank] @ u[:, :span_rank].T
+        v = project @ v
+        lattice = [TWO_PI * (project @ np.array(t, dtype=float))
+                   for t in tail]
+        gs = []
+        for b in lattice:
+            for g in gs:
+                b = b - (b @ g) / (g @ g) * g
+            gs.append(b)
+        for b, g in reversed(list(zip(lattice, gs))):
+            v = v - round(float((v @ g) / (g @ g))) * b
+    out = np.mod(v, TWO_PI)
+    out[out >= TWO_PI - cm.SEAM_TOL] = 0.0
+    return tuple(float(c) for c in out)
+
+
+@pytest.mark.parametrize("make", [FIXTURES["f2"], FIXTURES["f5"],
+                                  lambda: simplex(3)],
+                         ids=["f2", "f5", "simplex3"])
+def test_reduce_theta_matches_numpy_reference(make):
+    # exact points on each facet whose conormal is not a unit vector:
+    # random convex combinations of the facet's vertices, so vertices,
+    # edges and facet interiors all occur
+    p = make()
+    faces = fl.active_faces(p)
+    rng = np.random.default_rng(59)
+    for j, f in enumerate(p.facets, start=1):
+        if sum(map(abs, f.eta)) == 1:
+            continue
+        vertices = [w for face, w in faces.items()
+                    if j in face and len(face) == p.n]
+        for _ in range(60):
+            size = int(rng.integers(1, len(vertices) + 1))
+            picked = [vertices[i] for i in
+                      rng.choice(len(vertices), size, replace=False)]
+            weights = [Fraction(int(rng.integers(1, 50))) for _ in picked]
+            x = tuple(sum(c * v[k] for c, v in zip(weights, picked))
+                      / sum(weights) for k in range(p.n))
+            theta = rng.uniform(-20.0, 20.0, size=p.n)
+            rep = cm.cut_point(p, x, theta)
+            assert j in rep.active
+            want = reference_reduce_theta(p, theta, rep.active)
+            assert all(circ_close(a, b, 1e-12)
+                       for a, b in zip(rep.theta, want)), (x, theta)
