@@ -16,9 +16,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import facelattice, intlinalg, polylattice
+from . import facelattice, polylattice
 from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
-                     PointOutside, WeaklyConvex, ZeroPoint)
+                     PointOutside, ZeroPoint)
 
 SASAKIAN = "sasakian_type"
 NON_SASAKIAN = "non_sasakian_type"
@@ -27,17 +27,7 @@ BOUNDARY_TOL = 1e-12
 ACM_TOL = 1e-9
 
 
-class ReebTypeResult(NamedTuple):
-    """Verdict plus certificate: a positive pairing vector when the cone is
-    pointed, otherwise a nonzero cone point annihilated by every conormal."""
-
-    is_reeb_type: bool
-    witness: tuple
-
-
 class ContactClassification(NamedTuple):
-    good: bool
-    convexity: facelattice.ConvexityReport
     reeb_vector: tuple[int, ...] | None
     type_label: str
     k_contact: bool
@@ -70,20 +60,6 @@ def _require_cone(p: polylattice.PolyhedralSet) -> None:
         raise NotACone("operation needs a conical set")
 
 
-def extreme_rays(p: polylattice.PolyhedralSet) -> tuple[tuple[int, ...], ...]:
-    """Primitive generators of the one-dimensional faces, computed exactly
-    from the face enumeration.
-
-    Raises:
-        WeaklyConvex: the cone contains a line, so no extreme rays exist.
-    """
-    _require_cone(p)
-    if facelattice.convexity_class(p).k > 0:
-        raise WeaklyConvex("cone contains a line; no extreme rays")
-    return _rays(facelattice.face_covers(p, facelattice.active_faces(p)),
-                 p.n)
-
-
 def _rays(covers, n: int) -> tuple[tuple[int, ...], ...]:
     """The rays of a pointed cone in R^n, read from the Covers of its faces.
 
@@ -101,54 +77,6 @@ def _rays(covers, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def _good_report(p: polylattice.PolyhedralSet, report=None):
-    """The unimodularity report of a good cone (`report`, when the caller
-    has it); NotGood otherwise."""
-    if report is None:
-        report = facelattice.is_good_cone(p).report
-    if not report.is_unimodular:
-        raise NotGood("cone is not good; classification out of scope")
-    return report
-
-
-def is_reeb_type(p: polylattice.PolyhedralSet) -> ReebTypeResult:
-    """Decide whether some pairing vector is strictly positive on the cone.
-
-    Pointed case: solve the exact feasibility system <r, X> >= 1 over the
-    extreme rays r. Non-pointed case: the first vector of the integer
-    kernel of the conormals is a nonzero cone point with all pairings zero,
-    refuting positivity. The verdict is cross-checked against the conormal
-    rank.
-
-    Raises:
-        NotGood: the cone fails the apex-excluded unimodularity checks.
-    """
-    _require_cone(p)
-    report = _good_report(p)
-    kernel = intlinalg.integer_kernel_basis([list(f.eta) for f in p.facets])
-    if kernel:
-        result = ReebTypeResult(False, kernel[0])
-    else:
-        cons = [(tuple(-c for c in ray), polylattice.LE, Fraction(-1))
-                for ray in _rays(report.covers, p.n)]
-        res = polylattice.feasible(cons, p.n)
-        if not res.feasible:
-            raise AssertionError("pointed cone rejected its ray system")
-        result = ReebTypeResult(True, tuple(res.witness))
-    if result.is_reeb_type != (facelattice.convexity_class(p).k == 0):
-        raise AssertionError("ray feasibility disagrees with conormal rank")
-    return result
-
-
-def reeb_vector(p: polylattice.PolyhedralSet) -> tuple[int, ...]:
-    """Sum of the inward conormals; strictly positive on the punctured cone.
-
-    Raises:
-        WeaklyConvex: the conormals do not span, so no such vector exists.
-    """
-    return _checked_reeb(p, extreme_rays(p))
-
-
 def _checked_reeb(p: polylattice.PolyhedralSet, rays) -> tuple[int, ...]:
     vec = tuple(-sum(f.eta[j] for f in p.facets) for j in range(p.n))
     for ray in rays:
@@ -158,23 +86,22 @@ def _checked_reeb(p: polylattice.PolyhedralSet, rays) -> tuple[int, ...]:
 
 
 def classify(p: polylattice.PolyhedralSet,
-             report: facelattice.UnimodularityReport | None = None
+             report: facelattice.UnimodularityReport
              ) -> ContactClassification:
-    """Good-cone classification: strongly convex cones carry a Reeb vector
-    and the metric-compatible label, weakly convex ones do not. The rays
-    that check the Reeb vector come from the goodness report's faces;
-    `report` is that report when the caller has it.
+    """Good-cone classification from the cone's unimodularity report:
+    strongly convex cones carry a Reeb vector and the metric-compatible
+    label, weakly convex ones do not. The rays that check the Reeb vector
+    come from the report's faces.
 
     Raises:
         NotGood: non-good cones are orbifold territory and not classified.
     """
     _require_cone(p)
-    report = _good_report(p, report)
-    conv = facelattice.convexity_class(p)
-    strongly = conv.k == 0
+    if not report.is_unimodular:
+        raise NotGood("cone is not good; classification out of scope")
+    strongly = facelattice.convexity_class(p).k == 0
     reeb = _checked_reeb(p, _rays(report.covers, p.n)) if strongly else None
-    return ContactClassification(True, conv, reeb,
-                                 SASAKIAN if strongly else NON_SASAKIAN,
+    return ContactClassification(reeb, SASAKIAN if strongly else NON_SASAKIAN,
                                  strongly)
 
 

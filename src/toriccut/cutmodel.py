@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import facelattice, intlinalg, polylattice
-from .errors import NotInterior, NotOnLevel, PointOutside
+from .errors import NotOnLevel, PointOutside
 
 ACTIVITY_TOL = 1e-9
 LEVEL_TOL = 1e-9
@@ -224,38 +224,6 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     return CutPoint(x, active, _reduce_theta(p, theta, active))
 
 
-def cut_point(p: polylattice.PolyhedralSet, x, theta=None) -> CutPoint:
-    """Build a quotient point directly from base-space data.
-
-    Raises:
-        PointOutside: x violates a facet inequality.
-    """
-    polylattice.require_normalized(p)
-    active = _active_set(p, x)
-    if theta is None:
-        theta = [0.0] * p.n
-    return CutPoint(tuple(x), active, _reduce_theta(p, theta, active))
-
-
-def embed_action_angle(p: polylattice.PolyhedralSet, x,
-                       theta) -> AmbientPoint:
-    """Section over the interior: all z_i real nonnegative square roots.
-
-    Raises:
-        NotInterior: some slack is not strictly positive.
-    """
-    polylattice.require_normalized(p)
-    zs = []
-    for i, f in enumerate(p.facets, start=1):
-        slack = float(f.kappa) - sum(
-            float(e) * float(v) for e, v in zip(f.eta, x))
-        if slack <= 0:
-            raise NotInterior(f"facet {i} slack {slack:.3e} is not positive")
-        zs.append(complex(math.sqrt(slack), 0.0))
-    return AmbientPoint(tuple(float(v) for v in x),
-                        tuple(float(v) for v in theta), tuple(zs))
-
-
 def freeness_table(p: polylattice.PolyhedralSet):
     """Whether each cutting circle acts freely over each face it meets.
 
@@ -282,8 +250,3 @@ def freeness_table(p: polylattice.PolyhedralSet):
                             [p.facets[i - 1].eta for i in combined]))
                 table.append((face, j, free))
     return table
-
-
-def moment_map(cp: CutPoint) -> tuple[float, ...]:
-    """Image of a quotient point, which is just its base coordinates."""
-    return tuple(float(v) for v in cp.x)

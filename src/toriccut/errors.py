@@ -33,10 +33,6 @@ class NotGood(ToricError):
     """A cone failed the off-apex unimodularity checks."""
 
 
-class WeaklyConvex(ToricError):
-    """Operation requires a strongly convex set."""
-
-
 class NotInterior(ToricError):
     """Point is on or outside the boundary where strict interiority is required."""
 

@@ -4,8 +4,9 @@ One enumeration finds every face with an exact witness point
 (`active_faces`); Smith normal forms of the conormals tight at each witness
 settle ranks and saturation (`face_covers`). On them rest the checks of
 minimality, primitivity, simple vertices and saturated faces
-(`unimodularity_report`), the good-cone verdict, the convexity class, the
-splitting of line factors and the homotopy summary. Every verdict is exact.
+(`unimodularity_report`, which on a cone is the good-cone verdict), the
+convexity class, the splitting of line factors and the homotopy summary.
+Every verdict is exact.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import intlinalg, polylattice
-from .errors import NotACone, NotUnimodular, ScaleLimitExceeded
+from .errors import NotUnimodular, ScaleLimitExceeded
 from .polylattice import CONE, EQ, LE, LT, UPPER, FaceIndexSet, PolyhedralSet
 
 # candidate faces one enumeration may examine; each costs at most one
@@ -49,11 +50,6 @@ class ConvexityReport(NamedTuple):
     rank: int
     k: int
     label: str  # "strongly_convex" | "weakly_convex"
-
-
-class GoodConeResult(NamedTuple):
-    good: bool
-    report: UnimodularityReport
 
 
 class SplittingReport(NamedTuple):
@@ -323,15 +319,6 @@ def convexity_class(p: PolyhedralSet) -> ConvexityReport:
     rank = polylattice.rational_rank([list(e) for e in p.etas])
     k = p.n - rank
     return ConvexityReport(rank, k, "strongly_convex" if k == 0 else "weakly_convex")
-
-
-def is_good_cone(p: PolyhedralSet) -> GoodConeResult:
-    """Off-apex unimodularity verdict for a cone."""
-    polylattice.require_normalized(p)
-    if p.kind != CONE:
-        raise NotACone("goodness is defined for cones only")
-    report = unimodularity_report(p)
-    return GoodConeResult(report.is_unimodular, report)
 
 
 def split_weakly_convex(p: PolyhedralSet,

@@ -71,17 +71,13 @@ class InteriorPoints(NamedTuple):
 
 
 class KahlerPointData(NamedTuple):
-    """All pointwise tensors of the interior rows of a batch, one entry per
-    row (CLI payload shape); `points` tells which input rows they belong
-    to."""
+    """The tensors that `metric` writes, of the interior rows of a batch,
+    one entry per row (CLI payload shape); `points` tells which input rows
+    they belong to."""
 
     points: InteriorPoints
-    sp: list[float]
-    guillemin: list[float]
     G: list[list[list[float]]]
     G_inv: list[list[list[float]]]
-    gtilde: list[list[float]]
-    omega: list[list[list[float]]]
     J: list[list[list[float]]]
     g: list[list[list[float]]]
 
@@ -290,42 +286,21 @@ def one_cut_inverse(eta, l: float) -> list[list[float]]:
              for b, vb in enumerate(ev)] for a, va in enumerate(ev)]
 
 
-def block_tensors(pts: InteriorPoints):
-    """Constant symplectic form, complex structure, and metric, one
-    2n x 2n matrix each per row, of blocks in the (x, theta) frame:
-
-        omega = [[0, I], [-I, 0]]
-        J     = [[0, -G^-1], [G, 0]]
-        g     = [[G, 0], [0, G^-1]]
-    """
-    g_small = hessian_metric(pts)
-    zero = [0.0] * len(pts.etas[0])
-    eye = [[float(a == b) for b in range(len(zero))] for a in range(len(zero))]
-    omega = ([zero + row for row in eye]
-             + [[-v for v in row] + zero for row in eye])
-    out = ([], [], [])
-    for small, inv in zip(g_small, hessian_metric_inverse(g_small)):
-        out[0].append(omega)
-        out[1].append([zero + [-v for v in row] for row in inv]
-                      + [row + zero for row in small])
-        out[2].append([row + zero for row in small]
-                      + [zero + row for row in inv])
-    return out
-
-
 def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
-    """Every pointwise tensor of a batch; rows that are not interior are
-    masked as in `interior_point`. G and G^-1 are the blocks of g."""
+    """G, G^-1, the complex structure J = [[0, -G^-1], [G, 0]] and the
+    metric g = [[G, 0], [0, G^-1]] in the (x, theta) frame, one of each per
+    interior row of a batch; the other rows are masked as in
+    `interior_point`."""
     pts = interior_point(p, x)
-    omega, jmat, metric = block_tensors(pts)
-    n = p.n
-    entropy = half_entropy(pts)
-    return KahlerPointData(
-        pts, symplectic_potential(pts, entropy),
-        guillemin_potential(pts, entropy),
-        [[row[:n] for row in g[:n]] for g in metric],
-        [[row[n:] for row in g[n:]] for g in metric],
-        legendre_map(pts), omega, jmat, metric)
+    g_small = hessian_metric(pts)
+    g_inv = hessian_metric_inverse(g_small)
+    zero = [0.0] * p.n
+    jmat = [[zero + [-v for v in row] for row in inv]
+            + [row + zero for row in small]
+            for small, inv in zip(g_small, g_inv)]
+    metric = [[row + zero for row in small] + [zero + row for row in inv]
+              for small, inv in zip(g_small, g_inv)]
+    return KahlerPointData(pts, g_small, g_inv, jmat, metric)
 
 
 class _Chart(NamedTuple):
@@ -441,13 +416,15 @@ def _jacobian(chart: _Chart, etas, l, scale):
 
 def _solve(a, b):
     """The solution z of a z = b, by Gaussian elimination with partial
-    pivoting; a and b are overwritten."""
+    pivoting, or None at a zero pivot; a and b are overwritten."""
     n = len(b)
     for k in range(n):
         pivot = max(range(k, n), key=lambda r: abs(a[r][k]))
         a[k], a[pivot] = a[pivot], a[k]
         b[k], b[pivot] = b[pivot], b[k]
         row_k = a[k]
+        if row_k[k] == 0.0:
+            return None
         for r in range(k + 1, n):
             factor = a[r][k] / row_k[k]
             if factor:
@@ -497,24 +474,28 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
     slack outside the chart's facets at >= 5% of its current value, and
     the step is halved while the residual norm (the merit function) fails
     to decrease. The solve starts in the chart of x. When the halving runs
-    out, the float point no longer resolves its small slacks, and the
-    solve moves, at the same point, to the chart of the facets whose
-    slacks are below CHART_SLACK (once per new set of facets; an
-    iteration). The solution is returned only when its exact slacks are
-    positive (see `_solution`).
+    out, or a pivot of the Newton system is zero, the float point no
+    longer resolves its small slacks, and the solve moves, at the same
+    point, to the chart of the facets whose slacks are below CHART_SLACK
+    (once per new set of facets; an iteration). The solution is returned
+    only when its exact slacks are positive (see `_solution`).
 
     Raises:
         ValueError: y does not have n coordinates.
-        NotInterior: the set has no strict interior, or an exact slack of
-            the solution is not positive.
-        NoConvergence: after max_iter iterations above tolerance, or when
-            rounding has put an iterate outside the interior.
+        NotInterior: the set is empty or has no strict interior, or an
+            exact slack of the solution is not positive.
+        NoConvergence: after max_iter iterations above tolerance, when
+            rounding has put an iterate outside the interior, or at a
+            singular Newton system in an unchanged chart.
     """
     polylattice.require_normalized(p)
     yv = [float(v) for v in y]
     if len(yv) != p.n:
         raise ValueError(f"expected a target in R^{p.n}")
-    start, margin = polylattice.max_margin_point(p)
+    try:
+        start, margin = polylattice.max_margin_point(p)
+    except ValueError as exc:
+        raise NotInterior("set is empty") from exc
     if margin <= 0:
         raise NotInterior("set has no strict interior")
     etas = [[float(v) for v in f.eta] for f in p.facets]
@@ -533,24 +514,28 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
                 f"residual {residual:.3e} after {max_iter} iterations")
         scale = [-l[i] for i in chart.facets] + [1.0] * len(chart.columns)
         step = _solve(_jacobian(chart, etas, l, scale), [-g for g in grad])
-        dq = [s * d for s, d in zip(scale, step)]
-        ratios = [l[j] / d for j, d in
-                  enumerate(_dot(row, dq) for row in chart.rows)
-                  if d > 0 and j not in chart.facets]  # d: slack loss rate
-        t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
-        for _ in range(40):
+        if step is not None:  # else the system is singular: no search
+            dq = [s * d for s, d in zip(scale, step)]
+            ratios = [l[j] / d for j, d in
+                      enumerate(_dot(row, dq) for row in chart.rows)
+                      if d > 0 and j not in chart.facets]  # slack loss rate
+            t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
+        for _ in range(40 if step is not None else 0):
             trial = _state(chart, etas,
                            [zj + t * sj for zj, sj in zip(z, step)], yv)
             if trial is not None and trial[-1] < residual:
                 break
             t *= 0.5
-        else:
+        else:  # the search ran out, or there was none
             facets = _chart_facets(p, l)
             if facets != chart.facets:
                 chart = _chart(p, facets)
                 z = [logs[i] for i in facets] + [x[c] for c in chart.columns]
                 iteration += 1
                 continue
+            if step is None:
+                raise NoConvergence(
+                    f"iteration {iteration}: singular Newton system")
         # an exhausted search in an unchanged chart keeps the tiny step;
         # the iteration cap above is the arbiter of non-convergence
         z = [zj + t * sj for zj, sj in zip(z, step)]

@@ -66,10 +66,6 @@ class PolyhedralSet(NamedTuple):
     def etas(self) -> tuple[tuple[int, ...], ...]:
         return tuple(f.eta for f in self.facets)
 
-    @property
-    def kappas(self) -> tuple[Fraction, ...]:
-        return tuple(f.kappa for f in self.facets)
-
 
 class FaceIndexSet:
     """Subset of facet indices, 1-based, stored sorted and deduplicated.

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toriccut import cutmodel as cm
 from toriccut import polylattice as pl
 
 
@@ -103,6 +104,19 @@ def write_document(path, p):
                       for f in p.facets]}
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def section(p, x, theta):
+    """The ambient point over (x, theta) whose z_i is the nonnegative real
+    square root of the slack l_i(x), so it lies on the level
+    |z_i|^2 = l_i; z_i = 0 on the facets tight at x. The slacks are exact
+    when x is rational."""
+    zs = []
+    for i, f in enumerate(p.facets, start=1):
+        slack = f.kappa - sum(e * v for e, v in zip(f.eta, x))
+        assert slack >= 0, f"x violates facet {i}"
+        zs.append(complex(math.sqrt(slack)))
+    return cm.ambient_point(x, theta, zs)
 
 
 def random_set(n, m, s):

@@ -23,7 +23,7 @@ from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NotGood
 
-from conftest import FIXTURES, sample_interior
+from conftest import FIXTURES, sample_interior, section
 from test_cli import GOLDEN_CASES, resolve, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,10 +101,12 @@ def test_c02_complex_structure_compatibility(samples):
         start = time.perf_counter()
         for name in SAMPLE_NAMES:
             p = FIXTURES[name]()
-            pts = kp.interior_point(p, samples[name]).require_all()
-            for tensors in zip(*kp.block_tensors(pts)):
-                omega, J, g = map(np.array, tensors)
-                eye = np.eye(2 * p.n)
+            data = kp.point_data(p, samples[name])
+            assert all(data.points.inside)
+            eye = np.eye(2 * p.n)
+            zero, unit = np.zeros((p.n, p.n)), np.eye(p.n)
+            omega = np.block([[zero, unit], [-unit, zero]])
+            for J, g in zip(map(np.array, data.J), map(np.array, data.g)):
                 assert np.max(np.abs(J @ J + eye)) < 1e-10
                 # the sign convention here pairs dx before dtheta, which
                 # makes the compatible product come out as +omega.J
@@ -231,22 +233,38 @@ def test_c07_weakly_convex_splitting():
 def test_c08_cone_classification():
     with criterion("C08 cone classification with Reeb vectors and type "
                    "agreement"):
+        def classify(name):
+            p = FIXTURES[name]()
+            return cc.classify(p, fl.unimodularity_report(p))
+
+        def rays(p):
+            return cc._rays(fl.face_covers(p, fl.active_faces(p)), p.n)
+
+        def ray_lp_verdict(p):
+            # some X pairs to >= 1 with every extreme ray; a cone with a
+            # line has no rays to pair, and a kernel vector of its
+            # conormals refutes positivity
+            if pl.rational_rank([list(f.eta) for f in p.facets]) < p.n:
+                return False
+            return pl.feasible([(tuple(-c for c in ray), pl.LE, -1)
+                                for ray in rays(p)], p.n).feasible
+
         f4 = FIXTURES["f4"]()
-        cls4 = cc.classify(f4)
+        cls4 = classify("f4")
         assert cls4.type_label == "sasakian_type"
         assert cls4.reeb_vector == (1, 1)
-        for ray in cc.extreme_rays(f4):
+        for ray in rays(f4):
             assert sum(a * b for a, b in zip(ray, cls4.reeb_vector)) > 0
-        assert cc.classify(FIXTURES["lens"]()).type_label == "sasakian_type"
-        assert cc.classify(FIXTURES["f3"]()).type_label == "non_sasakian_type"
-        assert (cc.classify(FIXTURES["halfspace_r3"]()).type_label
-                == "non_sasakian_type")
+        assert classify("lens").type_label == "sasakian_type"
+        assert classify("f3").type_label == "non_sasakian_type"
+        assert classify("halfspace_r3").type_label == "non_sasakian_type"
         for name in ("f3", "f4", "lens", "halfspace_r3"):
             p = FIXTURES[name]()
-            lp_verdict = cc.is_reeb_type(p).is_reeb_type
+            lp_verdict = ray_lp_verdict(p)
             assert lp_verdict == (fl.convexity_class(p).k == 0)
+            assert lp_verdict == classify(name).k_contact
         with pytest.raises(NotGood):
-            cc.is_reeb_type(FIXTURES["f5_lift"]())
+            classify("f5_lift")
 
 
 def _circ_close(a, b, tol=1e-9):
@@ -263,7 +281,7 @@ def test_c09_gauge_invariance_and_kernel():
             etas = np.array([f.eta for f in p.facets], dtype=float)
             for x in sample_interior(name, rng, 2):
                 theta = rng.uniform(0.0, 2.0 * math.pi, size=p.n)
-                base = cm.embed_action_angle(p, x, theta)
+                base = section(p, x, theta)
                 ref = cm.canonical_representative(p, base)
                 for _ in range(50):
                     t = rng.uniform(-8.0, 8.0, size=len(p.facets))
@@ -278,12 +296,10 @@ def test_c09_gauge_invariance_and_kernel():
                                for a, b in zip(rep.theta, ref.theta))
             for x in sample_interior(name, rng, 20):
                 theta = rng.uniform(0.0, 2.0 * math.pi, size=p.n)
-                cp = cm.cut_point(p, x, theta)
-                rep = cm.canonical_representative(
-                    p, cm.embed_action_angle(p, x, theta))
-                assert rep.x == cp.x
+                rep = cm.canonical_representative(p, section(p, x, theta))
+                assert rep.x == tuple(x)
                 assert all(_circ_close(a, b)
-                           for a, b in zip(rep.theta, cp.theta))
+                           for a, b in zip(rep.theta, theta))
         kernel = cm.delzant_kernel(FIXTURES["f2"]())
         assert kernel.kernel_basis == ((1, 1, 1),)
 

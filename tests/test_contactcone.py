@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ import pytest
 from toriccut import contactcone as cc
 from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
+from toriccut import intlinalg as il
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
-                             WeaklyConvex, ZeroPoint)
+                             ZeroPoint)
 
 from conftest import FIXTURES, delzant_cone, orthant
 
@@ -50,6 +52,31 @@ def diag_defect_oracle(x):
         half = c / 2.0
         best = max(best, abs(half / (1.0 + half) ** 2 - 2.0 / (1.0 + half)))
     return best
+
+
+def rays(p):
+    """The extreme rays of a pointed cone by the path `classify` takes:
+    read from the covers of the one face enumeration."""
+    return cc._rays(fl.face_covers(p, fl.active_faces(p)), p.n)
+
+
+def classify(p):
+    return cc.classify(p, fl.unimodularity_report(p))
+
+
+def ray_program(p):
+    """The Reeb-type verdict by exact LP, with its certificate: on a
+    pointed cone a vector X with <r, X> >= 1 on every extreme ray r, found
+    by one feasibility solve over the rays; otherwise a nonzero integer
+    vector of the conormals' kernel, a cone point that pairs to zero with
+    every conormal."""
+    kernel = il.integer_kernel_basis([list(f.eta) for f in p.facets])
+    if kernel:
+        return False, tuple(kernel[0])
+    cons = [(tuple(-c for c in ray), pl.LE, Fraction(-1)) for ray in rays(p)]
+    res = pl.feasible(cons, p.n)
+    assert res.feasible, "pointed cone rejected its ray system"
+    return True, tuple(res.witness)
 
 
 def reference_rays(p):
@@ -98,106 +125,99 @@ def random_pointed_cones(count, seed):
                                                for n in range(2, 6)])
 def test_extreme_rays_match_subset_walk(make):
     p = make()
-    assert cc.extreme_rays(p) == reference_rays(p)
+    assert rays(p) == reference_rays(p)
 
 
 def test_extreme_rays_match_subset_walk_on_random_cones():
     cones = random_pointed_cones(200, 20261018)
     assert {p.n for p in cones} == {1, 2, 3, 4}
     for p in cones:
-        assert cc.extreme_rays(p) == reference_rays(p), p
+        assert rays(p) == reference_rays(p), p
 
 
 def test_extreme_rays():
-    assert cc.extreme_rays(FIXTURES["f4"]()) == ((0, 1), (1, 0))
-    assert cc.extreme_rays(FIXTURES["lens"]()) == ((0, 1), (2, -1))
+    assert rays(FIXTURES["f4"]()) == ((0, 1), (1, 0))
+    assert rays(FIXTURES["lens"]()) == ((0, 1), (2, -1))
     half_line = pl.normalize(
         pl.polyhedral_set(1, [((-1,), 0)], kind=pl.CONE))
-    assert cc.extreme_rays(half_line) == ((1,),)
-    with pytest.raises(WeaklyConvex):
-        cc.extreme_rays(FIXTURES["f3"]())
+    assert rays(half_line) == ((1,),)
 
 
 def test_reeb_type_f4():
-    res = cc.is_reeb_type(FIXTURES["f4"]())
-    assert res.is_reeb_type
-    assert res.witness == (1, 1)
+    assert ray_program(FIXTURES["f4"]()) == (True, (1, 1))
+    assert classify(FIXTURES["f4"]()).reeb_vector == (1, 1)
 
 
 def test_reeb_type_lens():
     p = FIXTURES["lens"]()
-    res = cc.is_reeb_type(p)
-    assert res.is_reeb_type
-    for ray in cc.extreme_rays(p):
-        assert sum(a * b for a, b in zip(ray, res.witness)) >= 1
+    reeb_type, witness = ray_program(p)
+    assert reeb_type
+    for ray in rays(p):
+        assert sum(a * b for a, b in zip(ray, witness)) >= 1
+        assert sum(a * b for a, b in zip(ray, classify(p).reeb_vector)) >= 1
 
 
 def test_reeb_type_negative_certificates():
-    res3 = cc.is_reeb_type(FIXTURES["f3"]())
-    assert not res3.is_reeb_type
-    assert res3.witness == (0, 1)
-    res_half = cc.is_reeb_type(FIXTURES["halfspace_r3"]())
-    assert not res_half.is_reeb_type
-    assert res_half.witness == (0, 1, 0)
-    for name, res in (("f3", res3), ("halfspace_r3", res_half)):
+    # the certificate of a weakly convex cone is the lineality vector that
+    # witnesses every face of the enumeration, with no LP
+    for name, lineal in (("f3", (0, 1)), ("halfspace_r3", (0, 1, 0))):
         p = FIXTURES[name]()
+        assert ray_program(p) == (False, lineal)
+        assert fl.face_witness(p, ()) == lineal
         for f in p.facets:
-            assert sum(a * b for a, b in zip(f.eta, res.witness)) == 0
-        assert any(v != 0 for v in res.witness)
+            assert sum(a * b for a, b in zip(f.eta, lineal)) == 0
 
 
 def test_reeb_type_requires_good():
     with pytest.raises(NotGood):
-        cc.is_reeb_type(FIXTURES["f5_lift"]())
+        classify(FIXTURES["f5_lift"]())
 
 
 @pytest.mark.parametrize("name", GOOD_CONES)
 def test_ray_program_matches_rank(name):
     p = FIXTURES[name]()
-    verdict = cc.is_reeb_type(p).is_reeb_type
+    verdict, _ = ray_program(p)
     assert verdict == (fl.convexity_class(p).k == 0)
+    assert verdict == classify(p).k_contact
 
 
 def test_reeb_vector_values():
-    assert cc.reeb_vector(FIXTURES["f4"]()) == (1, 1)
-    assert cc.reeb_vector(FIXTURES["lens"]()) == (2, 2)
-    with pytest.raises(WeaklyConvex):
-        cc.reeb_vector(FIXTURES["f3"]())
+    assert classify(FIXTURES["f4"]()).reeb_vector == (1, 1)
+    assert classify(FIXTURES["lens"]()).reeb_vector == (2, 2)
+    assert classify(FIXTURES["f3"]()).reeb_vector is None
 
 
 @pytest.mark.parametrize("name", ["f4", "lens"])
 def test_reeb_vector_positive_on_rays(name):
     p = FIXTURES[name]()
-    vec = cc.reeb_vector(p)
-    for ray in cc.extreme_rays(p):
+    vec = classify(p).reeb_vector
+    for ray in rays(p):
         assert sum(a * b for a, b in zip(ray, vec)) > 0
 
 
 def test_classify_f4():
-    res = cc.classify(FIXTURES["f4"]())
-    assert res.good and res.k_contact
-    assert res.convexity.label == "strongly_convex"
+    res = classify(FIXTURES["f4"]())
+    assert res.k_contact
     assert res.reeb_vector == (1, 1)
     assert res.type_label == cc.SASAKIAN
 
 
 def test_classify_weakly_convex():
-    res = cc.classify(FIXTURES["f3"]())
-    assert res.good and not res.k_contact
-    assert res.convexity.k == 1
+    res = classify(FIXTURES["f3"]())
+    assert not res.k_contact
     assert res.reeb_vector is None
     assert res.type_label == cc.NON_SASAKIAN
-    half = cc.classify(FIXTURES["halfspace_r3"]())
+    half = classify(FIXTURES["halfspace_r3"]())
     assert half.type_label == cc.NON_SASAKIAN
-    assert half.convexity.k == 2
+    assert not half.k_contact
 
 
 def test_classify_lens_and_failures():
-    assert cc.classify(FIXTURES["lens"]()).type_label == cc.SASAKIAN
+    assert classify(FIXTURES["lens"]()).type_label == cc.SASAKIAN
     with pytest.raises(NotGood):
-        cc.classify(FIXTURES["f5_lift"]())
+        classify(FIXTURES["f5_lift"]())
     with pytest.raises(NotACone):
-        cc.classify(FIXTURES["f2"]())
+        classify(FIXTURES["f2"]())
 
 
 def test_contact_point_validation():
@@ -272,9 +292,9 @@ def reference_acm(p, cp):
     2n x 2n tensors, with every frame coordinate from a linear solve in the
     basis (frame, nu)."""
     x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
-    _, j_stack, h_stack = kp.block_tensors(
-        kp.interior_point(p, [x]).require_all())
-    j_mat, h = np.array(j_stack[0]), np.array(h_stack[0])
+    data = kp.point_data(p, [x])
+    assert data.points.inside == [True]
+    j_mat, h = np.array(data.J[0]), np.array(data.g[0])
     n = p.n
     nu_x = h[n:, n:] @ x
     nu = np.concatenate([nu_x, np.zeros(n)]) / math.sqrt(float(x @ nu_x))
@@ -304,10 +324,10 @@ def test_acm_matches_numpy_reference(name):
     # every field within 1e-12 of its largest entry (at least 1): over the
     # Delzant square the entries of G reach ~1e6
     p = ACM_CONES[name]()
-    rays = np.array(cc.extreme_rays(p), dtype=float)
+    generators = np.array(rays(p), dtype=float)
     rng = np.random.default_rng(53)
     for _ in range(25):
-        x = unit(rng.uniform(0.1, 1.0, size=len(rays)) @ rays)
+        x = unit(rng.uniform(0.1, 1.0, size=len(generators)) @ generators)
         cp = cc.contact_point(p, x, rng.uniform(0, 2 * math.pi, size=p.n),
                               t=rng.uniform(-0.5, 0.5))
         for field, got, want in zip(cc.AlmostContactMetric._fields,
@@ -321,7 +341,8 @@ def test_acm_matches_numpy_reference(name):
 def test_float_type_hints_resolve():
     hints = typing.get_type_hints(cc.AlmostContactMetric)
     assert set(hints) == set(cc.AlmostContactMetric._fields)
-    assert typing.get_type_hints(cm.moment_map)["return"] == tuple[float, ...]
+    assert (typing.get_type_hints(cm._reduce_theta)["return"]
+            == tuple[float, ...])
 
 
 def test_acm_needs_interior():

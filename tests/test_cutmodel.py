@@ -13,9 +13,9 @@ from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
 from toriccut import intlinalg as il
 from toriccut import polylattice as pl
-from toriccut.errors import NotInterior, NotOnLevel, PointOutside
+from toriccut.errors import NotOnLevel, PointOutside
 
-from conftest import FIXTURES, sample_interior, simplex
+from conftest import FIXTURES, sample_interior, section, simplex
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,7 +140,7 @@ def test_canonical_full_rank_stabilizer_kills_theta():
 
 def test_canonical_identity_on_real_positive():
     p = FIXTURES["f2"]()
-    a = cm.embed_action_angle(p, [0.2, 0.3], [1.0, 4.5])
+    a = section(p, [0.2, 0.3], [1.0, 4.5])
     rep = cm.canonical_representative(p, a)
     assert rep.x == (0.2, 0.3)
     assert rep.theta == (1.0, 4.5)
@@ -159,7 +159,7 @@ def test_gauge_invariance_interior(name):
     rng = np.random.default_rng(23)
     for x in sample_interior(name, rng, 10):
         theta = rng.uniform(0, TWO_PI, size=p.n)
-        base = cm.embed_action_angle(p, x, theta)
+        base = section(p, x, theta)
         ref = cm.canonical_representative(p, base)
         for _ in range(10):
             t = rng.uniform(-8, 8, size=len(p.facets))
@@ -190,14 +190,19 @@ def test_gauge_invariance_boundary_edge():
 
 
 def test_gauge_reduction_matches_direct_cut_point():
-    # different phase noise over the active facet, same quotient point
+    # theta moved along the active conormal (-1, 0), and a phase of z_2
+    # that the rotation by the conormal (0, -1) of facet 2 undoes, give
+    # the quotient point of the section
     p = FIXTURES["f2"]()
-    base = cm.ambient_point([0.0, 0.4], [1.0, 2.0],
-                            [0.0, math.sqrt(0.4), math.sqrt(0.6)])
-    rep = cm.canonical_representative(p, base)
-    direct = cm.cut_point(p, (0.0, 0.4), (1.0, 2.0))
-    assert all(circ_close(a, b, 1e-12)
-               for a, b in zip(rep.theta, direct.theta))
+    direct = cm.canonical_representative(p, section(p, (0.0, 0.4),
+                                                    (1.0, 2.0)))
+    for shift, phase in ((0.3, 1.1), (-2.0, -0.4), (7.5, 2.9)):
+        base = cm.ambient_point([0.0, 0.4], [1.0 - shift, 2.0 - phase],
+                                [0.0, math.sqrt(0.4) * cmath.exp(1j * phase),
+                                 math.sqrt(0.6)])
+        rep = cm.canonical_representative(p, base)
+        assert all(circ_close(a, b, 1e-12)
+                   for a, b in zip(rep.theta, direct.theta))
 
 
 @pytest.mark.parametrize("name", ["f1", "f2", "slab"])
@@ -206,25 +211,24 @@ def test_roundtrip_interior(name):
     rng = np.random.default_rng(47)
     for x in sample_interior(name, rng, 15):
         theta = rng.uniform(0, TWO_PI - 0.01, size=p.n)
-        rep = cm.canonical_representative(
-            p, cm.embed_action_angle(p, x, theta))
+        rep = cm.canonical_representative(p, section(p, x, theta))
         assert rep.x == tuple(float(v) for v in x)
         assert len(rep.active) == 0
         assert max(abs(a - b) for a, b in zip(rep.theta, theta)) <= 1e-9
-        assert np.array_equal(cm.moment_map(rep), np.asarray(x, dtype=float))
 
 
 def test_embed_values():
+    # the section of the level that the tests embed action-angle points by
     p = FIXTURES["f1"]()
-    a = cm.embed_action_angle(p, [0.5], [1.0])
+    a = section(p, [0.5], [1.0])
     root_half = math.sqrt(0.5)
     assert a.z == (complex(root_half), complex(root_half))
     assert a.theta == (1.0,)
-    b = cm.embed_action_angle(FIXTURES["f2"](), [1 / 3, 1 / 3], [0.0, 0.0])
+    b = section(FIXTURES["f2"](), [1 / 3, 1 / 3], [0.0, 0.0])
     third = math.sqrt(1 / 3)
     assert all(abs(z - third) < 1e-15 for z in b.z)
-    with pytest.raises(NotInterior):
-        cm.embed_action_angle(p, [0.0], [0.0])
+    assert section(p, [0], [0.0]).z == (0j, 1 + 0j)
+    assert cm.moment_level_membership(p, section(p, [Fraction(1, 3)], [0.0]))
 
 
 def test_stabilizer_examples():
@@ -291,11 +295,13 @@ def test_free_action_everywhere_on_unimodular(name):
 
 
 def test_moment_map_projection_and_range():
+    # the moment map of a quotient point is its base point
     p = FIXTURES["f1"]()
     values = []
     for v in np.linspace(0.0, 1.0, 101):
-        cp = cm.cut_point(p, (float(v),))
-        values.append(cm.moment_map(cp)[0])
+        cp = cm.canonical_representative(p, section(p, (float(v),), (0.0,)))
+        assert cp.x == (float(v),)
+        values.append(cp.x[0])
     values.sort()
     assert values[0] == 0.0 and values[-1] == 1.0
     assert max(b - a for a, b in zip(values, values[1:])) < 0.02
@@ -304,18 +310,20 @@ def test_moment_map_projection_and_range():
 def test_moment_map_vertices():
     p = FIXTURES["f2"]()
     for vertex in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:
-        cp = cm.cut_point(p, vertex)
-        assert tuple(cm.moment_map(cp)) == vertex
+        cp = cm.canonical_representative(p, section(p, vertex, (0.0, 0.0)))
+        assert cp.x == vertex
+        assert len(cp.active) == 2 and cp.theta == (0.0, 0.0)
 
 
 def test_cut_point_canonicalizes_theta():
     p = FIXTURES["f1"]()
-    wrapped = cm.cut_point(p, (0.5,), (7.0,))
+    wrapped = cm.canonical_representative(p, section(p, (0.5,), (7.0,)))
     assert abs(wrapped.theta[0] - (7.0 - TWO_PI)) < 1e-12
-    boundary = cm.cut_point(p, (0.0,), (1.0,))
+    boundary = cm.canonical_representative(p, section(p, (0.0,), (1.0,)))
     assert boundary.theta == (0.0,)
-    with pytest.raises(PointOutside):
-        cm.cut_point(p, (-0.1,))
+    with pytest.raises(NotOnLevel):
+        cm.canonical_representative(
+            p, cm.ambient_point((-0.1,), (0.0,), (0.0, 1.0)))
 
 
 def reference_reduce_theta(p, theta, active):
@@ -371,7 +379,7 @@ def test_reduce_theta_matches_numpy_reference(make):
             x = tuple(sum(c * v[k] for c, v in zip(weights, picked))
                       / sum(weights) for k in range(p.n))
             theta = rng.uniform(-20.0, 20.0, size=p.n)
-            rep = cm.cut_point(p, x, theta)
+            rep = cm.canonical_representative(p, section(p, x, theta))
             assert j in rep.active
             want = reference_reduce_theta(p, theta, rep.active)
             assert all(circ_close(a, b, 1e-12)

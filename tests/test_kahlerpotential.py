@@ -324,6 +324,18 @@ class TestLegendre:
         with pytest.raises(NoConvergence):
             kp.invert_legendre(f1(), [5.0], max_iter=1)
 
+    def test_empty_set_is_not_interior(self):
+        p = pl.normalize(pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)]))
+        with pytest.raises(NotInterior, match="set is empty"):
+            kp.invert_legendre(p, [0.5])
+
+    def test_singular_system_in_the_same_chart(self, monkeypatch):
+        # a zero pivot where the chart would not change ends the solve
+        monkeypatch.setattr(kp, "_solve", lambda a, b: None)
+        with pytest.raises(NoConvergence,
+                           match="iteration 0: singular Newton system"):
+            kp.invert_legendre(f1(), [5.0])
+
     def test_iterate_leaves_interior(self):
         # the solution lies within rounding of the boundary: in x, the tiny
         # step of an exhausted line search would land outside the set, so
@@ -352,7 +364,10 @@ class TestLegendre:
         ("random6_12_1", (-6, 0, 1, 0, -8, -8), (4,)),
         # a slack of e^-98: x rounds onto the facet x <= 1
         ("f1", (50,), (1,)),
-        ("f2", (20, -25), (1, 2))])
+        ("f2", (20, -25), (1, 2)),
+        # where two slacks are about 1e-12 and 2e-16, a pivot of the Newton
+        # system is exactly zero: the solve moves to the chart of both
+        ("singular3", (20, 1, 20), (2, 4))])
     def test_invert_in_chart(self, name, y, facets):
         p, _ = batch_set(name)
         res = kp.invert_legendre(p, y)
@@ -376,6 +391,10 @@ class TestLegendre:
         res = kp._solution(f1(), chart, [-1.0], None, 3, 0.0)
         assert res == ((1 - math.exp(-1.0),), 3, 0.0, (1,), (-1.0,))
 
+    def test_solve_zero_pivot(self):
+        assert kp._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+        assert kp._solve([[0.0]], [1.0]) is None
+
     def test_solve_pivots(self):
         rng = np.random.default_rng(17)
         a = [[0.0, 2.0, 1.0], [1e-3, 1.0, 4.0], [3.0, -1.0, 0.5]]
@@ -385,21 +404,33 @@ class TestLegendre:
             assert np.allclose(np.array(a) @ z, b, rtol=0, atol=1e-12)
 
 
+def symplectic_form(n):
+    """The constant form [[0, I], [-I, 0]] in the (x, theta) frame."""
+    eye = np.eye(n)
+    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+
+
 class TestBlockTensors:
     def test_f1_frozen(self):
-        omega, jmat, metric = kp.block_tensors(one(f1(), [0.5]))
-        assert np.allclose(omega, [[[0, 1], [-1, 0]]], atol=1e-15)
-        assert np.allclose(jmat, [[[0, -1 / 3], [3, 0]]], atol=1e-14)
-        assert np.allclose(metric, [[[3, 0], [0, 1 / 3]]], atol=1e-14)
+        data = kp.point_data(f1(), [[0.5]])
+        assert np.allclose(data.J, [[[0, -1 / 3], [3, 0]]], atol=1e-14)
+        assert np.allclose(data.g, [[[3, 0], [0, 1 / 3]]], atol=1e-14)
+        assert data.G == [[[3.0]]] and np.allclose(data.G_inv, [[[1 / 3]]])
 
     def test_compatibility(self):
         rng = np.random.default_rng(16)
         for name, fix in (("f1", f1), ("f2", f2), ("slab", slab), ("f4", f4)):
             p = fix()
-            pts = kp.interior_point(p, sample_interior(name, rng, 5))
-            for tensors in zip(*kp.block_tensors(pts)):
-                omega, jmat, metric = map(np.array, tensors)
+            data = kp.point_data(p, sample_interior(name, rng, 5))
+            assert all(data.points.inside)
+            omega = symplectic_form(p.n)
+            for G, G_inv, jmat, metric in zip(data.G, data.G_inv, data.J,
+                                              data.g):
+                jmat, metric = np.array(jmat), np.array(metric)
                 dim = 2 * p.n
+                assert np.array_equal(metric, np.block(
+                    [[np.array(G), np.zeros((p.n, p.n))],
+                     [np.zeros((p.n, p.n)), np.array(G_inv)]]))
                 assert np.max(np.abs(jmat @ jmat + np.eye(dim))) < 1e-10
                 assert np.max(np.abs(metric - omega @ jmat)) < 1e-10
                 assert np.max(np.abs(jmat.T @ omega @ jmat - omega)) < 1e-10
@@ -410,7 +441,10 @@ class TestBlockTensors:
 BATCH_SETS = {"f1": f1, "f2": f2, "f4": f4, "f5": f5, "slab": slab,
               "cube3": lambda: cube(3),
               "random4_12_1": lambda: random_set(4, 12, 1),
-              "random6_12_1": lambda: random_set(6, 12, 1)}
+              "random6_12_1": lambda: random_set(6, 12, 1),
+              "singular3": lambda: pl.normalize(pl.polyhedral_set(3, [
+                  ((2, 1, -2), 3), ((-2, 1, -2), -1), ((-2, -2, 2), 2),
+                  ((-2, 2, 0), 1), ((2, 2, -1), 0)]))}
 
 
 @lru_cache(maxsize=None)
@@ -428,9 +462,9 @@ def evaluate(p, xs):
     pts = data.points
     per_input = [pts.inside, pts.worst_facet, pts.worst_slack]
     per_interior = [list(zip(*pts.x)), list(zip(*pts.l_values)),
-                    list(zip(*pts.log_values)), pts.l_infinity, data.sp,
-                    data.guillemin, data.gtilde, data.G, data.G_inv,
-                    data.omega, data.J, data.g, *kp.block_tensors(pts)]
+                    list(zip(*pts.log_values)), pts.l_infinity,
+                    kp.symplectic_potential(pts), kp.guillemin_potential(pts),
+                    kp.legendre_map(pts), data.G, data.G_inv, data.J, data.g]
     return per_input, per_interior
 
 

@@ -1,4 +1,7 @@
+import io
 import itertools
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +12,9 @@ from scipy.optimize import linprog
 
 from toriccut import facelattice as fl
 from toriccut import polylattice as pl
+from toriccut.cli import main
 from toriccut.errors import (
     ConeWithNonzeroOffset,
-    NotACone,
     NotUnimodular,
     ScaleLimitExceeded,
     ZeroConormal,
@@ -20,6 +23,7 @@ from toriccut.errors import (
 from conftest import (
     FIXTURES, cube, delzant_polygon, f1, f2, f3, f4, f5, f5_lift_cone,
     halfspace_r3, lens_cone, orthant, pyramid, random_set, simplex, slab,
+    write_document,
 )
 
 
@@ -479,20 +483,26 @@ class TestConvexity:
 
 
 class TestGoodCone:
+    # a cone is good exactly when its off-apex unimodularity report is;
+    # `validate` prints that verdict as good_cone
     def test_good(self):
-        assert fl.is_good_cone(f4()).good
-        assert fl.is_good_cone(lens_cone()).good
-        assert fl.is_good_cone(f3()).good
-        assert fl.is_good_cone(halfspace_r3()).good
+        for make in (f4, lens_cone, f3, halfspace_r3):
+            assert fl.unimodularity_report(make()).is_unimodular
 
     def test_not_good(self):
-        res = fl.is_good_cone(f5_lift_cone())
-        assert not res.good
-        assert res.report.saturated_witness.indices == (2, 3)
+        rep = fl.unimodularity_report(f5_lift_cone())
+        assert not rep.is_unimodular
+        assert rep.saturated_witness.indices == (2, 3)
 
-    def test_requires_cone(self):
-        with pytest.raises(NotACone):
-            fl.is_good_cone(f2())
+    def test_requires_cone(self, tmp_path):
+        for make, cone in ((f2, False), (f4, True), (f5_lift_cone, True)):
+            path = write_document(tmp_path / "set.json", make())
+            with redirect_stdout(io.StringIO()) as out:
+                main(["validate", path])
+            report = json.loads(out.getvalue())["report"]["validate"]
+            assert ("good_cone" in report) == cone
+            if cone:
+                assert report["good_cone"] == report["is_unimodular"]
 
 
 class TestSplit:
