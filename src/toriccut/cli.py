@@ -149,9 +149,8 @@ def load_document(path: str) -> LoadedDocument:
             "newton_tol must be positive and finite")
     tolerances["newton_tol"] = float(tol)
     kind_const = polylattice.CONE if kind == "cone" else polylattice.GENERAL
-    pset = polylattice.normalize(
-        polylattice.polyhedral_set(n, facets, kind_const, orientation),
-        auto_primitivize=auto)
+    pset = polylattice.polyhedral_set(n, facets, kind_const, orientation,
+                                      auto_primitivize=auto)
     echo = {"schema_version": "1", "n": n, "kind": kind,
             "orientation": orientation, "facets": echo_facets,
             "options": {"auto_primitivize": auto,

@@ -55,7 +55,6 @@ class AlmostContactMetric(NamedTuple):
 
 
 def _require_cone(p: polylattice.PolyhedralSet) -> None:
-    polylattice.require_normalized(p)
     if p.kind != polylattice.CONE:
         raise NotACone("operation needs a conical set")
 
@@ -86,10 +85,11 @@ def _checked_reeb(p: polylattice.PolyhedralSet, rays) -> tuple[int, ...]:
 
 
 def classify(p: polylattice.PolyhedralSet,
-             report: facelattice.UnimodularityReport
-             ) -> ContactClassification:
-    """Good-cone classification from the cone's unimodularity report:
-    strongly convex cones carry a Reeb vector and the metric-compatible
+             report: facelattice.UnimodularityReport,
+             k: int) -> ContactClassification:
+    """Good-cone classification from the cone's unimodularity report and
+    its count k of line factors (`facelattice.convexity_class`): strongly
+    convex cones (k == 0) carry a Reeb vector and the metric-compatible
     label, weakly convex ones do not. The rays that check the Reeb vector
     come from the report's faces.
 
@@ -99,7 +99,7 @@ def classify(p: polylattice.PolyhedralSet,
     _require_cone(p)
     if not report.is_unimodular:
         raise NotGood("cone is not good; classification out of scope")
-    strongly = facelattice.convexity_class(p).k == 0
+    strongly = k == 0
     reeb = _checked_reeb(p, _rays(report.covers, p.n)) if strongly else None
     return ContactClassification(reeb, SASAKIAN if strongly else NON_SASAKIAN,
                                  strongly)

@@ -74,7 +74,6 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
     conormal, so its matrix has columns -eta_i. The kernel basis spans the
     full integer kernel, which is saturated by construction.
     """
-    polylattice.require_normalized(p)
     pi = [[-f.eta[row] for f in p.facets] for row in range(p.n)]
     factors, _, v = intlinalg.smith_normal_form(pi)
     basis = intlinalg.kernel_basis_from_smith(len(factors), v)
@@ -122,7 +121,6 @@ def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
     what smoothness of the quotient needs; an empty family is vacuously
     saturated.
     """
-    polylattice.require_normalized(p)
     active = _active_set(p, x)
     gens = tuple(p.facets[i - 1].eta for i in active)
     if not gens:
@@ -134,7 +132,6 @@ def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
 def moment_level_membership(p: polylattice.PolyhedralSet,
                             a: AmbientPoint) -> bool:
     """True iff every |z_i|^2 equals the i-th slack within 1e-9."""
-    polylattice.require_normalized(p)
     for f, z in zip(p.facets, a.z):
         slack = float(f.kappa) - sum(
             float(e) * v for e, v in zip(f.eta, a.x))
@@ -210,7 +207,6 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     Raises:
         NotOnLevel: the moduli of z do not match the slacks.
     """
-    polylattice.require_normalized(p)
     if not moment_level_membership(p, a):
         raise NotOnLevel("|z_i|^2 does not match the facet slacks")
     x = tuple(float(v) for v in a.x)
@@ -235,16 +231,14 @@ def freeness_table(p: polylattice.PolyhedralSet):
     otherwise a finite stabilizer survives. The cover of the combined
     face's witness settles this when its conormals are saturated.
     """
-    polylattice.require_normalized(p)
-    faces = facelattice.active_faces(p)
-    covers = facelattice.face_covers(p, faces)
+    covers = facelattice.active_faces(p)
     table = []
-    for face in faces:
+    for face in covers:
         for j in range(1, len(p.facets) + 1):
             if j in face:
                 continue
             combined = polylattice.FaceIndexSet((*face, j))
-            if combined in faces:
+            if combined in covers:
                 free = (covers[combined].saturated
                         or facelattice.saturation_check(
                             [p.facets[i - 1].eta for i in combined]))

@@ -9,7 +9,7 @@ import json
 from . import facelattice, polylattice
 from .cli import (EXIT_INVALID, EXIT_OK, InputError, LoadedDocument, _expect,
                   _finite, _is_number, _write_report)
-from .errors import NotGood, ToricError
+from .errors import NotGood, NotUnimodular
 
 
 def _set_payload(p: polylattice.PolyhedralSet) -> dict:
@@ -41,7 +41,7 @@ def cmd_classify(doc: LoadedDocument) -> int:
               if p.kind == polylattice.CONE else None)
     try:
         split = facelattice.split_weakly_convex(p, report)
-    except ToricError as exc:
+    except NotUnimodular as exc:  # its verdict; a scale gate exits 4
         payload["homotopy"] = {"error": str(exc)}
         if conv.k > 0:
             payload["splitting"] = {"error": str(exc)}
@@ -61,7 +61,7 @@ def cmd_classify(doc: LoadedDocument) -> int:
     if p.kind == polylattice.CONE:
         from . import contactcone
         try:
-            cls = contactcone.classify(p, report)
+            cls = contactcone.classify(p, report, conv.k)
         except NotGood:
             payload["contact"] = {"good": False, "k_contact": None,
                                   "type_label": None, "reeb_vector": None}

@@ -1,9 +1,9 @@
 """The face lattice of a polyhedral set and the verdicts read from it.
 
-One enumeration finds every face with an exact witness point
-(`active_faces`); Smith normal forms of the conormals tight at each witness
-settle ranks and saturation (`face_covers`). On them rest the checks of
-minimality, primitivity, simple vertices and saturated faces
+One enumeration finds every face with an exact witness point, whose
+tight conormals' Smith normal form settles ranks and saturation: the
+`Cover` that `active_faces` returns for each face. On the covers rest the
+checks of minimality, primitivity, simple vertices and saturated faces
 (`unimodularity_report`, which on a cone is the good-cone verdict), the
 convexity class, the splitting of line factors and the homotopy summary.
 Every verdict is exact.
@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import intlinalg, polylattice
 from .errors import NotUnimodular, ScaleLimitExceeded
-from .polylattice import CONE, EQ, LE, LT, UPPER, FaceIndexSet, PolyhedralSet
+from .polylattice import CONE, EQ, LE, LT, FaceIndexSet, PolyhedralSet
 
 # candidate faces one enumeration may examine; each costs at most one
 # feasibility solve, so a larger set exits 4 instead of running for minutes
@@ -26,6 +26,21 @@ FACE_CANDIDATE_BUDGET = 2**16
 class MinimalityResult(NamedTuple):
     minimal: bool
     witness: int | None
+
+
+class Cover(NamedTuple):
+    """Conormal verdicts on the facets tight at one witness point.
+
+    Every face I whose witness is this point lies inside the tight set, so
+    when the tight conormals are independent (rank == tight), I has rank
+    |I|, and when they are also saturated, so is I. The smallest face
+    containing the witness has dimension n - rank.
+    """
+
+    witness: tuple[Fraction, ...]
+    tight: int
+    rank: int
+    saturated: bool
 
 
 class UnimodularityReport(NamedTuple):
@@ -72,7 +87,6 @@ def is_minimal(p: PolyhedralSet) -> MinimalityResult:
     Facet j is essential iff some point violates facet j while satisfying
     all the others. The witness is the first inessential index.
     """
-    polylattice.require_normalized(p)
     for j, fj in enumerate(p.facets, start=1):
         cons = []
         for i, fi in enumerate(p.facets, start=1):
@@ -104,7 +118,6 @@ def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
     the witness. `rank` is the rank of a cone's conormals when the caller
     has it (an enumeration computes it once).
     """
-    polylattice.require_normalized(p)
     cons = _face_system(p, indices)
     if p.kind == CONE:
         etas = [list(e) for e in p.etas]
@@ -163,14 +176,14 @@ def _equation_point(p: PolyhedralSet, combo):
     return True, tuple(row[n] for row in reduced[:n])
 
 
-def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
+def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
     """All subsets I of facets whose face F_I meets the set, with a point.
 
-    Maps each such I to an exact witness point of F_I, in order of size,
-    then lexicographically. Includes the empty set when the set itself is
-    nonempty. For cones the apex is excluded, so a face is listed only if
-    it contains a nonzero point; so a subset of facets cuts out a nonempty
-    face exactly when it is a key.
+    Maps each such I to the Cover of an exact witness point of F_I
+    (`cover.witness`), in order of size, then lexicographically. Includes
+    the empty set when the set itself is nonempty. For cones the apex is
+    excluded, so a face is listed only if it contains a nonzero point; so
+    a subset of facets cuts out a nonempty face exactly when it is a key.
 
     Every witness w covers all subsets of its active set A(w): they are
     nonempty with witness w and need no test. A candidate I + j (j past
@@ -179,17 +192,17 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
     is empty. A candidate no witness covers is settled by its equations
     when they fix a single point or have none, and by one LP otherwise, so
     LPs go only to candidates of rank below n that no witness found so far
-    lies on.
+    lies on. Faces found by one witness share its Cover, so one Smith
+    normal form is taken per distinct witness.
 
     Raises:
         ScaleLimitExceeded: when more than FACE_CANDIDATE_BUDGET candidates
             would have to be examined.
     """
-    polylattice.require_normalized(p)
     rows = _integer_facets(p)
     rank = (polylattice.rational_rank([list(e) for e in p.etas])
             if p.kind == CONE else None)
-    covers: list[tuple[int, tuple[Fraction, ...]]] = []
+    witnesses: list[tuple[int, Cover]] = []  # (tight mask, cover)
     found = {}
     examined = 0
     level = [((), 0)]  # candidates of one size, in lexicographic order
@@ -201,17 +214,22 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
                 raise ScaleLimitExceeded(
                     f"face enumeration of {len(rows)} facets exceeds the "
                     f"budget of {FACE_CANDIDATE_BUDGET} candidate faces")
-            w = next((w for active, w in covers if mask & active == mask),
-                     None)
-            if w is None:
+            cover = next((cover for active, cover in witnesses
+                          if mask & active == mask), None)
+            if cover is None:
                 decided, w = _equation_point(p, combo)
                 if not decided:
                     w = face_witness(p, combo, rank)
                 tight = None if w is None else _tight_facets(rows, w)
                 if tight is None:  # empty, or its one point lies outside
                     continue
-                covers.append((tight, w))
-            found[FaceIndexSet(combo)] = w
+                etas = [list(f.eta) for i, f in enumerate(p.facets)
+                        if tight >> i & 1]
+                factors = intlinalg.smith_normal_form(etas)[0] if etas else []
+                cover = Cover(w, len(etas), len(factors),
+                              _saturated(factors, len(etas)))
+                witnesses.append((tight, cover))
+            found[FaceIndexSet(combo)] = cover
             keys.append((combo, mask))
         known = {mask for _, mask in keys}
         level = []
@@ -221,42 +239,6 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, tuple[Fraction, ...]]:
                 if all(grown & ~(1 << (i - 1)) in known for i in combo):
                     level.append(((*combo, j), grown))
     return found
-
-
-class Cover(NamedTuple):
-    """Conormal verdicts on the facets tight at one witness point.
-
-    Every face I whose witness is this point lies inside the tight set, so
-    when the tight conormals are independent (rank == tight), I has rank
-    |I|, and when they are also saturated, so is I. The smallest face
-    containing the witness has dimension n - rank.
-    """
-
-    witness: tuple[Fraction, ...]
-    tight: int
-    rank: int
-    saturated: bool
-
-
-def face_covers(p: PolyhedralSet, faces) -> dict[FaceIndexSet, Cover]:
-    """The Cover of each face of `faces` (from active_faces), with one
-    Smith normal form per distinct witness."""
-    polylattice.require_normalized(p)
-    rows = _integer_facets(p)
-    covers, by_witness = {}, {}
-    for face, w in faces.items():
-        # faces covered by one witness share the witness object itself
-        cover = by_witness.get(id(w))
-        if cover is None:
-            mask = _tight_facets(rows, w)
-            tight = [list(f.eta) for i, f in enumerate(p.facets)
-                     if mask >> i & 1]
-            factors = intlinalg.smith_normal_form(tight)[0] if tight else []
-            cover = Cover(w, len(tight), len(factors),
-                          _saturated(factors, len(tight)))
-            by_witness[id(w)] = cover
-        covers[face] = cover
-    return covers
 
 
 def saturation_check(etas) -> bool:
@@ -281,19 +263,16 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
     the conormal family of every nonempty active face. For cones the apex
     is excluded throughout, so vertices never arise there.
     """
-    polylattice.require_normalized(p)
     minimal = is_minimal(p)
     primitive_witness = next((i for i, f in enumerate(p.facets, start=1)
                               if polylattice.vector_gcd(f.eta) != 1), None)
     simple, simple_witness = True, None
     seen_vertices = set()
     saturated, saturated_witness = True, None
-    faces = active_faces(p)
-    covers = face_covers(p, faces)
-    for fi, witness in faces.items():
+    covers = active_faces(p)
+    for fi, cover in covers.items():
         if not fi.indices:
             continue
-        cover = covers[fi]
         if cover.saturated or (cover.rank == cover.tight and not saturated):
             rank = len(fi)
         else:
@@ -302,11 +281,11 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
             rank = len(factors)
             if saturated and not _saturated(factors, len(fi)):
                 saturated, saturated_witness = False, fi
-        if simple and rank == p.n and witness not in seen_vertices:
+        if simple and rank == p.n and cover.witness not in seen_vertices:
             # a rank-n face is a single point: its witness is the vertex
-            seen_vertices.add(witness)
+            seen_vertices.add(cover.witness)
             if cover.tight != p.n:
-                simple, simple_witness = False, witness
+                simple, simple_witness = False, cover.witness
     return UnimodularityReport(
         minimal.minimal, minimal.witness, primitive_witness is None,
         primitive_witness, simple, simple_witness, saturated,
@@ -315,7 +294,6 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
 
 def convexity_class(p: PolyhedralSet) -> ConvexityReport:
     """Rank of the conormal family; k = n - rank counts split line factors."""
-    polylattice.require_normalized(p)
     rank = polylattice.rational_rank([list(e) for e in p.etas])
     k = p.n - rank
     return ConvexityReport(rank, k, "strongly_convex" if k == 0 else "weakly_convex")
@@ -338,15 +316,16 @@ def split_weakly_convex(p: PolyhedralSet,
         NotUnimodular: when the conormal span is not saturated in the
             integer lattice, or the projected set fails its checks.
     """
-    polylattice.require_normalized(p)
     rows = [list(e) for e in p.etas]
     factors, _, _ = intlinalg.smith_normal_form(rows)
     rank = len(factors)
     if any(f != 1 for f in factors):
         raise NotUnimodular("conormal span is not saturated in the lattice")
     k = p.n - rank
-    _, pivot_cols = intlinalg.hermite_normal_form(rows)
     completion = intlinalg.unimodular_row_completion(rows)
+    # its first rank rows are the Hermite normal form of the conormals
+    pivots = tuple(next(c for c, v in enumerate(row, start=1) if v)
+                   for row in completion[:rank])
     change = [list(col) for col in
               zip(*intlinalg.invert_unimodular(completion))]
     new_facets = []
@@ -356,15 +335,14 @@ def split_weakly_convex(p: PolyhedralSet,
         if any(v != 0 for v in transformed[rank:]):
             raise AssertionError("basis change failed to zero the tail coordinates")
         new_facets.append((tuple(transformed[:rank]), f.kappa))
-    projected = polylattice.polyhedral_set(rank, new_facets, kind=p.kind,
-                                           orientation=UPPER)
+    projected = polylattice.polyhedral_set(rank, new_facets, kind=p.kind)
     if convexity_class(projected).k != 0:
         raise NotUnimodular("projected set is not strongly convex")
     if k or report is None:
         report = unimodularity_report(projected)
     if not report.is_unimodular:
         raise NotUnimodular("projected set fails the unimodularity checks")
-    return SplittingReport(k, tuple(c + 1 for c in pivot_cols),
+    return SplittingReport(k, pivots,
                            tuple(tuple(row) for row in change), projected)
 
 

@@ -33,14 +33,13 @@ def hermite_normal_form(mat):
     and entries above each pivot are reduced into [0, pivot).
 
     Returns:
-        (rows, pivot_cols): the nonzero HNF rows and their 0-based pivot
-        columns in increasing order. Zero input rows are dropped.
+        The nonzero HNF rows; a row's pivot is its first nonzero entry.
+        Zero input rows are dropped.
     """
     h = _copy_int_matrix(mat)
     m = len(h)
     ncols = len(h[0]) if h else 0
     pivot_row = 0
-    pivot_cols = []
     for col in range(ncols):
         if pivot_row == m:
             break
@@ -61,9 +60,8 @@ def hermite_normal_form(mat):
             q = h[i][col] // p
             if q != 0:
                 h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-        pivot_cols.append(col)
         pivot_row += 1
-    return [h[i] for i in range(pivot_row)], pivot_cols
+    return h[:pivot_row]
 
 
 def smith_normal_form(mat):
@@ -181,8 +179,7 @@ def kernel_basis_from_smith(rank: int, v):
     cols = [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
     if not cols:
         return []
-    rows, _ = hermite_normal_form(cols)
-    return [tuple(row) for row in rows]
+    return [tuple(row) for row in hermite_normal_form(cols)]
 
 
 def unimodular_row_completion(rows):
@@ -192,7 +189,7 @@ def unimodular_row_completion(rows):
     equal to 1). Returns a square integer matrix with determinant +-1 whose
     first r rows are the Hermite normal form basis of the input lattice.
     """
-    h, _ = hermite_normal_form(rows)
+    h = hermite_normal_form(rows)
     if not h:
         raise ValueError("zero lattice has no distinguished basis rows")
     n = len(h[0])

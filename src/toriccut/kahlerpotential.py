@@ -143,7 +143,6 @@ def interior_point(p: polylattice.PolyhedralSet, x,
     Raises:
         ValueError: x is not a sequence of rows of n numbers.
     """
-    polylattice.require_normalized(p)
     rows = list(x)
     try:
         if not all(map(p.n.__eq__, map(len, rows))):
@@ -488,7 +487,6 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
             rounding has put an iterate outside the interior, or at a
             singular Newton system in an unchanged chart.
     """
-    polylattice.require_normalized(p)
     yv = [float(v) for v in y]
     if len(yv) != p.n:
         raise ValueError(f"expected a target in R^{p.n}")

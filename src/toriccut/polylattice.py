@@ -2,7 +2,8 @@
 settles their linear questions.
 
 A set is described by ordered facets (eta, kappa), each encoding the
-constraint <x, eta> <= kappa once normalized to the upper convention.
+constraint <x, eta> <= kappa: `polyhedral_set` builds every set in this
+upper convention.
 Coordinates are Fractions: one simplex routine decides feasibility and
 finds the max-margin point, and one fraction-free Gauss-Jordan elimination
 gives ranks, reduced row echelon forms, determinants and inverses. The face
@@ -60,7 +61,6 @@ class PolyhedralSet(NamedTuple):
     n: int
     facets: tuple[Facet, ...]
     kind: str = GENERAL
-    orientation: str = UPPER
 
     @property
     def etas(self) -> tuple[tuple[int, ...], ...]:
@@ -112,54 +112,41 @@ class FeasibilityResult(NamedTuple):
 
 
 
-def polyhedral_set(n, facets, kind=GENERAL, orientation=UPPER) -> PolyhedralSet:
-    """Build a PolyhedralSet from raw (eta, kappa) pairs.
+def polyhedral_set(n, facets, kind=GENERAL, orientation=UPPER,
+                   auto_primitivize=False) -> PolyhedralSet:
+    """Build a PolyhedralSet in the upper convention <x, eta> <= kappa
+    from raw (eta, kappa) pairs.
 
     eta entries must be integers; kappa may be anything Fraction accepts.
-    No normalization happens here; see normalize().
+    Lower-orientation pairs are negated. With auto_primitivize each
+    conormal is divided by its gcd (the offset by the same factor), which
+    leaves the half-space unchanged.
+
+    Raises:
+        ZeroConormal: a conormal is zero.
+        ConeWithNonzeroOffset: a facet of a cone has a nonzero offset.
     """
     if kind not in (GENERAL, CONE):
         raise ValueError(f"unknown kind {kind!r}")
     if orientation not in (UPPER, LOWER):
         raise ValueError(f"unknown orientation {orientation!r}")
+    sign = -1 if orientation == LOWER else 1
     built = []
-    for eta, kappa in facets:
-        eta = tuple(int(v) for v in eta)
+    for pos, (eta, kappa) in enumerate(facets, start=1):
+        eta = tuple(sign * int(v) for v in eta)
+        kappa = sign * Fraction(kappa)
         if len(eta) != n:
             raise ValueError("conormal length does not match dimension")
-        built.append(Facet(eta, Fraction(kappa)))
-    return PolyhedralSet(int(n), tuple(built), kind, orientation)
-
-
-def normalize(p: PolyhedralSet, auto_primitivize: bool = False) -> PolyhedralSet:
-    """Normalize facet data to the upper convention <x, eta> <= kappa.
-
-    Lower-orientation input has every (eta, kappa) negated. With
-    auto_primitivize each conormal is divided by its gcd (the offset by the
-    same factor), which leaves the half-space unchanged.
-    """
-    out = []
-    for pos, f in enumerate(p.facets, start=1):
-        eta, kappa = f.eta, f.kappa
-        if all(v == 0 for v in eta):
+        if not any(eta):
             raise ZeroConormal(f"facet {pos} has a zero conormal")
-        if p.orientation == LOWER:
-            eta = tuple(-v for v in eta)
-            kappa = -kappa
-        if auto_primitivize:
-            g = vector_gcd(eta)
-            if g > 1:
-                eta = tuple(v // g for v in eta)
-                kappa = kappa / g
-        if p.kind == CONE and kappa != 0:
+        g = vector_gcd(eta) if auto_primitivize else 1
+        if g > 1:
+            eta = tuple(v // g for v in eta)
+            kappa = kappa / g
+        if kind == CONE and kappa != 0:
             raise ConeWithNonzeroOffset(f"facet {pos} has offset {kappa}")
-        out.append(Facet(eta, kappa))
-    return PolyhedralSet(p.n, tuple(out), p.kind, UPPER)
-
-
-def require_normalized(p: PolyhedralSet) -> None:
-    if p.orientation != UPPER:
-        raise ValueError("operation requires a normalized (upper) set")
+        built.append(Facet(eta, kappa))
+    return PolyhedralSet(int(n), tuple(built), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +474,6 @@ def max_margin_point(p: PolyhedralSet):
     Raises:
         ValueError: when the set is empty.
     """
-    require_normalized(p)
     if p.n > max_dim_limit():
         raise ScaleLimitExceeded(f"dimension {p.n} exceeds supported bound")
     if len(p.facets) + 1 > DEFAULT_MAX_CONSTRAINTS:

@@ -14,66 +14,59 @@ from toriccut import polylattice as pl
 
 def f1():
     """Unit interval [0, 1] in R^1."""
-    return pl.normalize(pl.polyhedral_set(1, [((-1,), 0), ((1,), 1)]))
+    return pl.polyhedral_set(1, [((-1,), 0), ((1,), 1)])
 
 
 def f2():
     """Standard unimodular triangle in R^2."""
-    return pl.normalize(
-        pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]))
+    return pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 
 
 def f3():
     """Half-plane cone {x1 >= 0} in R^2."""
-    return pl.normalize(pl.polyhedral_set(2, [((-1, 0), 0)], kind=pl.CONE))
+    return pl.polyhedral_set(2, [((-1, 0), 0)], kind=pl.CONE)
 
 
 def f4():
     """First-quadrant cone in R^2, given with inward (lower) conormals."""
-    return pl.normalize(
-        pl.polyhedral_set(2, [((1, 0), 0), ((0, 1), 0)], kind=pl.CONE,
-                          orientation=pl.LOWER))
+    return pl.polyhedral_set(2, [((1, 0), 0), ((0, 1), 0)], kind=pl.CONE,
+                             orientation=pl.LOWER)
 
 
 def f5():
     """Triangle with a determinant-2 vertex at (1, 0)."""
-    return pl.normalize(
-        pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 2)]))
+    return pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((2, 1), 2)])
 
 
 def slab():
     """Vertical slab 0 <= x1 <= 1, unconstrained x2."""
-    return pl.normalize(
-        pl.polyhedral_set(2, [((-1, 0), 0), ((1, 0), 1)]))
+    return pl.polyhedral_set(2, [((-1, 0), 0), ((1, 0), 1)])
 
 
 def lens_cone():
     """Pointed cone with inward conormals (1,0) and (1,2)."""
-    return pl.normalize(
-        pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)], kind=pl.CONE))
+    return pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)], kind=pl.CONE)
 
 
 def halfspace_r3():
     """Weakly convex half-space cone {x1 >= 0} in R^3."""
-    return pl.normalize(pl.polyhedral_set(3, [((-1, 0, 0), 0)], kind=pl.CONE))
+    return pl.polyhedral_set(3, [((-1, 0, 0), 0)], kind=pl.CONE)
 
 
 def f5_lift_cone():
     """Cone in R^3 over the determinant-2 triangle; not good off the apex."""
-    return pl.normalize(
-        pl.polyhedral_set(
-            3,
-            [((-1, 0, 0), 0), ((0, -1, 0), 0), ((2, 1, -2), 0), ((0, 0, -1), 0)],
-            kind=pl.CONE))
+    return pl.polyhedral_set(
+        3,
+        [((-1, 0, 0), 0), ((0, -1, 0), 0), ((2, 1, -2), 0), ((0, 0, -1), 0)],
+        kind=pl.CONE)
 
 
 def pyramid():
     """Square pyramid in R^3 whose apex has four active facets."""
-    return pl.normalize(
-        pl.polyhedral_set(
-            3,
-            [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1),
-             ((0, 1, 1), 1), ((0, -1, 1), 1)]))
+    return pl.polyhedral_set(
+        3,
+        [((0, 0, -1), 0), ((1, 0, 1), 1), ((-1, 0, 1), 1),
+         ((0, 1, 1), 1), ((0, -1, 1), 1)])
 
 
 def cube(n):
@@ -82,19 +75,19 @@ def cube(n):
     for i in range(n):
         e = tuple(int(j == i) for j in range(n))
         facets += [(tuple(-v for v in e), 0), (e, 1)]
-    return pl.normalize(pl.polyhedral_set(n, facets))
+    return pl.polyhedral_set(n, facets)
 
 
 def simplex(n):
     """Standard simplex: -x_i <= 0 for each i, then x_1 + ... + x_n <= 1."""
     facets = [(tuple(-int(j == i) for j in range(n)), 0) for i in range(n)]
-    return pl.normalize(pl.polyhedral_set(n, facets + [((1,) * n, 1)]))
+    return pl.polyhedral_set(n, facets + [((1,) * n, 1)])
 
 
 def orthant(n):
     """Positive orthant cone in R^n."""
     facets = [(tuple(-int(j == i) for j in range(n)), 0) for i in range(n)]
-    return pl.normalize(pl.polyhedral_set(n, facets, kind=pl.CONE))
+    return pl.polyhedral_set(n, facets, kind=pl.CONE)
 
 
 def write_document(path, p):
@@ -130,7 +123,7 @@ def random_set(n, m, s):
         eta = [rng.randint(-3, 3) for _ in range(n)]
         if any(eta):
             facets.append((eta, rng.randint(1, 4)))
-    return pl.normalize(pl.polyhedral_set(n, facets))
+    return pl.polyhedral_set(n, facets)
 
 
 def delzant_polygon(m):
@@ -147,7 +140,7 @@ def delzant_polygon(m):
         facets.insert(1, (tuple(u + v for u, v in zip(a, b)),
                           kappa_a + kappa_b - delta))
         delta /= 3
-    return pl.normalize(pl.polyhedral_set(2, facets))
+    return pl.polyhedral_set(2, facets)
 
 
 def delzant_cone(m):
@@ -156,9 +149,9 @@ def delzant_cone(m):
     adjacent edges of the polygon have conormals of determinant +-1."""
     polygon = delzant_polygon(m)
     scale = math.lcm(*(f.kappa.denominator for f in polygon.facets))
-    return pl.normalize(pl.polyhedral_set(
+    return pl.polyhedral_set(
         3, [((*f.eta, int(-scale * f.kappa)), 0) for f in polygon.facets],
-        kind=pl.CONE))
+        kind=pl.CONE)
 
 
 def sample_interior(name, rng, count, margin=0.05):

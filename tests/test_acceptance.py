@@ -235,10 +235,11 @@ def test_c08_cone_classification():
                    "agreement"):
         def classify(name):
             p = FIXTURES[name]()
-            return cc.classify(p, fl.unimodularity_report(p))
+            return cc.classify(p, fl.unimodularity_report(p),
+                               fl.convexity_class(p).k)
 
         def rays(p):
-            return cc._rays(fl.face_covers(p, fl.active_faces(p)), p.n)
+            return cc._rays(fl.active_faces(p), p.n)
 
         def ray_lp_verdict(p):
             # some X pairs to >= 1 with every extreme ray; a cone with a

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 # kahlerpotential and the handlers are imported here, so that no traced run
 # counts their import
 from toriccut import (exactreports, facelattice, floatreports,  # noqa: F401
-                      kahlerpotential, polylattice)
+                      intlinalg, kahlerpotential, polylattice)
 from toriccut.cli import _render, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
@@ -163,8 +163,13 @@ def test_exit_code_domain_errors(tmp_path):
                     "--target=0.5"])[0] == 3
 
 
-def test_exit_code_scale_limit():
-    assert run_cli(["validate", data("toobig9d.json")])[0] == 4
+def test_exit_code_scale_limit(capsys):
+    # classify meets the dimension gate inside its splitting, which must
+    # not report it as a homotopy error
+    for command in ("validate", "classify"):
+        assert run_cli([command, data("toobig9d.json")]) == (4, ""), command
+        err = capsys.readouterr().err
+        assert "dimension 9 exceeds supported bound 8" in err, command
 
 
 @pytest.mark.parametrize("value", ["eight", "", "0", "-3"])
@@ -559,13 +564,11 @@ FLOAT_COMMANDS = [
 CONTACT_AND_ANGLES = """
 import sys
 from toriccut import contactcone as cc, cutmodel as cm, polylattice as pl
-cone = pl.normalize(pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)],
-                                      kind=pl.CONE))
+cone = pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)], kind=pl.CONE)
 cp = cc.contact_point(cone, cc.normalize_moment(cone, (3, 1)), t=0.2)
 cc.induced_acm_structure(cone, cp)
 cc.cone_metric_defect(cone, cp)
-triangle = pl.normalize(pl.polyhedral_set(
-    2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]))
+triangle = pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 a = cm.ambient_point((0.25, 0.75), (1.0, 2.0), (0.5, 0.75 ** 0.5 * 1j, 0))
 cm.canonical_representative(triangle, a)
 assert "numpy" not in sys.modules
@@ -619,12 +622,12 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1595),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1595),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1595),
-    (["validate", "f2.json"], 1610),
-    (["classify", "f4.json"], 1875),
-    (["cut", "f2.json"], 1865),
+    (["invert", "f2.json", "--target=6,6"], 1580),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1580),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1580),
+    (["validate", "f2.json"], 1575),
+    (["classify", "f4.json"], 1835),
+    (["cut", "f2.json"], 1820),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut"])
 def test_compile_budget(argv, budget):
     # the source lines of the toriccut modules one command loads: without
@@ -804,3 +807,19 @@ def test_each_artifact_built_once_per_command(monkeypatch, tmp_path):
         reports.clear()
         assert run_cli(["classify", path])[0] == 0
         assert (len(faces), len(reports)) == (1, 1), path
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("lens", {"convexity_class": 1, "rational_rank": 2}),
+    ("halfspace_r3", {"hermite_normal_form": 2}),
+    ("slab", {"hermite_normal_form": 1}),
+])
+def test_classify_computes_each_rank_once(monkeypatch, name, expected):
+    # the contact block reads the k of the convexity class, and the
+    # splitting reads its pivot columns off the Hermite rows of its
+    # completion; lens's other rank is the enumeration's
+    modules = {"convexity_class": facelattice, "rational_rank": polylattice,
+               "hermite_normal_form": intlinalg}
+    calls = {fn: _count_calls(monkeypatch, modules[fn], fn) for fn in expected}
+    assert run_cli(["classify", data(f"{name}.json")])[0] == 0
+    assert {fn: len(made) for fn, made in calls.items()} == expected

@@ -57,11 +57,11 @@ def diag_defect_oracle(x):
 def rays(p):
     """The extreme rays of a pointed cone by the path `classify` takes:
     read from the covers of the one face enumeration."""
-    return cc._rays(fl.face_covers(p, fl.active_faces(p)), p.n)
+    return cc._rays(fl.active_faces(p), p.n)
 
 
 def classify(p):
-    return cc.classify(p, fl.unimodularity_report(p))
+    return cc.classify(p, fl.unimodularity_report(p), fl.convexity_class(p).k)
 
 
 def ray_program(p):
@@ -114,8 +114,8 @@ def random_pointed_cones(count, seed):
             if any(eta):
                 etas.append(eta)
         if pl.rational_rank(etas) == n:
-            cones.append(pl.normalize(pl.polyhedral_set(
-                n, [(eta, 0) for eta in etas], kind=pl.CONE)))
+            cones.append(pl.polyhedral_set(
+                n, [(eta, 0) for eta in etas], kind=pl.CONE))
     return cones
 
 
@@ -138,8 +138,7 @@ def test_extreme_rays_match_subset_walk_on_random_cones():
 def test_extreme_rays():
     assert rays(FIXTURES["f4"]()) == ((0, 1), (1, 0))
     assert rays(FIXTURES["lens"]()) == ((0, 1), (2, -1))
-    half_line = pl.normalize(
-        pl.polyhedral_set(1, [((-1,), 0)], kind=pl.CONE))
+    half_line = pl.polyhedral_set(1, [((-1,), 0)], kind=pl.CONE)
     assert rays(half_line) == ((1,),)
 
 

@@ -369,7 +369,7 @@ def test_reduce_theta_matches_numpy_reference(make):
     for j, f in enumerate(p.facets, start=1):
         if sum(map(abs, f.eta)) == 1:
             continue
-        vertices = [w for face, w in faces.items()
+        vertices = [cover.witness for face, cover in faces.items()
                     if j in face and len(face) == p.n]
         for _ in range(60):
             size = int(rng.integers(1, len(vertices) + 1))

@@ -325,7 +325,7 @@ class TestLegendre:
             kp.invert_legendre(f1(), [5.0], max_iter=1)
 
     def test_empty_set_is_not_interior(self):
-        p = pl.normalize(pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)]))
+        p = pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)])
         with pytest.raises(NotInterior, match="set is empty"):
             kp.invert_legendre(p, [0.5])
 
@@ -442,9 +442,9 @@ BATCH_SETS = {"f1": f1, "f2": f2, "f4": f4, "f5": f5, "slab": slab,
               "cube3": lambda: cube(3),
               "random4_12_1": lambda: random_set(4, 12, 1),
               "random6_12_1": lambda: random_set(6, 12, 1),
-              "singular3": lambda: pl.normalize(pl.polyhedral_set(3, [
+              "singular3": lambda: pl.polyhedral_set(3, [
                   ((2, 1, -2), 3), ((-2, 1, -2), -1), ((-2, -2, 2), 2),
-                  ((-2, 2, 0), 1), ((2, 2, -1), 0)]))}
+                  ((-2, 2, 0), 1), ((2, 2, -1), 0)])}
 
 
 @lru_cache(maxsize=None)

@@ -99,32 +99,27 @@ def _highs_verdict(cons, n):
 
 class TestNormalize:
     def test_lower_to_upper(self):
-        p = pl.polyhedral_set(1, [((1,), 0)], orientation=pl.LOWER)
-        q = pl.normalize(p)
-        assert q.orientation == pl.UPPER
+        q = pl.polyhedral_set(1, [((1,), 0)], orientation=pl.LOWER)
         assert q.facets[0].eta == (-1,)
         assert q.facets[0].kappa == 0
 
     def test_primitivize(self):
-        p = pl.polyhedral_set(2, [((2, 2), 1)])
-        q = pl.normalize(p, auto_primitivize=True)
+        q = pl.polyhedral_set(2, [((2, 2), 1)], auto_primitivize=True)
         assert q.facets[0].eta == (1, 1)
         assert q.facets[0].kappa == Fraction(1, 2)
 
     def test_zero_conormal(self):
-        p = pl.polyhedral_set(2, [((0, 0), 1)])
         with pytest.raises(ZeroConormal):
-            pl.normalize(p)
+            pl.polyhedral_set(2, [((0, 0), 1)])
 
     def test_cone_offset(self):
-        p = pl.polyhedral_set(2, [((1, 0), 1)], kind=pl.CONE)
         with pytest.raises(ConeWithNonzeroOffset):
-            pl.normalize(p)
+            pl.polyhedral_set(2, [((1, 0), 1)], kind=pl.CONE)
 
     def test_idempotent(self):
         for fix in (f1, f2, f3, f4, f5, slab, lens_cone):
             p = fix()
-            assert pl.normalize(p) == p
+            assert pl.polyhedral_set(p.n, p.facets, p.kind) == p
 
 
 class TestFeasible:
@@ -215,13 +210,13 @@ class TestMinimal:
         assert fl.is_minimal(f1()) == fl.MinimalityResult(True, None)
 
     def test_redundant(self):
-        p = pl.normalize(pl.polyhedral_set(1, [((1,), 1), ((1,), 2)]))
+        p = pl.polyhedral_set(1, [((1,), 1), ((1,), 2)])
         res = fl.is_minimal(p)
         assert not res.minimal
         assert res.witness == 2
 
     def test_half_space(self):
-        p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0)]))
+        p = pl.polyhedral_set(2, [((1, 0), 0)])
         assert fl.is_minimal(p).minimal
 
 
@@ -268,7 +263,7 @@ class TestActiveFaces:
         assert [f.indices for f in faces] == [(), (1,), (2,)]
 
     def test_single_facet(self):
-        p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0)]))
+        p = pl.polyhedral_set(2, [((1, 0), 0)])
         faces = fl.active_faces(p)
         assert [f.indices for f in faces] == [(), (1,)]
 
@@ -310,7 +305,7 @@ class TestActiveFaces:
         # vertex sets count the faces whatever facet subsets cut them out
         p = make()
         faces = fl.active_faces(p)
-        vertices = {w for fi, w in faces.items()
+        vertices = {cover.witness for fi, cover in faces.items()
                     if pl.rational_rank([p.facets[i - 1].eta
                                                    for i in fi]) == p.n}
 
@@ -382,7 +377,8 @@ def test_active_faces_match_subset_walk(name):
     faces = fl.active_faces(p)
     reference = _subset_walk(p)
     assert [fi.indices for fi in faces] == list(reference)
-    for fi, w in faces.items():
+    for fi, cover in faces.items():
+        w = cover.witness
         for i, f in enumerate(p.facets, start=1):
             assert (_dot(f.eta, w) == f.kappa if i in fi
                     else _dot(f.eta, w) <= f.kappa)
@@ -456,7 +452,7 @@ class TestUnimodularity:
         assert not fl.saturation_check(etas)
 
     def test_non_primitive(self):
-        p = pl.normalize(pl.polyhedral_set(2, [((2, 2), 1)]))
+        p = pl.polyhedral_set(2, [((2, 2), 1)])
         rep = fl.unimodularity_report(p)
         assert not rep.primitive
         assert rep.primitive_witness == 1
@@ -543,7 +539,7 @@ class TestSplit:
             assert fl.unimodularity_report(sr.projected_set).is_unimodular
 
     def test_unsaturated_span(self):
-        p = pl.normalize(pl.polyhedral_set(2, [((2, 0), 0)]))
+        p = pl.polyhedral_set(2, [((2, 0), 0)])
         with pytest.raises(NotUnimodular):
             fl.split_weakly_convex(p)
 
@@ -587,13 +583,13 @@ class TestMaxMargin:
             assert val <= f.kappa - m
 
     def test_no_interior(self):
-        p = pl.normalize(pl.polyhedral_set(2, [((1, 0), 0), ((-1, 0), 0)]))
+        p = pl.polyhedral_set(2, [((1, 0), 0), ((-1, 0), 0)])
         x, m = pl.max_margin_point(p)
         assert m == 0
         assert x[0] == 0
 
     def test_empty(self):
-        p = pl.normalize(pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)]))
+        p = pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)])
         with pytest.raises(ValueError):
             pl.max_margin_point(p)
 
@@ -603,7 +599,7 @@ class TestMaxMargin:
         .filter(lambda f: any(f[0])), min_size=1, max_size=10)))
     def test_against_highs(self, facets):
         n = len(facets[0][0])
-        p = pl.normalize(pl.polyhedral_set(n, facets))
+        p = pl.polyhedral_set(n, facets)
         a = np.array([[float(v) for v in eta] + [1.0] for eta, _ in facets])
         b = np.array([float(kappa) for _, kappa in facets])
         ref = linprog(np.r_[np.zeros(n), -1.0], A_ub=a, b_ub=b,
