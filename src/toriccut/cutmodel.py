@@ -125,8 +125,10 @@ def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
     gens = tuple(p.facets[i - 1].eta for i in active)
     if not gens:
         return Stabilizer((), 0, True)
-    rank = polylattice.rational_rank([list(g) for g in gens])
-    return Stabilizer(gens, rank, facelattice.saturation_check(gens))
+    # one Smith normal form: its nonzero invariant factors count the rank
+    factors = intlinalg.smith_normal_form([list(g) for g in gens])[0]
+    return Stabilizer(gens, len(factors),
+                      facelattice.factors_saturated(factors, len(gens)))
 
 
 def moment_level_membership(p: polylattice.PolyhedralSet,

@@ -164,16 +164,11 @@ def _equation_point(p: PolyhedralSet, combo):
     (True, None) when they have no solution or cut out only the apex of a
     cone, and (False, None) when their solutions form a line or more.
     """
-    n = p.n
-    reduced, pivots = polylattice.rational_rref(
-        [[*p.facets[i - 1].eta, p.facets[i - 1].kappa] for i in combo])
-    if pivots and pivots[-1] == n:
-        return True, None
-    if len(pivots) < n:
+    solvable, x = polylattice.rational_solve(
+        [(*p.facets[i - 1].eta, p.facets[i - 1].kappa) for i in combo], p.n)
+    if solvable and x is None:
         return False, None
-    if p.kind == CONE:
-        return True, None
-    return True, tuple(row[n] for row in reduced[:n])
+    return True, None if p.kind == CONE else x
 
 
 def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
@@ -227,7 +222,7 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
                         if tight >> i & 1]
                 factors = intlinalg.smith_normal_form(etas)[0] if etas else []
                 cover = Cover(w, len(etas), len(factors),
-                              _saturated(factors, len(etas)))
+                              factors_saturated(factors, len(etas)))
                 witnesses.append((tight, cover))
             found[FaceIndexSet(combo)] = cover
             keys.append((combo, mask))
@@ -247,10 +242,10 @@ def saturation_check(etas) -> bool:
     rows = [list(e) for e in etas]
     if not rows:
         raise ValueError("saturation of an empty family is undefined")
-    return _saturated(intlinalg.smith_normal_form(rows)[0], len(rows))
+    return factors_saturated(intlinalg.smith_normal_form(rows)[0], len(rows))
 
 
-def _saturated(factors, count) -> bool:
+def factors_saturated(factors, count) -> bool:
     # the rank of the family is len(factors): the nonzero invariant factors
     return len(factors) == count and all(f == 1 for f in factors)
 
@@ -279,7 +274,7 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
             factors, _, _ = intlinalg.smith_normal_form(
                 [list(p.facets[i - 1].eta) for i in fi])
             rank = len(factors)
-            if saturated and not _saturated(factors, len(fi)):
+            if saturated and not factors_saturated(factors, len(fi)):
                 saturated, saturated_witness = False, fi
         if simple and rank == p.n and cover.witness not in seen_vertices:
             # a rank-n face is a single point: its witness is the vertex
@@ -335,9 +330,8 @@ def split_weakly_convex(p: PolyhedralSet,
         if any(v != 0 for v in transformed[rank:]):
             raise AssertionError("basis change failed to zero the tail coordinates")
         new_facets.append((tuple(transformed[:rank]), f.kappa))
+    # strongly convex: the truncated conormals span Q^rank
     projected = polylattice.polyhedral_set(rank, new_facets, kind=p.kind)
-    if convexity_class(projected).k != 0:
-        raise NotUnimodular("projected set is not strongly convex")
     if k or report is None:
         report = unimodularity_report(projected)
     if not report.is_unimodular:

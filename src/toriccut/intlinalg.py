@@ -3,8 +3,9 @@ forms, integer kernel bases, unimodular completion and inverse.
 
 Everything here works on plain Python lists of ints, which is plenty fast
 at the supported problem sizes and keeps all verdicts exact. Matrices are
-lists of rows. Rational elimination (rank, determinant, inverse) is in
-`polylattice`, whose kernel needs it on every command.
+lists of rows. Rational elimination (rank, solutions, inverse, the
+unit-determinant check) is the tableau of `polylattice`'s exact kernel,
+which every command loads.
 """
 
 from __future__ import annotations
@@ -201,7 +202,6 @@ def unimodular_row_completion(rows):
     comp = [list(h[i]) for i in range(r)]
     for i in range(r, n):
         comp.append(list(vinv[i]))
-    det = polylattice.determinant(comp)
-    if abs(det) != 1:
+    if not polylattice.unit_determinant(comp):
         raise AssertionError("completion construction lost unimodularity")
     return comp

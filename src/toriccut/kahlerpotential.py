@@ -133,11 +133,10 @@ def _row_sums(columns) -> list[float]:
     return _combinations(columns, [[1.0] * len(columns)])[0]
 
 
-def interior_point(p: polylattice.PolyhedralSet, x,
-                   margin: float = INTERIOR_MARGIN) -> InteriorPoints:
+def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     """Slacks of a batch of points in R^n, with the strictly interior rows
-    selected. A row whose smallest slack is below `margin` or NaN (a NaN
-    or inf coordinate gives NaN slacks) is masked out, not raised:
+    selected. A row whose smallest slack is below INTERIOR_MARGIN or NaN (a
+    NaN or inf coordinate gives NaN slacks) is masked out, not raised:
     `InteriorPoints.rejection` gives its error and `require_all` raises it.
 
     Raises:
@@ -166,7 +165,7 @@ def interior_point(p: polylattice.PolyhedralSet, x,
         nans = [i for i, col in enumerate(slacks) if math.isnan(col[k])]
         if nans:
             worst[k], worst_slack[k] = nans[0], math.nan
-    inside = [v >= margin for v in worst_slack]
+    inside = [v >= INTERIOR_MARGIN for v in worst_slack]
     l_values = [list(compress(col, inside)) for col in slacks]
     return InteriorPoints(
         x=[list(compress(col, inside)) for col in cols], l_values=l_values,

@@ -4,11 +4,13 @@ settles their linear questions.
 A set is described by ordered facets (eta, kappa), each encoding the
 constraint <x, eta> <= kappa: `polyhedral_set` builds every set in this
 upper convention.
-Coordinates are Fractions: one simplex routine decides feasibility and
-finds the max-margin point, and one fraction-free Gauss-Jordan elimination
-gives ranks, reduced row echelon forms, determinants and inverses. The face
-lattice built on this kernel is in `facelattice`, the integer normal forms
-in `intlinalg`.
+Coordinates are Fractions. One fraction-free tableau with one
+integer-preserving pivot is the only exact elimination: the simplex routine
+on it decides feasibility and finds the max-margin point, and its
+Gauss-Jordan step on the free variables gives ranks, the solutions of
+equations, inverses and the unit-determinant check. The face lattice built
+on this kernel is in `facelattice`, the integer normal forms in
+`intlinalg`.
 """
 
 from __future__ import annotations
@@ -175,107 +177,43 @@ def integer_row(values):
     return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
-def _gauss_jordan(mat):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
-
-    Each row is first scaled to integers. A pivot p replaces every other
-    row by (p * row - f * pivot_row) / d, where f is the row's entry in the
-    pivot column and d the previous pivot; the division is exact, so all
-    entries stay integers. Afterwards every pivot row holds the last pivot
-    d in its pivot column: the rows are d times the reduced row echelon
-    form. Pivots are the first nonzero entry at or below the current row.
-
-    Returns:
-        (rows, pivot_cols, d, det): the integer rows, the 0-based pivot
-        columns left to right, the last pivot d (1 without pivots), and the
-        exact determinant of the columns at pivot_cols, which is the
-        determinant of the input when that is square and nonsingular.
-    """
-    rows, scale = [], 1
-    for row in mat:
-        ints, s = integer_row(row)
-        rows.append(ints)
-        scale *= s
-    ncols = len(rows[0]) if rows else 0
-    pivots, d, sign = [], 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        if k != r:
-            rows[r], rows[k] = rows[k], rows[r]
-            sign = -sign
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        d = p
-        pivots.append(c)
-    return rows, pivots, d, Fraction(sign * d, scale)
-
-
-def rational_rref(mat):
-    """Reduced row echelon form over the rationals.
-
-    Returns:
-        (rows, pivot_cols) where rows is the RREF as Fractions and
-        pivot_cols lists the 0-based pivot columns left to right.
-    """
-    rows, pivots, d, _ = _gauss_jordan(mat)
-    return [[Fraction(v, d) for v in row] for row in rows], pivots
-
-
-def rational_rank(mat) -> int:
-    return len(_gauss_jordan(mat)[1])
-
-
-def determinant(mat) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    _, pivots, _, det = _gauss_jordan(mat)
-    return det if len(pivots) == len(mat) else Fraction(0)
-
-
-def rational_inverse(mat):
-    """Inverse of a nonsingular square rational matrix, as Fractions:
-    Gauss-Jordan on [mat | I] leaves d * [I | mat^-1].
-
-    Raises:
-        ValueError: the matrix is singular.
-    """
-    n = len(mat)
-    rows, pivots, d, _ = _gauss_jordan(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(v, d) for v in row[n:]] for row in rows]
-
-
 # ---------------------------------------------------------------------------
-# exact feasibility kernel
+# exact kernel: one fraction-free tableau
 # ---------------------------------------------------------------------------
 #
-# One simplex routine settles every feasibility question. Its tableau is
-# fraction-free (Edmonds 1967): every entry is an integer over one common
-# denominator d, and each pivot divides exactly by the previous d. Row i
-# reads  d*basic_i + sum_k tab[i][k] * nonbasic_k = tab[i][0]. Variables are
+# One fraction-free tableau (Edmonds 1967) settles every exact linear
+# question: every entry is an integer over one common denominator d, and each
+# pivot divides exactly by the previous d. Row i reads
+# d*basic_i + sum_k tab[i][k] * nonbasic_k = tab[i][0]. Variables are
 # numbered x_1..x_n (free), the margin t, the row slacks in row order, then
 # the Phase-I artificial; Bland's rule breaks every tie by that number.
 
 
 class _Tableau:
-    """Integer dictionary over the rows (a, c, b) of _simplex."""
+    """Integer dictionary over the rows [b, *a] (with a margin column,
+    [b, *a, c]) of a.x + c*t <= b, each slack basic; `width` nonbasic
+    variables."""
 
-    def __init__(self, rows, n, margin):
+    def __init__(self, tab, n, width):
         self.n = n
         self.d = 1
-        self.tab = [[b, *a, c] if margin else [b, *a] for a, c, b in rows]
-        self.nonbasic = [None, *range(n + 1 if margin else n)]
-        self.basic = [n + 1 + i for i in range(len(rows))]
+        self.tab = tab
+        self.nonbasic = [None, *range(width)]
+        self.basic = [n + 1 + i for i in range(len(tab))]
+
+    def eliminate(self):
+        """Gauss-Jordan: pivot each free variable in on the first row whose
+        slack is basic and whose entry is nonzero; returns the rank, the
+        count pivoted in. A row whose slack stays basic then has zeros in
+        the columns of the free variables left out."""
+        tab, basic, n, rank = self.tab, self.basic, self.n, 0
+        for col in range(1, n + 1):
+            for i, row in enumerate(tab):
+                if basic[i] >= n and row[col]:
+                    self.pivot(i, col)
+                    rank += 1
+                    break
+        return rank
 
     def pivot(self, r, s):
         tab, d = self.tab, self.d
@@ -346,14 +284,10 @@ def _simplex(rows, n, margin, cap=False):
     m = len(rows)
     if cap:
         rows.append(((0,) * n, 1, 1))
-    tb = _Tableau(rows, n, margin)
+    tb = _Tableau([[b, *a, c] if margin else [b, *a] for a, c, b in rows],
+                  n, n + 1 if margin else n)
     tab, basic, nonbasic = tb.tab, tb.basic, tb.nonbasic
-    for j in range(n):
-        col = j + 1
-        for i, row in enumerate(tab):
-            if basic[i] >= n and row[col]:
-                tb.pivot(i, col)
-                break
+    tb.eliminate()
     status = "optimal"
     art = n + 1 + len(rows)
     short = [i for i, row in enumerate(tab) if basic[i] >= n and row[0] < 0]
@@ -402,6 +336,66 @@ def _simplex(rows, n, margin, cap=False):
     return status, x, t, y
 
 
+def _eliminate(rows, n):
+    """`_Tableau.eliminate` on the rational rows (b, *a) in n variables,
+    each scaled to integers; returns (tableau, rank, scales)."""
+    scaled = [integer_row(row) for row in rows]
+    tb = _Tableau([ints for ints, _ in scaled], n, n)
+    return tb, tb.eliminate(), [scale for _, scale in scaled]
+
+
+def rational_rank(mat) -> int:
+    return _eliminate([(0, *row) for row in mat], len(mat[0]) if mat else 0)[1]
+
+
+def rational_solve(rows, n):
+    """Solve the rational equations <a, x> = b, one row (*a, b) each, in n
+    unknowns: (solvable, x), with x the solution as Fractions when it is
+    unique (rank n) and None otherwise. A row whose slack stays basic reads
+    d * slack = tab[i][0], which must be 0."""
+    tb, rank, _ = _eliminate([(row[-1], *row[:-1]) for row in rows], n)
+    if any(row[0] for row, var in zip(tb.tab, tb.basic) if var >= n):
+        return False, None
+    if rank < n:
+        return True, None
+    return True, tuple(tb.value(j) for j in range(n))
+
+
+def rational_inverse(mat):
+    """Inverse of a nonsingular square rational matrix, as Fractions: with
+    b = 0 the slack of row k is s_k = -scale_k * (mat x)_k, so (mat^-1)_jk
+    is the entry of the row of x_j in the column of s_k, times scale_k / d.
+
+    Raises:
+        ValueError: the matrix is singular.
+    """
+    n = len(mat)
+    tb, rank, scales = _eliminate([(0, *row) for row in mat], n)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    columns = [tb.nonbasic.index(n + 1 + k) for k in range(n)]
+    return [[Fraction(row[c] * scale, tb.d) for c, scale in zip(columns, scales)]
+            for row in (tb.tab[tb.basic.index(j)] for j in range(n))]
+
+
+def unit_determinant(mat) -> bool:
+    """True iff the square integer matrix has determinant +-1: the last
+    pivot d of its fraction-free elimination is |det| (Edmonds 1967)."""
+    tb, rank, _ = _eliminate([(0, *row) for row in mat], len(mat))
+    return rank == len(mat) and tb.d == 1
+
+
+def _check_scale(n, rows):
+    """Raise ScaleLimitExceeded, naming the bound, past the supported
+    dimension or row count."""
+    limit = max_dim_limit()
+    if n > limit:
+        raise ScaleLimitExceeded(f"dimension {n} exceeds supported bound {limit}")
+    if rows > DEFAULT_MAX_CONSTRAINTS:
+        raise ScaleLimitExceeded(f"{rows} constraints exceed supported "
+                                 f"bound {DEFAULT_MAX_CONSTRAINTS}")
+
+
 def feasible(constraints, n: int | None = None) -> FeasibilityResult:
     """Exact feasibility of a system of linear relations by the simplex method.
 
@@ -430,12 +424,7 @@ def feasible(constraints, n: int | None = None) -> FeasibilityResult:
         if not cons:
             raise ValueError("cannot infer dimension from an empty system")
         n = len(cons[0][0])
-    limit = max_dim_limit()
-    if n > limit:
-        raise ScaleLimitExceeded(f"dimension {n} exceeds supported bound {limit}")
-    if len(cons) > DEFAULT_MAX_CONSTRAINTS:
-        raise ScaleLimitExceeded(f"{len(cons)} constraints exceed supported "
-                                 f"bound {DEFAULT_MAX_CONSTRAINTS}")
+    _check_scale(n, len(cons))
     # equalities become two opposite rows, placed first so that the free
     # variables pivot in on them; origin records (constraint, sign * scale)
     eq_rows, eq_origin, rows, origin = [], [], [], []
@@ -473,11 +462,9 @@ def max_margin_point(p: PolyhedralSet):
 
     Raises:
         ValueError: when the set is empty.
+        ScaleLimitExceeded: as `feasible`, counting the cap row t <= 1.
     """
-    if p.n > max_dim_limit():
-        raise ScaleLimitExceeded(f"dimension {p.n} exceeds supported bound")
-    if len(p.facets) + 1 > DEFAULT_MAX_CONSTRAINTS:
-        raise ScaleLimitExceeded("facet count exceeds supported bound")
+    _check_scale(p.n, len(p.facets) + 1)  # the facets and the cap row
     rows = []
     for f in p.facets:
         ints, scale = integer_row([*f.eta, f.kappa])

@@ -7,9 +7,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from toriccut import cutmodel as cm
 from toriccut import polylattice as pl
+
+
+def determinant(mat):
+    """Exact determinant of a square rational matrix, from sympy."""
+    return sympy.Matrix(mat).det()
 
 
 def f1():

@@ -163,13 +163,22 @@ def test_exit_code_domain_errors(tmp_path):
                     "--target=0.5"])[0] == 3
 
 
-def test_exit_code_scale_limit(capsys):
+def test_exit_code_scale_limit(tmp_path, capsys):
     # classify meets the dimension gate inside its splitting, which must
-    # not report it as a homotopy error
-    for command in ("validate", "classify"):
-        assert run_cli([command, data("toobig9d.json")]) == (4, ""), command
-        err = capsys.readouterr().err
-        assert "dimension 9 exceeds supported bound 8" in err, command
+    # not report it as a homotopy error; invert meets both gates in
+    # max_margin_point, which counts its cap row t <= 1 beside the facets.
+    # Every gate names its bound
+    gon = write_document(tmp_path / "gon64.json", delzant_polygon(64))
+    dimension = "dimension 9 exceeds supported bound 8"
+    for argv, message in [
+            (["validate", data("toobig9d.json")], dimension),
+            (["classify", data("toobig9d.json")], dimension),
+            (["invert", data("toobig9d.json"), "--target=0,0,0,0,0,0,0,0,0"],
+             dimension),
+            (["invert", gon, "--target=0,0"],
+             "65 constraints exceed supported bound 64")]:
+        assert run_cli(argv) == (4, ""), argv
+        assert message in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("value", ["eight", "", "0", "-3"])
@@ -607,6 +616,15 @@ def test_commands_load_only_their_modules(tmp_path):
               ["invert", box, "--target=0.5,-1,2"]] + FLOAT_COMMANDS
     _assert_not_loaded(common | {"toriccut.facelattice", "toriccut.intlinalg",
                                  "toriccut.exactreports"}, floats)
+    # classify on a cone loads the contact layer and plain cut the cut
+    # model, but neither loads the float layer; cut --ambient loads the
+    # float layer's _dot, but no argparse
+    no_float = {"argparse", "numpy", "dataclasses", "toriccut.kahlerpotential",
+                "toriccut.floatreports"}
+    _assert_not_loaded(no_float, [["classify", data("lens.json")],
+                                  ["cut", data("f2.json")]])
+    _assert_not_loaded({"argparse"},
+                       [["cut", data("f1.json"), "--ambient", AMBIENT_F1]])
 
 
 COMPILED_LINES = """
@@ -622,12 +640,12 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1580),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1580),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1580),
-    (["validate", "f2.json"], 1575),
-    (["classify", "f4.json"], 1835),
-    (["cut", "f2.json"], 1820),
+    (["invert", "f2.json", "--target=6,6"], 1565),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1565),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1565),
+    (["validate", "f2.json"], 1555),
+    (["classify", "f4.json"], 1815),
+    (["cut", "f2.json"], 1800),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut"])
 def test_compile_budget(argv, budget):
     # the source lines of the toriccut modules one command loads: without
@@ -809,17 +827,30 @@ def test_each_artifact_built_once_per_command(monkeypatch, tmp_path):
         assert (len(faces), len(reports)) == (1, 1), path
 
 
+# a boundary point of f1: facet 1 is active, so the stabilizer is not empty
+AMBIENT_F1_FACET = '{"x": [0.0], "theta": [0.3], "z": [0, [1, 0]]}'
+
+
 @pytest.mark.parametrize("name, expected", [
     ("lens", {"convexity_class": 1, "rational_rank": 2}),
-    ("halfspace_r3", {"hermite_normal_form": 2}),
-    ("slab", {"hermite_normal_form": 1}),
+    ("halfspace_r3",
+     {"hermite_normal_form": 2, "convexity_class": 1, "rational_rank": 3}),
+    ("slab",
+     {"hermite_normal_form": 1, "convexity_class": 1, "rational_rank": 1}),
+    ("f1", {"rational_rank": 0, "smith_normal_form": 5}),
 ])
 def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # the contact block reads the k of the convexity class, and the
     # splitting reads its pivot columns off the Hermite rows of its
-    # completion; lens's other rank is the enumeration's
+    # completion and needs no convexity class of its projected set; lens's
+    # other rank is the enumeration's. f1 runs cut --ambient at a point of
+    # facet 1, whose stabilizer reads its rank off the Smith normal form of
+    # its saturation check
+    argv = (["cut", data("f1.json"), "--ambient", AMBIENT_F1_FACET]
+            if name == "f1" else ["classify", data(f"{name}.json")])
     modules = {"convexity_class": facelattice, "rational_rank": polylattice,
-               "hermite_normal_form": intlinalg}
+               "hermite_normal_form": intlinalg,
+               "smith_normal_form": intlinalg}
     calls = {fn: _count_calls(monkeypatch, modules[fn], fn) for fn in expected}
-    assert run_cli(["classify", data(f"{name}.json")])[0] == 0
+    assert run_cli(argv)[0] == 0
     assert {fn: len(made) for fn, made in calls.items()} == expected

@@ -18,7 +18,7 @@ from toriccut import polylattice as pl
 from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
                              ZeroPoint)
 
-from conftest import FIXTURES, delzant_cone, orthant
+from conftest import FIXTURES, delzant_cone, determinant, orthant
 
 GOOD_CONES = ["f3", "f4", "lens", "halfspace_r3"]
 # pointed good cones for the almost contact metric structure
@@ -87,8 +87,8 @@ def reference_rays(p):
     rows = [list(f.eta) for f in p.facets]
     found = set()
     for combo in itertools.combinations(rows, p.n - 1):
-        line = [int((-1) ** j * pl.determinant([r[:j] + r[j + 1:]
-                                                 for r in combo]))
+        line = [int((-1) ** j * determinant([r[:j] + r[j + 1:]
+                                              for r in combo]))
                 for j in range(p.n)]
         if not any(line):  # rank below n - 1
             continue

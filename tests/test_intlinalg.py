@@ -1,12 +1,17 @@
 import itertools
 import random
 
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriccut import intlinalg as il
 from toriccut import polylattice as pl
+
+from conftest import determinant
 
 
 def minor_gcd_saturated(rows):
@@ -20,7 +25,7 @@ def minor_gcd_saturated(rows):
     g = 0
     for cols in itertools.combinations(range(n), k):
         sub = [[row[c] for c in cols] for row in rows]
-        g = math.gcd(g, abs(int(pl.determinant(sub))))
+        g = math.gcd(g, abs(int(determinant(sub))))
     return g == 1
 
 
@@ -47,8 +52,8 @@ def matrix_strategy(max_rows=4, max_cols=4):
 @given(matrix_strategy())
 def test_snf_reconstruction(mat):
     factors, u, v = il.smith_normal_form(mat)
-    assert abs(pl.determinant(u)) == 1
-    assert abs(pl.determinant(v)) == 1
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(v)) == 1
     d = matmul(matmul(u, mat), v)
     m, n = len(mat), len(mat[0])
     for i in range(m):
@@ -127,21 +132,20 @@ def test_kernel_known_cases():
 def test_unimodular_completion():
     comp = il.unimodular_row_completion([[-1, 0]])
     assert comp[0] == [1, 0]
-    assert abs(pl.determinant(comp)) == 1
+    assert abs(determinant(comp)) == 1
     comp = il.unimodular_row_completion([[1, 2]])
     assert comp[0] == [1, 2]
-    assert abs(pl.determinant(comp)) == 1
+    assert abs(determinant(comp)) == 1
     with pytest.raises(ValueError):
         il.unimodular_row_completion([[2, 0]])
 
 
 def test_rational_inverse():
-    from fractions import Fraction
     rng = random.Random(8)
     for _ in range(50):
         n = rng.randint(1, 5)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if pl.determinant(mat) == 0:
+        if determinant(mat) == 0:
             with pytest.raises(ValueError):
                 pl.rational_inverse(mat)
             continue
@@ -154,5 +158,84 @@ def test_rational_inverse():
 
 
 def test_solve_and_determinant():
-    assert pl.determinant([[0, -1], [1, 1]]) == 1
-    assert pl.determinant([[0, -1], [2, 1]]) == 2
+    for mat, det in (([[0, -1], [1, 1]], 1), ([[0, -1], [2, 1]], 2)):
+        assert determinant(mat) == det
+        assert pl.unit_determinant(mat) == (abs(det) == 1)
+
+
+def _sympy_fractions(mat):
+    return [[Fraction(int(v.p), int(v.q)) for v in row]
+            for row in mat.tolist()]
+
+
+def _random_rational_rows(rng, m, n, rank):
+    """An m x n rational matrix of rank at most `rank`, as a product of
+    random m x rank and rank x n factors."""
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    left = [[entry() for _ in range(rank)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    return [[sum((a * r[j] for a, r in zip(row, right)), Fraction(0))
+             for j in range(n)] for row in left]
+
+
+def test_elimination_matches_sympy():
+    # rank, solve, inverse and the unit-determinant check on random rational
+    # matrices, singular and rank-deficient ones included; half the
+    # right-hand sides are A x0, the others random, which a rank-deficient
+    # system generically cannot meet
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        mat = _random_rational_rows(rng, m, n, rng.randint(0, min(m, n)))
+        a = sympy.Matrix(mat)
+        rank = a.rank()
+        assert pl.rational_rank(mat) == rank
+        if rng.random() < 0.5:
+            x0 = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                  for _ in range(n)]
+            rhs = [sum((u * v for u, v in zip(row, x0)), Fraction(0))
+                   for row in mat]
+        else:
+            rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                   for _ in range(m)]
+        solvable, x = pl.rational_solve(
+            [(*row, b) for row, b in zip(mat, rhs)], n)
+        try:
+            sol, params = a.gauss_jordan_solve(sympy.Matrix(rhs))
+        except ValueError:
+            assert (solvable, x) == (False, None)
+            seen.add("inconsistent")
+            continue
+        assert solvable
+        if params.shape[0]:
+            assert x is None
+            seen.add("underdetermined")
+        else:
+            assert list(x) == [row[0] for row in _sympy_fractions(sol)]
+            seen.add("unique")
+        if m == n:
+            if rank < n:
+                with pytest.raises(ValueError):
+                    pl.rational_inverse(mat)
+                seen.add("singular")
+            else:
+                assert pl.rational_inverse(mat) == _sympy_fractions(a.inv())
+    assert seen == {"inconsistent", "underdetermined", "unique", "singular"}
+    # the unit-determinant check on integer matrices, half of them
+    # unimodular products of elementary row operations
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            mat = pl.identity_matrix(n)
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                if i != j:
+                    q = rng.randint(-2, 2)
+                    mat[i] = [u + q * v for u, v in zip(mat[i], mat[j])]
+                if rng.random() < 0.3:
+                    mat[i] = [-u for u in mat[i]]
+        assert pl.unit_determinant(mat) == (abs(determinant(mat)) == 1)

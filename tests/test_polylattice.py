@@ -21,9 +21,9 @@ from toriccut.errors import (
 )
 
 from conftest import (
-    FIXTURES, cube, delzant_polygon, f1, f2, f3, f4, f5, f5_lift_cone,
-    halfspace_r3, lens_cone, orthant, pyramid, random_set, simplex, slab,
-    write_document,
+    FIXTURES, cube, delzant_polygon, determinant, f1, f2, f3, f4, f5,
+    f5_lift_cone, halfspace_r3, lens_cone, orthant, pyramid, random_set,
+    simplex, slab, write_document,
 )
 
 
@@ -509,7 +509,7 @@ class TestSplit:
         assert sr.projected_set.n == 1
         assert sr.projected_set.facets[0].eta == (-1,)
         assert sr.projected_set.kind == pl.CONE
-        assert abs(pl.determinant(
+        assert abs(determinant(
             [list(r) for r in sr.unimodular_change])) == 1
 
     def test_slab(self):
