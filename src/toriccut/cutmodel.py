@@ -75,11 +75,10 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
     full integer kernel, which is saturated by construction.
     """
     pi = [[-f.eta[row] for f in p.facets] for row in range(p.n)]
-    factors, _, v = intlinalg.smith_normal_form(pi)
-    basis = intlinalg.kernel_basis_from_smith(len(factors), v)
-    surjective = len(factors) == p.n and all(f == 1 for f in factors)
+    image, u = intlinalg.hermite_transform(pi, len(p.facets))
     return DelzantKernel(tuple(tuple(row) for row in pi),
-                         tuple(basis), surjective)
+                         tuple(tuple(row) for row in u[len(image):]),
+                         image == polylattice.identity_matrix(p.n))
 
 
 def _exact_coordinates(x):
@@ -116,19 +115,16 @@ def _active_set(p: polylattice.PolyhedralSet, x) -> polylattice.FaceIndexSet:
 def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
     """Generators of the subtorus fixing the fiber over x.
 
-    These are the conormals of the facets active at x. The saturation flag
-    records whether they form a basis of a saturated sublattice, which is
-    what smoothness of the quotient needs; an empty family is vacuously
-    saturated.
+    These are the conormals of the facets active at x. Their rank and the
+    index of their lattice in its saturation come off the Hermite normal
+    form; the saturation flag records whether they form a basis of a
+    saturated sublattice, which is what smoothness of the quotient needs.
+    An empty family is vacuously saturated.
     """
     active = _active_set(p, x)
     gens = tuple(p.facets[i - 1].eta for i in active)
-    if not gens:
-        return Stabilizer((), 0, True)
-    # one Smith normal form: its nonzero invariant factors count the rank
-    factors = intlinalg.smith_normal_form([list(g) for g in gens])[0]
-    return Stabilizer(gens, len(factors),
-                      facelattice.factors_saturated(factors, len(gens)))
+    rank, index = intlinalg.lattice_rank_index(gens)
+    return Stabilizer(gens, rank, (rank, index) == (len(gens), 1))
 
 
 def moment_level_membership(p: polylattice.PolyhedralSet,

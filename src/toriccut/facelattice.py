@@ -1,7 +1,7 @@
 """The face lattice of a polyhedral set and the verdicts read from it.
 
 One enumeration finds every face with an exact witness point, whose
-tight conormals' Smith normal form settles ranks and saturation: the
+tight conormals' Hermite normal form settles ranks and saturation: the
 `Cover` that `active_faces` returns for each face. On the covers rest the
 checks of minimality, primitivity, simple vertices and saturated faces
 (`unimodularity_report`, which on a cone is the good-cone verdict), the
@@ -187,8 +187,8 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
     is empty. A candidate no witness covers is settled by its equations
     when they fix a single point or have none, and by one LP otherwise, so
     LPs go only to candidates of rank below n that no witness found so far
-    lies on. Faces found by one witness share its Cover, so one Smith
-    normal form is taken per distinct witness.
+    lies on. Faces found by one witness share its Cover, so one rank and
+    index is taken per distinct witness.
 
     Raises:
         ScaleLimitExceeded: when more than FACE_CANDIDATE_BUDGET candidates
@@ -220,9 +220,9 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
                     continue
                 etas = [list(f.eta) for i, f in enumerate(p.facets)
                         if tight >> i & 1]
-                factors = intlinalg.smith_normal_form(etas)[0] if etas else []
-                cover = Cover(w, len(etas), len(factors),
-                              factors_saturated(factors, len(etas)))
+                tight_rank, index = intlinalg.lattice_rank_index(etas)
+                cover = Cover(w, len(etas), tight_rank,
+                              (tight_rank, index) == (len(etas), 1))
                 witnesses.append((tight, cover))
             found[FaceIndexSet(combo)] = cover
             keys.append((combo, mask))
@@ -238,16 +238,11 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
 
 def saturation_check(etas) -> bool:
     """True iff the integer vectors are independent and span a saturated
-    sublattice (all Smith invariant factors equal to 1)."""
+    sublattice: rank len(etas) and index 1 in its saturation."""
     rows = [list(e) for e in etas]
     if not rows:
         raise ValueError("saturation of an empty family is undefined")
-    return factors_saturated(intlinalg.smith_normal_form(rows)[0], len(rows))
-
-
-def factors_saturated(factors, count) -> bool:
-    # the rank of the family is len(factors): the nonzero invariant factors
-    return len(factors) == count and all(f == 1 for f in factors)
+    return intlinalg.lattice_rank_index(rows) == (len(rows), 1)
 
 
 def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
@@ -271,10 +266,9 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
         if cover.saturated or (cover.rank == cover.tight and not saturated):
             rank = len(fi)
         else:
-            factors, _, _ = intlinalg.smith_normal_form(
+            rank, index = intlinalg.lattice_rank_index(
                 [list(p.facets[i - 1].eta) for i in fi])
-            rank = len(factors)
-            if saturated and not factors_saturated(factors, len(fi)):
+            if saturated and (rank, index) != (len(fi), 1):
                 saturated, saturated_witness = False, fi
         if simple and rank == p.n and cover.witness not in seen_vertices:
             # a rank-n face is a single point: its witness is the vertex
@@ -299,9 +293,11 @@ def split_weakly_convex(p: PolyhedralSet,
                         ) -> SplittingReport:
     """Split off the line factors of a weakly convex unimodular set.
 
-    Finds an integer change of basis with determinant +-1 carrying the
-    lattice spanned by the conormals onto the first n-k coordinates. The
-    transformed conormals then have last k coordinates zero and their
+    The change of basis is the transform u of `hermite_transform` on the
+    Hermite rows h of the conormals: u h^T = [I; 0], so u carries the
+    lattice they span onto the first n-k coordinates, and its last k rows
+    are the Hermite basis of their integer kernel. The transformed
+    conormals then have last k coordinates zero and their
     truncations define the projected strongly convex set. With k = 0 that
     set is p in another lattice basis, which keeps every unimodularity
     check, so `report`, the unimodularity report of p when the caller has
@@ -311,18 +307,14 @@ def split_weakly_convex(p: PolyhedralSet,
         NotUnimodular: when the conormal span is not saturated in the
             integer lattice, or the projected set fails its checks.
     """
-    rows = [list(e) for e in p.etas]
-    factors, _, _ = intlinalg.smith_normal_form(rows)
-    rank = len(factors)
-    if any(f != 1 for f in factors):
+    h = intlinalg.hermite_normal_form([list(e) for e in p.etas])
+    rank = len(h)
+    image, change = intlinalg.hermite_transform(h, p.n)
+    if image != polylattice.identity_matrix(rank):
         raise NotUnimodular("conormal span is not saturated in the lattice")
     k = p.n - rank
-    completion = intlinalg.unimodular_row_completion(rows)
-    # its first rank rows are the Hermite normal form of the conormals
     pivots = tuple(next(c for c, v in enumerate(row, start=1) if v)
-                   for row in completion[:rank])
-    change = [list(col) for col in
-              zip(*intlinalg.invert_unimodular(completion))]
+                   for row in h)
     new_facets = []
     for f in p.facets:
         transformed = [sum(change[r][c] * f.eta[c] for c in range(p.n))

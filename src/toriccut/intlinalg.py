@@ -1,5 +1,6 @@
-"""Integer normal forms on small dense matrices: Hermite and Smith normal
-forms, integer kernel bases, unimodular completion and inverse.
+"""The Hermite normal form on small dense matrices, and what is read off
+it: rank and saturation index, integer kernel bases, unimodular completion
+and inverse.
 
 Everything here works on plain Python lists of ints, which is plenty fast
 at the supported problem sizes and keeps all verdicts exact. Matrices are
@@ -9,6 +10,8 @@ which every command loads.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import polylattice
 
@@ -65,92 +68,31 @@ def hermite_normal_form(mat):
     return h[:pivot_row]
 
 
-def smith_normal_form(mat):
-    """Smith normal form with transforms: U @ mat @ V = diag(factors).
+def lattice_rank_index(rows):
+    """(rank, index) of the lattice spanned by integer rows: the index is
+    that of the lattice in its saturation, the product of its invariant
+    factors. The columns of the Hermite rows H span a full-rank lattice of
+    Z^rank with the same invariant factors, whose determinant is the
+    product of the diagonal of HNF(H^T)."""
+    h = hermite_normal_form(rows)
+    square = hermite_normal_form([list(col) for col in zip(*h)])
+    return len(h), math.prod(row[i] for i, row in enumerate(square))
 
-    Returns:
-        (factors, U, V): the invariant factors (nonnegative, each dividing
-        the next) and unimodular transforms U (rows) and V (columns).
+
+def hermite_transform(mat, ncols: int):
+    """Hermite normal form of [mat^T | I_ncols], split in two.
+
+    Returns (image, u): the Hermite rows of the lattice the columns of mat
+    span, and the unimodular ncols x ncols transform u with
+    u mat^T = [image; 0]. The rows of u past len(image) are the Hermite
+    normal form of the integer kernel {x in Z^ncols : mat @ x = 0}.
     """
-    a = _copy_int_matrix(mat)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    u = polylattice.identity_matrix(m)
-    v = polylattice.identity_matrix(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # deterministic pivot: smallest nonzero magnitude, ties by position
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
-    factors = [a[i][i] for i in range(limit) if a[i][i] != 0]
-    return factors, u, v
+    m = len(mat)
+    unit = polylattice.identity_matrix(ncols)
+    h = hermite_normal_form([[row[i] for row in mat] + unit[i]
+                             for i in range(ncols)])
+    image = [row[:m] for row in h if any(row[:m])]
+    return image, [row[m:] for row in h]
 
 
 def integer_kernel_basis(mat, ncols: int | None = None):
@@ -163,45 +105,26 @@ def integer_kernel_basis(mat, ncols: int | None = None):
         if not mat:
             raise ValueError("need ncols for an empty matrix")
         ncols = len(mat[0])
-    if not mat:
-        return [tuple(r) for r in polylattice.identity_matrix(ncols)]
-    factors, _, v = smith_normal_form(mat)
-    return kernel_basis_from_smith(len(factors), v)
-
-
-def kernel_basis_from_smith(rank: int, v):
-    """The basis `integer_kernel_basis` returns, read from a Smith normal
-    form of the matrix: its rank and its column transform V.
-
-    The last columns of V span the integer kernel; their Hermite normal
-    form makes the basis canonical.
-    """
-    ncols = len(v)
-    cols = [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-    if not cols:
-        return []
-    return [tuple(row) for row in hermite_normal_form(cols)]
+    image, u = hermite_transform(mat, ncols)
+    return [tuple(row) for row in u[len(image):]]
 
 
 def unimodular_row_completion(rows):
     """Extend the lattice spanned by integer rows to a basis of Z^n.
 
-    Requires the row lattice to be saturated (all Smith invariant factors
-    equal to 1). Returns a square integer matrix with determinant +-1 whose
-    first r rows are the Hermite normal form basis of the input lattice.
+    Requires the row lattice to be saturated. Returns a square integer
+    matrix with determinant +-1 whose first r rows are the Hermite normal
+    form basis h of the input lattice: with u h^T = [I_r; 0], the matrix
+    (u^-1)^T starts with h, and its other rows complete it.
     """
     h = hermite_normal_form(rows)
     if not h:
         raise ValueError("zero lattice has no distinguished basis rows")
-    n = len(h[0])
     r = len(h)
-    factors, _, v = smith_normal_form(h)
-    if len(factors) != r or any(f != 1 for f in factors):
+    image, u = hermite_transform(h, len(h[0]))
+    if image != polylattice.identity_matrix(r):
         raise ValueError("row lattice is not saturated")
-    vinv = invert_unimodular(v)
-    comp = [list(h[i]) for i in range(r)]
-    for i in range(r, n):
-        comp.append(list(vinv[i]))
+    comp = h + [list(col) for col in zip(*invert_unimodular(u))][r:]
     if not polylattice.unit_determinant(comp):
         raise AssertionError("completion construction lost unimodularity")
     return comp

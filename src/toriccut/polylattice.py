@@ -462,9 +462,9 @@ def max_margin_point(p: PolyhedralSet):
 
     Raises:
         ValueError: when the set is empty.
-        ScaleLimitExceeded: as `feasible`, counting the cap row t <= 1.
+        ScaleLimitExceeded: as `feasible`, whose cap row t <= 1 is free.
     """
-    _check_scale(p.n, len(p.facets) + 1)  # the facets and the cap row
+    _check_scale(p.n, len(p.facets))  # the cap row is not a facet
     rows = []
     for f in p.facets:
         ints, scale = integer_row([*f.eta, f.kappa])

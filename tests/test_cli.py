@@ -18,8 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 # kahlerpotential and the handlers are imported here, so that no traced run
 # counts their import
@@ -166,19 +169,21 @@ def test_exit_code_domain_errors(tmp_path):
 def test_exit_code_scale_limit(tmp_path, capsys):
     # classify meets the dimension gate inside its splitting, which must
     # not report it as a homotopy error; invert meets both gates in
-    # max_margin_point, which counts its cap row t <= 1 beside the facets.
-    # Every gate names its bound
-    gon = write_document(tmp_path / "gon64.json", delzant_polygon(64))
+    # max_margin_point, which counts the facets as every other command
+    # does, not its cap row t <= 1. Every gate names its bound
+    gon = write_document(tmp_path / "gon65.json", delzant_polygon(65))
     dimension = "dimension 9 exceeds supported bound 8"
+    rows = "65 constraints exceed supported bound 64"
     for argv, message in [
             (["validate", data("toobig9d.json")], dimension),
             (["classify", data("toobig9d.json")], dimension),
             (["invert", data("toobig9d.json"), "--target=0,0,0,0,0,0,0,0,0"],
              dimension),
-            (["invert", gon, "--target=0,0"],
-             "65 constraints exceed supported bound 64")]:
+            (["validate", gon], rows), (["invert", gon, "--target=0,0"], rows)]:
         assert run_cli(argv) == (4, ""), argv
         assert message in capsys.readouterr().err, argv
+    gon = write_document(tmp_path / "gon64.json", delzant_polygon(64))
+    assert run_cli(["invert", gon, "--target=0,0"])[0] != 4
 
 
 @pytest.mark.parametrize("value", ["eight", "", "0", "-3"])
@@ -643,9 +648,9 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
     (["invert", "f2.json", "--target=6,6"], 1565),
     (["potential", "f2.json", "--points", "f2_points.txt"], 1565),
     (["metric", "f2.json", "--points", "f2_points.txt"], 1565),
-    (["validate", "f2.json"], 1555),
-    (["classify", "f4.json"], 1815),
-    (["cut", "f2.json"], 1800),
+    (["validate", "f2.json"], 1470),
+    (["classify", "f4.json"], 1730),
+    (["cut", "f2.json"], 1715),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut"])
 def test_compile_budget(argv, budget):
     # the source lines of the toriccut modules one command loads: without
@@ -789,6 +794,67 @@ def test_classify_delzant_cone(tmp_path, m):
     assert contact["type_label"] == "sasakian_type"
 
 
+def _sympy_factors(rows):
+    snf = smith_normal_form(sympy.Matrix(rows), domain=ZZ)
+    return [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+
+
+def _sympy_saturated(rows):
+    # independent, with every invariant factor 1
+    return _sympy_factors(rows) == [1] * len(rows)
+
+
+@pytest.mark.parametrize("name", ["snf8", "pyr9"])
+def test_lattice_verdicts_on_snf8_and_pyr9(name):
+    # ROADMAP's snf8 (8 facets in R^8, entries in [-3, 3]) and pyr9 (10
+    # facets in R^3 with entries near 1000) pass every gate; a Smith normal
+    # form whose transforms grew without bound kept every exact command on
+    # them running. Each runs in a child with a timeout, so that a relapse
+    # fails instead of hanging, and its lattice verdicts are checked
+    # against sympy
+    etas = [f["eta"] for f in json.loads(
+        (DATA / f"{name}.json").read_text(encoding="utf-8"))["facets"]]
+
+    def run(command):
+        proc = subprocess.run(
+            [sys.executable, "-c", ENTRY, command, data(f"{name}.json")],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        return proc.returncode, json.loads(proc.stdout)["report"][command]
+
+    code, report = run("validate")
+    assert code == 3 and not report["is_unimodular"]
+    witness = report["saturated_witness"]
+    assert not _sympy_saturated([etas[i - 1] for i in witness])
+    if name == "snf8":
+        assert witness == [4, 5, 7]
+    else:
+        assert report["primitive_witness"] == 2
+        assert report["simple_witness"] == ["0", "0", "1"]
+        assert math.gcd(*etas[1]) != 1
+        apex = [sum(e * v for e, v in zip(eta, (0, 0, 1))) for eta in etas]
+        assert apex.count(1000) == 9  # a vertex on 9 facets in R^3
+    code, report = run("cut")
+    assert code == 0
+    for row in report["freeness"]:
+        combined = [etas[i - 1] for i in (*row["face"], row["facet"])]
+        assert row["free"] == _sympy_saturated(combined), row
+    pi = sympy.Matrix(report["pi_matrix"])
+    kernel = report["kernel_basis"]
+    assert len(kernel) == len(etas) - pi.rank()
+    assert all(not any(pi * sympy.Matrix(vec)) for vec in kernel)
+    assert not kernel or _sympy_saturated(kernel)
+    assert report["surjective_onto_lattice"] == _sympy_saturated(
+        pi.T.tolist())
+    code, report = run("classify")
+    assert code == 0
+    # the conormals span Q^n, but a lattice of index > 1 in Z^n: no splitting
+    factors = _sympy_factors(etas)
+    assert report["convexity"]["rank"] == len(factors) == len(etas[0])
+    assert math.prod(factors) > 1
+    assert report["homotopy"] == {
+        "error": "conormal span is not saturated in the lattice"}
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -832,25 +898,32 @@ AMBIENT_F1_FACET = '{"x": [0.0], "theta": [0.3], "z": [0, [1, 0]]}'
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("lens", {"convexity_class": 1, "rational_rank": 2}),
+    ("lens", {"convexity_class": 1, "rational_rank": 2,
+              "lattice_rank_index": 2, "hermite_transform": 1}),
     ("halfspace_r3",
-     {"hermite_normal_form": 2, "convexity_class": 1, "rational_rank": 3}),
+     {"hermite_normal_form": 7, "hermite_transform": 2,
+      "lattice_rank_index": 2, "convexity_class": 1, "rational_rank": 3}),
     ("slab",
-     {"hermite_normal_form": 1, "convexity_class": 1, "rational_rank": 1}),
-    ("f1", {"rational_rank": 0, "smith_normal_form": 5}),
+     {"hermite_normal_form": 6, "hermite_transform": 1,
+      "lattice_rank_index": 2, "convexity_class": 1, "rational_rank": 1}),
+    ("f1", {"rational_rank": 0, "hermite_normal_form": 8,
+            "hermite_transform": 2, "lattice_rank_index": 3}),
 ])
 def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # the contact block reads the k of the convexity class, and the
-    # splitting reads its pivot columns off the Hermite rows of its
-    # completion and needs no convexity class of its projected set; lens's
-    # other rank is the enumeration's. f1 runs cut --ambient at a point of
-    # facet 1, whose stabilizer reads its rank off the Smith normal form of
-    # its saturation check
+    # splitting reads its pivot columns and its change off the Hermite
+    # rows of the conormals and one transform of them, and needs no
+    # convexity class of its projected set; lens's other rank is the
+    # enumeration's. A rank and index takes two Hermite forms, a transform
+    # one. f1 runs cut --ambient at a point of facet 1: the kernel and the
+    # angle reduction take a transform each, the covers and the stabilizer
+    # a rank and index each
     argv = (["cut", data("f1.json"), "--ambient", AMBIENT_F1_FACET]
             if name == "f1" else ["classify", data(f"{name}.json")])
     modules = {"convexity_class": facelattice, "rational_rank": polylattice,
                "hermite_normal_form": intlinalg,
-               "smith_normal_form": intlinalg}
+               "hermite_transform": intlinalg,
+               "lattice_rank_index": intlinalg}
     calls = {fn: _count_calls(monkeypatch, modules[fn], fn) for fn in expected}
     assert run_cli(argv)[0] == 0
     assert {fn: len(made) for fn, made in calls.items()} == expected

@@ -69,15 +69,16 @@ def test_kernel_exact_sequence(name):
         assert fl.saturation_check(k.kernel_basis)
 
 
-def test_kernel_takes_one_smith_normal_form(monkeypatch):
+def test_kernel_takes_one_hermite_transform(monkeypatch):
+    # the kernel and the surjectivity flag come off one Hermite form
     calls = []
-    original = il.smith_normal_form
+    original = il.hermite_normal_form
 
     def counted(mat):
         calls.append(mat)
         return original(mat)
 
-    monkeypatch.setattr(il, "smith_normal_form", counted)
+    monkeypatch.setattr(il, "hermite_normal_form", counted)
     for name in ("f1", "f2", "f5", "slab", "f5_lift"):
         p = FIXTURES[name]()
         calls.clear()
@@ -153,11 +154,31 @@ def test_canonical_rejects_off_level():
             p, cm.ambient_point([0.2, 0.3], [0.0, 0.0], [1.0, 1.0, 1.0]))
 
 
-@pytest.mark.parametrize("name", ["f1", "f2", "slab"])
+def moved(p, g):
+    """p after the unimodular change eta -> g eta of its conormals, and the
+    map x -> g^-T x of its points, which keeps every slack."""
+    facets = [(tuple(sum(a * e for a, e in zip(row, f.eta)) for row in g),
+               f.kappa) for f in p.facets]
+    inverse = pl.rational_inverse(g)
+    return (pl.polyhedral_set(p.n, facets, kind=p.kind),
+            lambda y: [float(sum(inverse[k][j] * Fraction(y[k])
+                                 for k in range(p.n))) for j in range(p.n)])
+
+
+# weakly convex sets with conormals off the coordinate axes, whose cut
+# representatives depend on the basis the angle reduction rounds against
+SLAB_MOVED, MOVE_SLAB = moved(FIXTURES["slab"](), ((2, 1), (1, 1)))
+SLAB3_MOVED, MOVE_SLAB3 = moved(
+    pl.polyhedral_set(3, [((-1, 0, 0), 0), ((1, 0, 0), 1), ((0, -1, 0), 0)]),
+    ((1, 2, 0), (0, 1, 3), (1, 2, 1)))
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "slab", "slab_moved"])
 def test_gauge_invariance_interior(name):
-    p = FIXTURES[name]()
+    p = SLAB_MOVED if name == "slab_moved" else FIXTURES[name]()
     rng = np.random.default_rng(23)
-    for x in sample_interior(name, rng, 10):
+    points = sample_interior(name.removesuffix("_moved"), rng, 10)
+    for x in (map(MOVE_SLAB, points) if p is SLAB_MOVED else points):
         theta = rng.uniform(0, TWO_PI, size=p.n)
         base = section(p, x, theta)
         ref = cm.canonical_representative(p, base)
@@ -170,23 +191,33 @@ def test_gauge_invariance_interior(name):
                        for a, b in zip(rep.theta, ref.theta))
 
 
+BOUNDARY_CASES = [  # (set, point, facets active there)
+    (FIXTURES["f2"](), [0.0, 0.4], (1,)),
+    (SLAB_MOVED, MOVE_SLAB([0, 0.4]), (1,)),
+    (SLAB3_MOVED, MOVE_SLAB3([1, 2, 0.7]), (2,)),
+    (SLAB3_MOVED, MOVE_SLAB3([0, 0, 0.7]), (1, 3)),
+]
+
+
 def test_gauge_invariance_boundary_edge():
-    # one facet active: the free phase over it must not change the output
-    p = FIXTURES["f2"]()
+    # the free phases over the active facets must not change the output
     rng = np.random.default_rng(31)
-    x = [0.0, 0.4]
-    slacks = [0.0, 0.4, 0.6]
-    for _ in range(25):
-        phases = rng.uniform(0, TWO_PI, size=3)
-        theta = rng.uniform(0, TWO_PI, size=2)
-        z = [math.sqrt(s) * cmath.exp(1j * t) for s, t in zip(slacks, phases)]
-        base = cm.ambient_point(x, theta, z)
-        ref = cm.canonical_representative(p, base)
-        assert tuple(ref.active) == (1,)
-        t = rng.uniform(-8, 8, size=3)
-        rep = cm.canonical_representative(p, gauge(p, base, t))
-        assert all(circ_close(a, b, 1e-9)
-                   for a, b in zip(rep.theta, ref.theta))
+    for p, x, active in BOUNDARY_CASES:
+        slacks = [max(0.0, float(f.kappa)
+                      - sum(e * v for e, v in zip(f.eta, x)))
+                  for f in p.facets]
+        for _ in range(25):
+            phases = rng.uniform(0, TWO_PI, size=len(p.facets))
+            theta = rng.uniform(0, TWO_PI, size=p.n)
+            z = [math.sqrt(s) * cmath.exp(1j * t)
+                 for s, t in zip(slacks, phases)]
+            base = cm.ambient_point(x, theta, z)
+            ref = cm.canonical_representative(p, base)
+            assert tuple(ref.active) == active
+            t = rng.uniform(-8, 8, size=len(p.facets))
+            rep = cm.canonical_representative(p, gauge(p, base, t))
+            assert all(circ_close(a, b, 1e-9)
+                       for a, b in zip(rep.theta, ref.theta))
 
 
 def test_gauge_reduction_matches_direct_cut_point():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 from fractions import Fraction
@@ -7,6 +8,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 from toriccut import intlinalg as il
 from toriccut import polylattice as pl
@@ -16,8 +19,6 @@ from conftest import determinant
 
 def minor_gcd_saturated(rows):
     """Brute-force saturation oracle: full rank and maximal minors coprime."""
-    import math
-
     k = len(rows)
     n = len(rows[0])
     if pl.rational_rank(rows) != k:
@@ -48,22 +49,24 @@ def matrix_strategy(max_rows=4, max_cols=4):
     )
 
 
+def minor_gcd(rows, k):
+    """gcd of the k x k minors of an integer matrix, from sympy."""
+    g = 0
+    for sel in itertools.combinations(range(len(rows)), k):
+        for cols in itertools.combinations(range(len(rows[0])), k):
+            sub = [[rows[i][c] for c in cols] for i in sel]
+            g = math.gcd(g, abs(int(determinant(sub))))
+    return g
+
+
 @settings(max_examples=120, deadline=None)
 @given(matrix_strategy())
-def test_snf_reconstruction(mat):
-    factors, u, v = il.smith_normal_form(mat)
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
-    d = matmul(matmul(u, mat), v)
-    m, n = len(mat), len(mat[0])
-    for i in range(m):
-        for j in range(n):
-            if i == j and i < len(factors):
-                assert d[i][j] == factors[i]
-            else:
-                assert d[i][j] == 0
-    for a, b in zip(factors, factors[1:]):
-        assert a > 0 and b % a == 0
+def test_rank_index_is_minor_gcd(mat):
+    # the product of the invariant factors of a rank r lattice is the gcd
+    # of the r x r minors of any matrix whose rows span it
+    rank, index = il.lattice_rank_index(mat)
+    assert rank == pl.rational_rank(mat)
+    assert index == (minor_gcd(mat, rank) if rank else 1)
 
 
 def _pivot_cols(h):
@@ -98,19 +101,17 @@ def test_integer_kernel(mat):
         for row in mat:
             assert sum(a * b for a, b in zip(row, vec)) == 0
     if basis:
-        factors, _, _ = il.smith_normal_form([list(v) for v in basis])
-        assert all(f == 1 for f in factors)
+        assert il.lattice_rank_index(basis) == (len(basis), 1)
 
 
-def test_snf_agrees_with_minor_gcd_oracle():
+def test_rank_index_agrees_with_minor_gcd_oracle():
     rng = random.Random(20260823)
     for _ in range(200):
         k = rng.randint(1, 4)
         n = rng.randint(k, 4)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-        factors, _, _ = il.smith_normal_form(rows)
-        snf_verdict = len(factors) == k and all(f == 1 for f in factors)
-        assert snf_verdict == minor_gcd_saturated(rows)
+        verdict = il.lattice_rank_index(rows) == (k, 1)
+        assert verdict == minor_gcd_saturated(rows)
 
 
 def test_hnf_known_cases():
@@ -239,3 +240,68 @@ def test_elimination_matches_sympy():
                 if rng.random() < 0.3:
                     mat[i] = [-u for u in mat[i]]
         assert pl.unit_determinant(mat) == (abs(determinant(mat)) == 1)
+
+
+def _draws(rng):
+    """One matrix of each family: 5 x 3 with entries in [-1000, 1000],
+    8 x 8 in [-3, 3], and m x n with m <= 64, n <= 8 in [-1000, 1000]."""
+    def draw(m, n, bound):
+        return [[rng.randint(-bound, bound) for _ in range(n)]
+                for _ in range(m)]
+    yield draw(5, 3, 1000)
+    yield draw(8, 8, 3)
+    yield draw(rng.randint(1, 64), rng.randint(1, 8), 1000)
+
+
+def _column_norm_bound(mat):
+    # Hadamard: no r x r minor of mat exceeds the product of its column
+    # norms, each rounded up and at least 1
+    return math.prod(max(1, math.isqrt(sum(row[j] ** 2 for row in mat)) + 1)
+                     for j in range(len(mat[0])))
+
+
+def _sympy_factors(mat):
+    snf = smith_normal_form(sympy.Matrix(mat), domain=ZZ)
+    return [abs(int(snf[i, i])) for i in range(min(snf.shape))
+            if snf[i, i] != 0]
+
+
+def test_normal_forms_match_sympy():
+    # rank, index, kernel and completion against sympy on the families on
+    # which the Smith normal form with transforms blew up; the work is
+    # bounded by the size of what the transforms hold, not by wall time
+    rng = random.Random(1)
+    completed = 0
+    for _ in range(100):
+        for mat in _draws(rng):
+            n = len(mat[0])
+            factors = _sympy_factors(mat)
+            rank, index = il.lattice_rank_index(mat)
+            assert (rank, index) == (len(factors), math.prod(factors))
+            image, u = il.hermite_transform(mat, n)
+            bound = _column_norm_bound(mat)
+            assert max(abs(v) for row in u for v in row) <= bound
+            kernel = il.integer_kernel_basis(mat)
+            assert [list(v) for v in kernel] == u[len(image):]
+            assert len(kernel) == n - rank
+            for vec in kernel:
+                assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                           for row in mat)
+            if kernel:
+                assert _sympy_factors(kernel) == [1] * len(kernel)
+            for vec in sympy.Matrix(mat).nullspace():
+                scale = math.lcm(*(int(v.q) for v in vec))
+                ints = [int(v * scale) for v in vec]
+                # in the span over Z: the Hermite form does not move
+                assert il.hermite_normal_form(
+                    [list(v) for v in kernel] + [ints]) == u[len(image):]
+            for rows in (mat, kernel):
+                if not rows or il.lattice_rank_index(rows)[1] != 1:
+                    continue
+                comp = il.unimodular_row_completion(rows)
+                completed += 1
+                assert abs(determinant(comp)) == 1
+                h = il.hermite_normal_form(rows)
+                assert comp[:len(h)] == h
+                assert max(abs(v) for row in comp for v in row) <= bound
+    assert completed >= 100

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from toriccut import facelattice as fl
+from toriccut import intlinalg as il
 from toriccut import polylattice as pl
 from toriccut.cli import main
 from toriccut.errors import (
@@ -526,8 +527,13 @@ class TestSplit:
         assert sr.projected_set == f2()
 
     def test_tail_zero_and_projected_checks(self):
-        for fix in (f3, slab, halfspace_r3):
-            p = fix()
+        # the fixtures, and weakly convex sets with conormals off the axes
+        moved = [
+            pl.polyhedral_set(2, [((-2, -1), 0), ((2, 1), 1)]),
+            pl.polyhedral_set(3, [((-1, 0, -1), 0), ((1, 0, 1), 1),
+                                  ((-2, -1, -2), 0)]),
+            pl.polyhedral_set(3, [((-1, 0, -1), 0)], kind=pl.CONE)]
+        for p in (f3(), slab(), halfspace_r3(), *moved):
             sr = fl.split_weakly_convex(p)
             change = sr.unimodular_change
             rank = p.n - sr.k
@@ -535,6 +541,9 @@ class TestSplit:
                 transformed = [sum(change[r][c] * f.eta[c] for c in range(p.n))
                                for r in range(p.n)]
                 assert all(v == 0 for v in transformed[rank:])
+            # its last k rows are the Hermite basis of the conormals' kernel
+            assert change[rank:] == tuple(
+                il.integer_kernel_basis([list(e) for e in p.etas]))
             assert fl.convexity_class(sr.projected_set).k == 0
             assert fl.unimodularity_report(sr.projected_set).is_unimodular
 
