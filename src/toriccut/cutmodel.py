@@ -5,9 +5,9 @@ level of the ambient moment map, canonical per-orbit representatives with
 their residual angle reduction, stabilizer data at boundary points, and
 the freeness table for stepwise cutting.
 
-The angle arithmetic is plain Python floats on an exact projection; it
-imports the float layer's `_dot` where it runs, so plain `cut` loads no
-float layer.
+The slacks and angles are plain Python floats, the projection exact.
+The float layer's `_dot` and `float_facets` are imported where they run,
+so plain `cut` loads no float layer.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import facelattice, intlinalg, polylattice
-from .errors import NotOnLevel, PointOutside
+from .errors import NotOnLevel
 
 ACTIVITY_TOL = 1e-9
 LEVEL_TOL = 1e-9
@@ -81,48 +80,29 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
                          image == polylattice.identity_matrix(p.n))
 
 
-def _exact_coordinates(x):
-    if all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-           for v in x):
-        return [Fraction(v) for v in x]
-    return None
+def _level_slacks(p: polylattice.PolyhedralSet, a: AmbientPoint):
+    """The float slacks of a.x, one per facet, or None when some |z_i|^2
+    is off the i-th by more than LEVEL_TOL; |z|^2 is a product, so a
+    modulus past 1e154 squares to inf, which is off, and does not raise."""
+    from .kahlerpotential import _dot, float_facets
+    etas, kappas = float_facets(p)
+    slacks = [kappa - _dot(eta, a.x) for eta, kappa in zip(etas, kappas)]
+    if any(abs(abs(z) * abs(z) - s) > LEVEL_TOL for z, s in zip(a.z, slacks)):
+        return None
+    return slacks
 
 
-def _active_set(p: polylattice.PolyhedralSet, x) -> polylattice.FaceIndexSet:
-    """Facets tight at x; exact for rational input, 1e-9 slack for floats.
+def stabilizer(p: polylattice.PolyhedralSet,
+               active: polylattice.FaceIndexSet) -> Stabilizer:
+    """Generators of the subtorus fixing the fibers where the facets of
+    `active`, a `CutPoint`'s, are tight: their conormals.
 
-    Raises PointOutside when some slack is negative beyond the same rule.
+    Their rank and the index of their lattice in its saturation come off
+    the Hermite normal form; the saturation flag records whether they form
+    a basis of a saturated sublattice, which is what smoothness of the
+    quotient needs. An empty family is vacuously saturated.
     """
-    exact = _exact_coordinates(x)
-    out = []
-    for i, f in enumerate(p.facets, start=1):
-        if exact is not None:
-            slack = f.kappa - sum(a * v for a, v in zip(f.eta, exact))
-            if slack < 0:
-                raise PointOutside(f"facet {i} violated by {-slack}")
-            if slack == 0:
-                out.append(i)
-        else:
-            slack = float(f.kappa) - sum(
-                float(a) * float(v) for a, v in zip(f.eta, x))
-            if slack < -ACTIVITY_TOL:
-                raise PointOutside(f"facet {i} violated by {-slack:.3e}")
-            if slack < ACTIVITY_TOL:
-                out.append(i)
-    return polylattice.FaceIndexSet(tuple(out))
-
-
-def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
-    """Generators of the subtorus fixing the fiber over x.
-
-    These are the conormals of the facets active at x. Their rank and the
-    index of their lattice in its saturation come off the Hermite normal
-    form; the saturation flag records whether they form a basis of a
-    saturated sublattice, which is what smoothness of the quotient needs.
-    An empty family is vacuously saturated.
-    """
-    active = _active_set(p, x)
-    gens = tuple(p.facets[i - 1].eta for i in active)
+    gens = tuple(p.facets[i - 1].eta for i in active.indices)
     rank, index = intlinalg.lattice_rank_index(gens)
     return Stabilizer(gens, rank, (rank, index) == (len(gens), 1))
 
@@ -130,12 +110,7 @@ def stabilizer(p: polylattice.PolyhedralSet, x) -> Stabilizer:
 def moment_level_membership(p: polylattice.PolyhedralSet,
                             a: AmbientPoint) -> bool:
     """True iff every |z_i|^2 equals the i-th slack within 1e-9."""
-    for f, z in zip(p.facets, a.z):
-        slack = float(f.kappa) - sum(
-            float(e) * v for e, v in zip(f.eta, a.x))
-        if abs(abs(z) ** 2 - slack) > LEVEL_TOL:
-            return False
-    return True
+    return _level_slacks(p, a) is not None
 
 
 def _babai_reduce(v, basis_vectors):
@@ -161,33 +136,28 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
     """Canonical angle representative modulo the residual gauge freedom.
 
     Active conormals act with free phases, so theta is only defined modulo
-    their real span plus 2*pi times the integer lattice. The span part is
-    removed by the projection K^T (K K^T)^-1 K onto the integer kernel K of
-    the active conormals, computed exactly and rounded to floats; what
-    survives of the integer lattice is generated by the projected tail of a
-    unimodular completion of the span's saturated sublattice, and Babai
-    rounding against that generator set picks one representative per
-    coset. A final componentwise floor into [0, 2*pi) with a seam snap
-    makes the result stable under float noise on either side of 0.
+    their real span plus 2*pi Z^n; it is taken modulo 2*pi first. The span
+    is removed by the projection P = K^T (K K^T)^-1 K onto the integer
+    kernel K of the active conormals, computed exactly and rounded to
+    floats. K is the tail of a unimodular transform, so K Z^n = Z^(n-r)
+    and P Z^n is spanned by the rows of (K K^T)^-1 K; Babai rounding
+    against them picks one representative per coset. A final floor into
+    [0, 2*pi) with a seam snap makes the result stable under float noise
+    on either side of 0.
     """
     from .kahlerpotential import _dot
-    n = p.n
-    v = [float(c) for c in theta]
+    v = [float(c) % TWO_PI for c in theta]
     if len(active) > 0:
         perp = intlinalg.integer_kernel_basis(
             [list(p.facets[i - 1].eta) for i in active])
         if not perp:  # the conormals span: every angle is gauge
-            return (0.0,) * n
-        saturated = intlinalg.integer_kernel_basis(
-            [list(r) for r in perp], n)
-        completion = intlinalg.unimodular_row_completion(saturated)
+            return (0.0,) * p.n
         gram = [[sum(map(operator.mul, r, s)) for s in perp] for r in perp]
         weights = [[sum(map(operator.mul, row, col)) for col in zip(*perp)]
                    for row in polylattice.rational_inverse(gram)]
         project = [[float(sum(map(operator.mul, a, b))) for b in zip(*weights)]
                    for a in zip(*perp)]  # K^T (K K^T)^-1 K
-        lattice = [[TWO_PI * _dot(row, t) for row in project]
-                   for t in completion[len(saturated):]]
+        lattice = [[TWO_PI * float(c) for c in row] for row in weights]
         v = _babai_reduce([_dot(row, v) for row in project], lattice)
     out = [c % TWO_PI for c in v]
     return tuple(0.0 if c >= TWO_PI - SEAM_TOL else c for c in out)
@@ -200,22 +170,25 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     Rotating each nonzero z_i onto the positive real axis spends the phase
     t_i = -arg(z_i), which shifts theta by t_i times the i-th conormal.
     Phases over active facets stay free and are quotiented out by the
-    angle reduction.
+    angle reduction. The active facets are those of slack below
+    ACTIVITY_TOL; the level test has rejected a slack below -LEVEL_TOL.
 
     Raises:
         NotOnLevel: the moduli of z do not match the slacks.
+        ScaleLimitExceeded: as `kahlerpotential.float_facets`.
     """
-    if not moment_level_membership(p, a):
+    slacks = _level_slacks(p, a)
+    if slacks is None:
         raise NotOnLevel("|z_i|^2 does not match the facet slacks")
-    x = tuple(float(v) for v in a.x)
-    active = _active_set(p, x)
+    active = polylattice.FaceIndexSet(
+        i for i, s in enumerate(slacks, start=1) if s < ACTIVITY_TOL)
     theta = [float(v) for v in a.theta]
     for i, (f, z) in enumerate(zip(p.facets, a.z), start=1):
         if i in active or z == 0:
             continue
         phase = cmath.phase(z)
         theta = [t - phase * e for t, e in zip(theta, f.eta)]
-    return CutPoint(x, active, _reduce_theta(p, theta, active))
+    return CutPoint(a.x, active, _reduce_theta(p, theta, active))
 
 
 def freeness_table(p: polylattice.PolyhedralSet):

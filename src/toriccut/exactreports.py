@@ -129,7 +129,7 @@ def cmd_cut(doc: LoadedDocument, ambient=None) -> int:
     }
     if ambient is not None:
         rep = cutmodel.canonical_representative(p, _parse_ambient(ambient, p))
-        stab = cutmodel.stabilizer(p, rep.x)
+        stab = cutmodel.stabilizer(p, rep.active)
         payload["representative"] = {"x": [float(v) for v in rep.x],
                                      "active": list(rep.active),
                                      "theta": [float(v) for v in rep.theta]}

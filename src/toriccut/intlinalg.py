@@ -1,12 +1,10 @@
 """The Hermite normal form on small dense matrices, and what is read off
-it: rank and saturation index, integer kernel bases, unimodular completion
-and inverse.
+it: rank and saturation index, and integer kernel bases.
 
 Everything here works on plain Python lists of ints, which is plenty fast
 at the supported problem sizes and keeps all verdicts exact. Matrices are
-lists of rows. Rational elimination (rank, solutions, inverse, the
-unit-determinant check) is the tableau of `polylattice`'s exact kernel,
-which every command loads.
+lists of rows. Rational elimination (rank, solutions, inverse) is the
+tableau of `polylattice`'s exact kernel, which every command loads.
 """
 
 from __future__ import annotations
@@ -18,15 +16,6 @@ from . import polylattice
 
 def _copy_int_matrix(mat):
     return [[int(v) for v in row] for row in mat]
-
-
-def invert_unimodular(mat):
-    """Inverse of an integer matrix with determinant +-1, as integers; the
-    inverse of an integer matrix is integral exactly then."""
-    inverse = polylattice.rational_inverse(mat)
-    if any(v.denominator != 1 for row in inverse for v in row):
-        raise ValueError("matrix is not unimodular")
-    return [[v.numerator for v in row] for row in inverse]
 
 
 def hermite_normal_form(mat):
@@ -108,23 +97,3 @@ def integer_kernel_basis(mat, ncols: int | None = None):
     image, u = hermite_transform(mat, ncols)
     return [tuple(row) for row in u[len(image):]]
 
-
-def unimodular_row_completion(rows):
-    """Extend the lattice spanned by integer rows to a basis of Z^n.
-
-    Requires the row lattice to be saturated. Returns a square integer
-    matrix with determinant +-1 whose first r rows are the Hermite normal
-    form basis h of the input lattice: with u h^T = [I_r; 0], the matrix
-    (u^-1)^T starts with h, and its other rows complete it.
-    """
-    h = hermite_normal_form(rows)
-    if not h:
-        raise ValueError("zero lattice has no distinguished basis rows")
-    r = len(h)
-    image, u = hermite_transform(h, len(h[0]))
-    if image != polylattice.identity_matrix(r):
-        raise ValueError("row lattice is not saturated")
-    comp = h + [list(col) for col in zip(*invert_unimodular(u))][r:]
-    if not polylattice.unit_determinant(comp):
-        raise AssertionError("completion construction lost unimodularity")
-    return comp

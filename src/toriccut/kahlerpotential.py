@@ -22,7 +22,7 @@ from itertools import compress, repeat
 from typing import NamedTuple
 
 from . import polylattice
-from .errors import NoConvergence, NotInterior, NotSPD
+from .errors import NoConvergence, NotInterior, NotSPD, ScaleLimitExceeded
 
 INTERIOR_MARGIN = 1e-12
 NEWTON_TOL = 1e-9
@@ -133,6 +133,20 @@ def _row_sums(columns) -> list[float]:
     return _combinations(columns, [[1.0] * len(columns)])[0]
 
 
+def _floats(values, where: str) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise ScaleLimitExceeded(f"{where} exceeds the float range") from exc
+
+
+def float_facets(p: polylattice.PolyhedralSet):
+    """(etas, kappas): the conormals and offsets of p as floats."""
+    rows = [_floats((*f.eta, f.kappa), f"facet {i}")
+            for i, f in enumerate(p.facets, start=1)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     """Slacks of a batch of points in R^n, with the strictly interior rows
     selected. A row whose smallest slack is below INTERIOR_MARGIN or NaN (a
@@ -141,6 +155,7 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
 
     Raises:
         ValueError: x is not a sequence of rows of n numbers.
+        ScaleLimitExceeded: as `float_facets`.
     """
     rows = list(x)
     try:
@@ -150,10 +165,9 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
                 or [[] for _ in range(p.n)])
     except TypeError as exc:
         raise ValueError(f"expected a batch of points in R^{p.n}") from exc
-    etas = [[float(v) for v in f.eta] for f in p.facets]
+    etas, kappas = float_facets(p)
     slacks = [[kappa - d for d in dots] for kappa, dots in
-              zip([float(f.kappa) for f in p.facets],
-                  _combinations(cols, etas))]
+              zip(kappas, _combinations(cols, etas))]
     totals = _row_sums(slacks)
     worst_slack = list(map(min, *slacks, repeat(math.inf)))
     worst = [0] * len(totals)
@@ -327,11 +341,9 @@ def _chart(p: polylattice.PolyhedralSet, facets) -> _Chart:
     n = p.n
     if not facets:  # x itself: no exact arithmetic needed
         identity = polylattice.identity_matrix(n)
-        return _Chart((), tuple(range(n)), identity, [0] * n,
-                      [float(f.kappa) for f in p.facets],
-                      [[float(v) for v in f.eta] for f in p.facets],
-                      [[float(v) for v in row] for row in identity],
-                      [0.0] * n)
+        etas, kappas = float_facets(p)
+        return _Chart((), tuple(range(n)), identity, [0] * n, kappas, etas,
+                      [list(map(float, row)) for row in identity], [0.0] * n)
     a = [list(p.facets[i].eta) for i in facets]
     columns = []
     for c in range(n):
@@ -495,9 +507,9 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
         raise NotInterior("set is empty") from exc
     if margin <= 0:
         raise NotInterior("set has no strict interior")
-    etas = [[float(v) for v in f.eta] for f in p.facets]
+    etas = float_facets(p)[0]
     chart = _chart(p, ())
-    z = [float(v) for v in start]
+    z = _floats(start, "the max-margin start point")
     iteration = 0
     while True:
         state = _state(chart, etas, z, yv)

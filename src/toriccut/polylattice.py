@@ -8,9 +8,8 @@ Coordinates are Fractions. One fraction-free tableau with one
 integer-preserving pivot is the only exact elimination: the simplex routine
 on it decides feasibility and finds the max-margin point, and its
 Gauss-Jordan step on the free variables gives ranks, the solutions of
-equations, inverses and the unit-determinant check. The face lattice built
-on this kernel is in `facelattice`, the integer normal forms in
-`intlinalg`.
+equations and inverses. The face lattice built on this kernel is in
+`facelattice`, the integer normal forms in `intlinalg`.
 """
 
 from __future__ import annotations
@@ -376,13 +375,6 @@ def rational_inverse(mat):
     columns = [tb.nonbasic.index(n + 1 + k) for k in range(n)]
     return [[Fraction(row[c] * scale, tb.d) for c, scale in zip(columns, scales)]
             for row in (tb.tab[tb.basic.index(j)] for j in range(n))]
-
-
-def unit_determinant(mat) -> bool:
-    """True iff the square integer matrix has determinant +-1: the last
-    pivot d of its fraction-free elimination is |det| (Edmonds 1967)."""
-    tb, rank, _ = _eliminate([(0, *row) for row in mat], len(mat))
-    return rank == len(mat) and tb.d == 1
 
 
 def _check_scale(n, rows):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.matrices.normalforms import smith_normal_form
@@ -39,6 +39,9 @@ GOLDEN = Path(__file__).parent / "golden"
 AMBIENT_F1 = ('{"x": [0.5], "theta": [0.3], '
               '"z": [[0.4926460386775457, 0.507247356400526], '
               '[0.651288474745862, -0.275360350564871]]}')
+# a point of f2 on facet 1 alone: the angle reduction runs with 0 < r < n
+AMBIENT_F2_FACET = ('{"x": [0.0, 0.4], "theta": [0.3, 0.2], '
+                    '"z": [0, 0.6324555320336759, 0.7745966692414834]}')
 
 
 def run_cli(argv):
@@ -243,41 +246,68 @@ def test_invert_singular_newton_system():
     assert report["residual"] < 1e-9
 
 
+def _document(facets, n=None):
+    return {"schema_version": "1", "n": n or len(facets[0][0]),
+            "facets": [{"eta": eta, "kappa": str(kappa)}
+                       for eta, kappa in facets]}
+
+
 @st.composite
 def small_documents(draw):
     """A random general set or cone in R^n, n <= 3, with 1 to 6 facets of
-    conormals in [-2, 2]^n (zero conormals included), as a document, with
-    a point in R^n and a target for the commands that take one."""
+    conormals in [-2, 2]^n (zero conormals included) and offsets small or
+    up to 10^400, past the float range, as a document; with a point in
+    R^n and a target for the commands that take one, and the angles and
+    moduli of an ambient point over that point, up to 1e308. A modulus
+    None puts z_i on the level."""
     n = draw(st.integers(1, 3))
     cone = draw(st.booleans())
+    offsets = st.integers(-3, 3) | st.integers(-10**400, 10**400)
     facets = draw(st.lists(st.tuples(
         st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-        st.just(0) if cone else st.integers(-3, 3)), min_size=1, max_size=6))
-    doc = {"schema_version": "1", "n": n,
-           "kind": polylattice.CONE if cone else polylattice.GENERAL,
-           "facets": [{"eta": eta, "kappa": str(kappa)}
-                      for eta, kappa in facets]}
+        st.just(0) if cone else offsets), min_size=1, max_size=6))
+    doc = _document(facets, n)
+    doc["kind"] = polylattice.CONE if cone else polylattice.GENERAL
     coordinates = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
     point = [v / 4 for v in draw(coordinates)]
-    return doc, point, [float(v) for v in draw(coordinates)]
+    theta = draw(st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n))
+    moduli = draw(st.lists(st.none() | st.floats(0, 1e308),
+                           min_size=len(facets), max_size=len(facets)))
+    return (doc, point, [float(v) for v in draw(coordinates)], theta,
+            moduli)
+
+
+F2_FACETS = [([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_documents())
+# large finite angles and moduli at points of f2, and a conormal entry and
+# an offset past the float range
+@example((_document(F2_FACETS), [0.0, 0.4], [1.0, 1.0], [1e308, 1e308],
+          [None] * 3))
+@example((_document(F2_FACETS), [0.2, 0.4], [1.0, 1.0], [0.0, 0.0],
+          [1e200, None, None]))
+@example((_document([([-1], 0), ([1], "1e400")]), [0.5], [0.5], [0.0],
+          [None] * 2))
+@example((_document([([-1], 0), ([10**400], 1)]), [0.0], [0.5], [0.0],
+          [None] * 2))
 def test_random_sets_keep_the_exit_contract(tmp_path_factory, case):
     # every command form on every small set ends with a contract code,
     # never with a traceback
-    doc, x, target = case
+    doc, x, target, theta, moduli = case
     work = tmp_path_factory.getbasetemp()
     path, points = work / "random_set.json", work / "random_points.txt"
     path.write_text(json.dumps(doc), encoding="utf-8")
     points.write_text(" ".join(map(repr, x)) + "\n", encoding="utf-8")
     z = []
-    for facet in doc["facets"]:
-        slack = int(facet["kappa"]) - sum(
-            e * v for e, v in zip(facet["eta"], x))
-        z.append([math.sqrt(max(slack, 0.0)), 0.0])
-    ambient = json.dumps({"x": x, "theta": [0.5] * len(x), "z": z})
+    for facet, modulus in zip(doc["facets"], moduli):
+        if modulus is None:
+            slack = Fraction(facet["kappa"]) - sum(
+                e * Fraction(v) for e, v in zip(facet["eta"], x))
+            modulus = math.sqrt(min(max(slack, 0), sys.float_info.max))
+        z.append([modulus, 0.0])
+    ambient = json.dumps({"x": x, "theta": theta, "z": z})
     grid = ",".join(["-2:2:3"] * len(x))
     for argv in (["validate"], ["classify"], ["cut"],
                  ["cut", "--ambient", ambient],
@@ -648,10 +678,12 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
     (["invert", "f2.json", "--target=6,6"], 1565),
     (["potential", "f2.json", "--points", "f2_points.txt"], 1565),
     (["metric", "f2.json", "--points", "f2_points.txt"], 1565),
-    (["validate", "f2.json"], 1470),
-    (["classify", "f4.json"], 1730),
-    (["cut", "f2.json"], 1715),
-], ids=["invert", "potential", "metric", "validate", "classify", "cut"])
+    (["validate", "f2.json"], 1428),
+    (["classify", "f4.json"], 1691),
+    (["cut", "f2.json"], 1645),
+    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 2196),
+], ids=["invert", "potential", "metric", "validate", "classify", "cut",
+        "cut-ambient"])
 def test_compile_budget(argv, budget):
     # the source lines of the toriccut modules one command loads: without
     # bytecode caches (PYTHONDONTWRITEBYTECODE) each is compiled on every
@@ -908,6 +940,8 @@ AMBIENT_F1_FACET = '{"x": [0.0], "theta": [0.3], "z": [0, [1, 0]]}'
       "lattice_rank_index": 2, "convexity_class": 1, "rational_rank": 1}),
     ("f1", {"rational_rank": 0, "hermite_normal_form": 8,
             "hermite_transform": 2, "lattice_rank_index": 3}),
+    ("f2", {"hermite_normal_form": 10, "hermite_transform": 2,
+            "rational_inverse": 1, "lattice_rank_index": 4}),
 ])
 def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # the contact block reads the k of the convexity class, and the
@@ -915,12 +949,16 @@ def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # rows of the conormals and one transform of them, and needs no
     # convexity class of its projected set; lens's other rank is the
     # enumeration's. A rank and index takes two Hermite forms, a transform
-    # one. f1 runs cut --ambient at a point of facet 1: the kernel and the
-    # angle reduction take a transform each, the covers and the stabilizer
-    # a rank and index each
-    argv = (["cut", data("f1.json"), "--ambient", AMBIENT_F1_FACET]
-            if name == "f1" else ["classify", data(f"{name}.json")])
+    # one. f1 and f2 run cut --ambient at a point of facet 1: the kernel
+    # and the angle reduction take a transform each, the covers and the
+    # stabilizer a rank and index each; on f2 the gauge lattice is read off
+    # the one inverse of the projection, with no second kernel or
+    # completion
+    argv = {"f1": ["cut", data("f1.json"), "--ambient", AMBIENT_F1_FACET],
+            "f2": ["cut", data("f2.json"), "--ambient", AMBIENT_F2_FACET]}.get(
+                name, ["classify", data(f"{name}.json")])
     modules = {"convexity_class": facelattice, "rational_rank": polylattice,
+               "rational_inverse": polylattice,
                "hermite_normal_form": intlinalg,
                "hermite_transform": intlinalg,
                "lattice_rank_index": intlinalg}

@@ -13,7 +13,7 @@ from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
 from toriccut import intlinalg as il
 from toriccut import polylattice as pl
-from toriccut.errors import NotOnLevel, PointOutside
+from toriccut.errors import NotOnLevel
 
 from conftest import FIXTURES, sample_interior, section, simplex
 
@@ -262,37 +262,37 @@ def test_embed_values():
     assert cm.moment_level_membership(p, section(p, [Fraction(1, 3)], [0.0]))
 
 
+def _stabilizer_at(p, x):
+    # the stabilizer over x, with the active set that the representative
+    # of the point over x finds
+    return cm.stabilizer(p, cm.canonical_representative(
+        p, section(p, x, (0.0,) * p.n)).active)
+
+
 def test_stabilizer_examples():
-    assert cm.stabilizer(FIXTURES["f1"](), (0,)) == cm.Stabilizer(
+    assert _stabilizer_at(FIXTURES["f1"](), (0,)) == cm.Stabilizer(
         ((-1,),), 1, True)
-    s = cm.stabilizer(FIXTURES["f2"](), (0, 0))
+    s = _stabilizer_at(FIXTURES["f2"](), (0, 0))
     assert s.generators == ((-1, 0), (0, -1))
     assert s.rank == 2 and s.saturated
-    assert cm.stabilizer(FIXTURES["f2"](), (0.25, 0.25)) == cm.Stabilizer(
+    assert _stabilizer_at(FIXTURES["f2"](), (0.25, 0.25)) == cm.Stabilizer(
         (), 0, True)
+    assert cm.stabilizer(FIXTURES["f2"](), pl.FaceIndexSet((3,))) == (
+        cm.Stabilizer(((1, 1),), 1, True))
 
 
 def test_stabilizer_f5_vertex_not_saturated():
-    s = cm.stabilizer(FIXTURES["f5"](), (1, 0))
+    s = cm.stabilizer(FIXTURES["f5"](), pl.FaceIndexSet((2, 3)))
+    assert s == _stabilizer_at(FIXTURES["f5"](), (1, 0))
     assert s.generators == ((0, -1), (2, 1))
     assert s.rank == 2
     assert not s.saturated
 
 
-def test_stabilizer_outside():
-    with pytest.raises(PointOutside):
-        cm.stabilizer(FIXTURES["f1"](), (1.5,))
-    with pytest.raises(PointOutside):
-        cm.stabilizer(FIXTURES["f1"](), (Fraction(-1, 3),))
-
-
-def test_activity_exact_vs_float():
-    p = FIXTURES["f1"]()
-    tiny = Fraction(1, 10 ** 12)
-    exact = cm.stabilizer(p, (1 - tiny,))
-    assert exact.generators == ()
-    rounded = cm.stabilizer(p, (1 - 1e-12,))
-    assert rounded.generators == ((1,),)
+def test_stabilizer_needs_an_active_set():
+    # a point is not an active set: its coordinates are no facet indices
+    with pytest.raises(AttributeError):
+        cm.stabilizer(FIXTURES["f1"](), (0,))
 
 
 def _freeness(name):
@@ -368,8 +368,11 @@ def reference_reduce_theta(p, theta, active):
         span_rank = pl.rational_rank(rows)
         if span_rank == n:
             return (0.0,) * n
+        # the tail of a unimodular completion of the saturated span: the
+        # columns past r of u^-1, for u h^T = [I_r; 0]
         saturated = il.integer_kernel_basis(il.integer_kernel_basis(rows), n)
-        tail = il.unimodular_row_completion(saturated)[len(saturated):]
+        _, u = il.hermite_transform(saturated, n)
+        tail = list(zip(*pl.rational_inverse(u)))[len(saturated):]
         u, _, _ = np.linalg.svd(np.array(rows, dtype=float).T)
         project = np.eye(n) - u[:, :span_rank] @ u[:, :span_rank].T
         v = project @ v

@@ -130,17 +130,6 @@ def test_kernel_known_cases():
     assert il.integer_kernel_basis([[1, 0, -1], [0, 1, -1]]) == [(1, 1, 1)]
 
 
-def test_unimodular_completion():
-    comp = il.unimodular_row_completion([[-1, 0]])
-    assert comp[0] == [1, 0]
-    assert abs(determinant(comp)) == 1
-    comp = il.unimodular_row_completion([[1, 2]])
-    assert comp[0] == [1, 2]
-    assert abs(determinant(comp)) == 1
-    with pytest.raises(ValueError):
-        il.unimodular_row_completion([[2, 0]])
-
-
 def test_rational_inverse():
     rng = random.Random(8)
     for _ in range(50):
@@ -161,7 +150,6 @@ def test_rational_inverse():
 def test_solve_and_determinant():
     for mat, det in (([[0, -1], [1, 1]], 1), ([[0, -1], [2, 1]], 2)):
         assert determinant(mat) == det
-        assert pl.unit_determinant(mat) == (abs(det) == 1)
 
 
 def _sympy_fractions(mat):
@@ -181,10 +169,9 @@ def _random_rational_rows(rng, m, n, rank):
 
 
 def test_elimination_matches_sympy():
-    # rank, solve, inverse and the unit-determinant check on random rational
-    # matrices, singular and rank-deficient ones included; half the
-    # right-hand sides are A x0, the others random, which a rank-deficient
-    # system generically cannot meet
+    # rank, solve and inverse on random rational matrices, singular and
+    # rank-deficient ones included; half the right-hand sides are A x0, the
+    # others random, which a rank-deficient system generically cannot meet
     rng = random.Random(20261019)
     seen = set()
     for _ in range(300):
@@ -224,22 +211,6 @@ def test_elimination_matches_sympy():
             else:
                 assert pl.rational_inverse(mat) == _sympy_fractions(a.inv())
     assert seen == {"inconsistent", "underdetermined", "unique", "singular"}
-    # the unit-determinant check on integer matrices, half of them
-    # unimodular products of elementary row operations
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        if rng.random() < 0.5:
-            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        else:
-            mat = pl.identity_matrix(n)
-            for _ in range(3 * n):
-                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-                if i != j:
-                    q = rng.randint(-2, 2)
-                    mat[i] = [u + q * v for u, v in zip(mat[i], mat[j])]
-                if rng.random() < 0.3:
-                    mat[i] = [-u for u in mat[i]]
-        assert pl.unit_determinant(mat) == (abs(determinant(mat)) == 1)
 
 
 def _draws(rng):
@@ -267,9 +238,9 @@ def _sympy_factors(mat):
 
 
 def test_normal_forms_match_sympy():
-    # rank, index, kernel and completion against sympy on the families on
-    # which the Smith normal form with transforms blew up; the work is
-    # bounded by the size of what the transforms hold, not by wall time
+    # rank, index and kernel against sympy on the families on which the
+    # Smith normal form with transforms blew up; the work is bounded by the
+    # size of what the transforms hold, not by wall time
     rng = random.Random(1)
     completed = 0
     for _ in range(100):
@@ -295,13 +266,25 @@ def test_normal_forms_match_sympy():
                 # in the span over Z: the Hermite form does not move
                 assert il.hermite_normal_form(
                     [list(v) for v in kernel] + [ints]) == u[len(image):]
-            for rows in (mat, kernel):
-                if not rows or il.lattice_rank_index(rows)[1] != 1:
-                    continue
-                comp = il.unimodular_row_completion(rows)
-                completed += 1
-                assert abs(determinant(comp)) == 1
-                h = il.hermite_normal_form(rows)
-                assert comp[:len(h)] == h
-                assert max(abs(v) for row in comp for v in row) <= bound
+    # the gauge lattice of `cutmodel`: for K the integer kernel of a family
+    # of r < n active conormals, K Z^n = Z^(n-r), and P = K^T (K K^T)^-1 K
+    # sends e_j to sum_i (K e_j)_i w_i, w_i the rows of (K K^T)^-1 K
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))]
+        kernel = il.integer_kernel_basis(rows, n)
+        if not kernel:
+            continue
+        completed += 1
+        assert il.hermite_normal_form(
+            [list(col) for col in zip(*kernel)]) == pl.identity_matrix(
+                len(kernel))
+        gram = matmul(kernel, [list(col) for col in zip(*kernel)])
+        weights = matmul(pl.rational_inverse(gram), kernel)
+        project = matmul([list(col) for col in zip(*kernel)], weights)
+        for j in range(n):
+            assert [row[j] for row in project] == [
+                sum((k[j] * w[c] for k, w in zip(kernel, weights)),
+                    Fraction(0)) for c in range(n)]
     assert completed >= 100
