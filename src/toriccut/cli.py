@@ -264,6 +264,8 @@ def main(argv=None) -> int:
         # checked first, so that a bad setting cannot end up inside a report
         polylattice.max_dim_limit()
         doc = load_document(path)
+        if command not in ("potential", "metric"):  # these evaluate any n
+            polylattice.check_scale(doc.pset)
         if command in FLOAT_COMMANDS:
             from . import floatreports as handlers
         else:

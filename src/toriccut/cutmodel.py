@@ -82,12 +82,14 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
 
 def _level_slacks(p: polylattice.PolyhedralSet, a: AmbientPoint):
     """The float slacks of a.x, one per facet, or None when some |z_i|^2
-    is off the i-th by more than LEVEL_TOL; |z|^2 is a product, so a
-    modulus past 1e154 squares to inf, which is off, and does not raise."""
+    is not within LEVEL_TOL of the i-th; |z|^2 is a product, so a modulus
+    past 1e154 squares to inf, which is off, and does not raise, and a NaN
+    slack (inf - inf) is off too."""
     from .kahlerpotential import _dot, float_facets
     etas, kappas = float_facets(p)
     slacks = [kappa - _dot(eta, a.x) for eta, kappa in zip(etas, kappas)]
-    if any(abs(abs(z) * abs(z) - s) > LEVEL_TOL for z, s in zip(a.z, slacks)):
+    if not all(abs(abs(z) * abs(z) - s) <= LEVEL_TOL
+               for z, s in zip(a.z, slacks)):
         return None
     return slacks
 
@@ -196,22 +198,22 @@ def freeness_table(p: polylattice.PolyhedralSet):
 
     Lists (I, j, free) for every nonempty face F_I and every facet j
     outside I whose combined face F_{I+j} is nonempty, in face enumeration
-    order and then by j. A combined face is nonempty exactly when it is
-    one of the enumerated faces. The lattice form of the freeness
-    argument: the conormals of I+j must span a saturated sublattice,
-    otherwise a finite stabilizer survives. The cover of the combined
-    face's witness settles this when its conormals are saturated.
+    order and then by j. Every subset of a face's facets is a face, so
+    these are the rows (K - j, j, free(K)) for each nonempty face K and
+    each j in K. The lattice form of the freeness argument: the conormals
+    of K must span a saturated sublattice, otherwise a finite stabilizer
+    survives. It is decided once per face, by the cover of K's witness
+    when its conormals are saturated, and otherwise by the rank and index
+    of K's own conormals.
     """
     covers = facelattice.active_faces(p)
-    table = []
-    for face in covers:
-        for j in range(1, len(p.facets) + 1):
-            if j in face:
-                continue
-            combined = polylattice.FaceIndexSet((*face, j))
-            if combined in covers:
-                free = (covers[combined].saturated
-                        or facelattice.saturation_check(
-                            [p.facets[i - 1].eta for i in combined]))
-                table.append((face, j, free))
-    return table
+    rows = {face: [] for face in covers}
+    for key, cover in covers.items():
+        if not key:  # the whole set: no facet to drop
+            continue
+        free = cover.saturated or intlinalg.lattice_rank_index(
+            [p.facets[i - 1].eta for i in key]) == (len(key), 1)
+        for j in key:
+            rows[polylattice.FaceIndexSet(i for i in key if i != j)].append(
+                (j, free))
+    return [(face, j, free) for face, row in rows.items() for j, free in row]

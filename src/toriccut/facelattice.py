@@ -236,15 +236,6 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
     return found
 
 
-def saturation_check(etas) -> bool:
-    """True iff the integer vectors are independent and span a saturated
-    sublattice: rank len(etas) and index 1 in its saturation."""
-    rows = [list(e) for e in etas]
-    if not rows:
-        raise ValueError("saturation of an empty family is undefined")
-    return intlinalg.lattice_rank_index(rows) == (len(rows), 1)
-
-
 def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
     """Run the four structural checks with witnesses for each failure.
 

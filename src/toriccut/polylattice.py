@@ -68,6 +68,17 @@ class PolyhedralSet(NamedTuple):
         return tuple(f.eta for f in self.facets)
 
 
+def check_scale(p: PolyhedralSet) -> None:
+    """Raise ScaleLimitExceeded, naming the bound, past the supported
+    dimension or facet count."""
+    limit = max_dim_limit()
+    if p.n > limit:
+        raise ScaleLimitExceeded(f"dimension {p.n} exceeds supported bound {limit}")
+    if len(p.facets) > DEFAULT_MAX_CONSTRAINTS:
+        raise ScaleLimitExceeded(f"{len(p.facets)} constraints exceed "
+                                 f"supported bound {DEFAULT_MAX_CONSTRAINTS}")
+
+
 class FaceIndexSet:
     """Subset of facet indices, 1-based, stored sorted and deduplicated.
 
@@ -377,17 +388,6 @@ def rational_inverse(mat):
             for row in (tb.tab[tb.basic.index(j)] for j in range(n))]
 
 
-def _check_scale(n, rows):
-    """Raise ScaleLimitExceeded, naming the bound, past the supported
-    dimension or row count."""
-    limit = max_dim_limit()
-    if n > limit:
-        raise ScaleLimitExceeded(f"dimension {n} exceeds supported bound {limit}")
-    if rows > DEFAULT_MAX_CONSTRAINTS:
-        raise ScaleLimitExceeded(f"{rows} constraints exceed supported "
-                                 f"bound {DEFAULT_MAX_CONSTRAINTS}")
-
-
 def feasible(constraints, n: int | None = None) -> FeasibilityResult:
     """Exact feasibility of a system of linear relations by the simplex method.
 
@@ -406,17 +406,12 @@ def feasible(constraints, n: int | None = None) -> FeasibilityResult:
         otherwise an integer Farkas certificate y, one multiplier per input
         constraint: y >= 0 on "<=" and "<" rows, y^T A = 0, and either
         y^T b < 0, or y^T b = 0 with y > 0 on some strict row.
-
-    Raises:
-        ScaleLimitExceeded: when the system is larger than the supported
-            desk scale (dimension or constraint count).
     """
     cons = list(constraints)
     if n is None:
         if not cons:
             raise ValueError("cannot infer dimension from an empty system")
         n = len(cons[0][0])
-    _check_scale(n, len(cons))
     # equalities become two opposite rows, placed first so that the free
     # variables pivot in on them; origin records (constraint, sign * scale)
     eq_rows, eq_origin, rows, origin = [], [], [], []
@@ -454,9 +449,7 @@ def max_margin_point(p: PolyhedralSet):
 
     Raises:
         ValueError: when the set is empty.
-        ScaleLimitExceeded: as `feasible`, whose cap row t <= 1 is free.
     """
-    _check_scale(p.n, len(p.facets))  # the cap row is not a facet
     rows = []
     for f in p.facets:
         ints, scale = integer_row([*f.eta, f.kappa])

@@ -19,6 +19,7 @@ import sympy
 from toriccut import contactcone as cc
 from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
+from toriccut import intlinalg as il
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NotGood
@@ -205,7 +206,8 @@ def test_c06_saturation_oracle_and_fixture_verdicts():
                     for _ in range(r)]
             if any(not any(row) for row in rows):
                 continue
-            assert fl.saturation_check(rows) == _minor_gcd_saturated(rows)
+            assert ((il.lattice_rank_index(rows) == (len(rows), 1))
+                    == _minor_gcd_saturated(rows))
         assert fl.unimodularity_report(FIXTURES["f1"]()).is_unimodular
         assert fl.unimodularity_report(FIXTURES["f2"]()).is_unimodular
         rep5 = fl.unimodularity_report(FIXTURES["f5"]())

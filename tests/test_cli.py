@@ -159,6 +159,13 @@ def test_exit_code_parse_errors(tmp_path):
 def test_exit_code_domain_errors(tmp_path):
     off_level = '{"x": [0.5], "theta": [0.3], "z": [[0.6, 0.4], [0.7, 0.0]]}'
     assert run_cli(["cut", data("f1.json"), "--ambient", off_level])[0] == 3
+    # the float slack of facet 1 at x is 1 - (2e308 - 2e308) = NaN; its
+    # exact slack is 1, so |z_1|^2 = 25 is off the level
+    nan_slack = tmp_path / "nan_slack.json"
+    nan_slack.write_text(json.dumps(_document(
+        [([2, -2], 1), ([0, -1], 0), ([-1, 0], 0)])), encoding="utf-8")
+    off_level = '{"x": [1e308, 1e308], "z": [5, 1e154, 1e154]}'
+    assert run_cli(["cut", str(nan_slack), "--ambient", off_level])[0] == 3
     zero_eta = tmp_path / "zero_eta.json"
     doc = json.loads((DATA / "f1.json").read_text(encoding="utf-8"))
     doc["facets"][0]["eta"] = [0]
@@ -170,10 +177,10 @@ def test_exit_code_domain_errors(tmp_path):
 
 
 def test_exit_code_scale_limit(tmp_path, capsys):
-    # classify meets the dimension gate inside its splitting, which must
-    # not report it as a homotopy error; invert meets both gates in
-    # max_margin_point, which counts the facets as every other command
-    # does, not its cap row t <= 1. Every gate names its bound
+    # every command but potential and metric meets both gates on the
+    # loaded set, before any exact work, so classify cannot report one as
+    # a homotopy error, and the bound counts facets, not the cap row
+    # t <= 1 of invert's max-margin point. Every gate names its bound
     gon = write_document(tmp_path / "gon65.json", delzant_polygon(65))
     dimension = "dimension 9 exceeds supported bound 8"
     rows = "65 constraints exceed supported bound 64"
@@ -675,13 +682,13 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1565),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1565),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1565),
-    (["validate", "f2.json"], 1428),
-    (["classify", "f4.json"], 1691),
-    (["cut", "f2.json"], 1645),
-    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 2196),
+    (["invert", "f2.json", "--target=6,6"], 1564),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1564),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1564),
+    (["validate", "f2.json"], 1413),
+    (["classify", "f4.json"], 1676),
+    (["cut", "f2.json"], 1632),
+    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 2183),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])
 def test_compile_budget(argv, budget):
@@ -885,6 +892,28 @@ def test_lattice_verdicts_on_snf8_and_pyr9(name):
     assert math.prod(factors) > 1
     assert report["homotopy"] == {
         "error": "conormal span is not saturated in the lattice"}
+
+
+def test_gates_on_the_loaded_set(tmp_path):
+    # the gates are checked on the loaded document before any exact work.
+    # classify on unsaturated9d exited 0: its splitting fails before any
+    # LP, where the gate was. cut on random(8, 70, 1) ran past 30 s in
+    # delzant_kernel. A cone of 64 facets exited 4: its face systems carry
+    # one more row, the Reeb slice. Each runs in a child with a timeout,
+    # so that a relapse fails instead of hanging
+    random70 = write_document(tmp_path / "random8_70_1.json",
+                              random_set(8, 70, 1))
+    cone64 = write_document(tmp_path / "cone64.json", delzant_cone(64))
+    for argv, code, message in [
+            (["classify", data("unsaturated9d.json")], 4,
+             "toric: dimension 9 exceeds supported bound 8\n"),
+            (["cut", random70], 4,
+             "toric: 70 constraints exceed supported bound 64\n"),
+            (["validate", cone64], 0, "")]:
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, message), argv
 
 
 def _count_calls(monkeypatch, module, name):

@@ -15,7 +15,8 @@ from toriccut import intlinalg as il
 from toriccut import polylattice as pl
 from toriccut.errors import NotOnLevel
 
-from conftest import FIXTURES, sample_interior, section, simplex
+from conftest import FIXTURES, random_set, sample_interior, section, simplex
+from test_cli import _sympy_saturated
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,7 +67,8 @@ def test_kernel_exact_sequence(name):
                    for row in pi_rows)
     assert len(k.kernel_basis) == nfac - pl.rational_rank(pi_rows)
     if k.kernel_basis:
-        assert fl.saturation_check(k.kernel_basis)
+        rows = [list(vec) for vec in k.kernel_basis]
+        assert il.lattice_rank_index(rows) == (len(rows), 1)
 
 
 def test_kernel_takes_one_hermite_transform(monkeypatch):
@@ -295,8 +297,14 @@ def test_stabilizer_needs_an_active_set():
         cm.stabilizer(FIXTURES["f1"](), (0,))
 
 
+# random(3, 8, 1) has a non-simple vertex; both have unsaturated faces
+RANDOM = {"random3_8_1": lambda: random_set(3, 8, 1),
+          "random4_8_1": lambda: random_set(4, 8, 1)}
+SETS = {**FIXTURES, **RANDOM}
+
+
 def _freeness(name):
-    table = cm.freeness_table(FIXTURES[name]())
+    table = cm.freeness_table(SETS[name]())
     return {(face.indices, j): free for face, j, free in table}
 
 
@@ -311,13 +319,35 @@ def test_freeness_table_skips_empty_faces():
     table = _freeness("f2")
     assert ((1, 2), 3) not in table
     assert all(j not in face for face, j in table)
-    # a pair is listed iff its combined face has a point (off the apex)
-    for name in ("f2", "f5", "f4", "f5_lift"):
-        p = FIXTURES[name]()
+    # a pair is listed iff its combined face has a point (off the apex),
+    # and it is free iff the combined conormals are saturated (sympy)
+    for name in ("f2", "f5", "f4", "f5_lift", *RANDOM):
+        p = SETS[name]()
         nonempty = {(face.indices, j) for face in fl.active_faces(p)
                     for j in range(1, len(p.facets) + 1) if j not in face
                     and fl.face_witness(p, (*face, j)) is not None}
-        assert set(_freeness(name)) == nonempty
+        table = _freeness(name)
+        assert set(table) == nonempty
+        for (face, j), free in table.items():
+            etas = [list(p.facets[i - 1].eta) for i in sorted((*face, j))]
+            assert free == _sympy_saturated(etas), (name, face, j)
+        if name in RANDOM:
+            assert not all(table.values())
+
+
+def test_one_rank_index_per_unsaturated_face(monkeypatch):
+    # free(K) is decided once per face K, by its cover when the cover is
+    # saturated; testing every row took 3751 calls on this set
+    p = random_set(6, 12, 1)
+    covers = fl.active_faces(p)
+    calls = []
+    original = il.lattice_rank_index
+    monkeypatch.setattr(fl, "active_faces", lambda q: covers)
+    monkeypatch.setattr(il, "lattice_rank_index",
+                        lambda rows: calls.append(rows) or original(rows))
+    assert len(cm.freeness_table(p)) == 3751
+    assert len(calls) == sum(1 for face, cover in covers.items()
+                             if face.indices and not cover.saturated) == 921
 
 
 @pytest.mark.parametrize("name", ["f1", "f2"])

@@ -178,16 +178,6 @@ class TestFeasible:
         if res.feasible:
             _assert_witness(cons, res.witness)
 
-    def test_scale_limit(self):
-        cons = [(tuple([1] * 9), pl.LE, 1)]
-        with pytest.raises(ScaleLimitExceeded):
-            pl.feasible(cons)
-
-    def test_env_raises_bound(self, monkeypatch):
-        monkeypatch.setenv("TORIC_MAX_DIM", "10")
-        cons = [(tuple([1] * 9), pl.LE, 1)]
-        assert pl.feasible(cons).feasible
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6))
@@ -204,6 +194,26 @@ class TestFeasible:
         assert res.feasible
         for i, (a, b) in enumerate(bounds):
             assert min(a, b) <= res.witness[i] <= max(a, b)
+
+
+class TestCheckScale:
+    # the gates are checked on the loaded set; feasible itself has none
+    def test_scale_limit(self):
+        with pytest.raises(ScaleLimitExceeded,
+                           match="dimension 9 exceeds supported bound 8"):
+            pl.check_scale(pl.polyhedral_set(9, [((1,) * 9, 1)]))
+        with pytest.raises(ScaleLimitExceeded,
+                           match="65 constraints exceed supported bound 64"):
+            pl.check_scale(delzant_polygon(65))
+        pl.check_scale(delzant_polygon(64))
+        assert pl.feasible([((1,) * 9, pl.LE, 1)]).feasible
+
+    def test_env_raises_bound(self, monkeypatch):
+        monkeypatch.setenv("TORIC_MAX_DIM", "10")
+        pl.check_scale(pl.polyhedral_set(10, [((1,) * 10, 1)]))
+        with pytest.raises(ScaleLimitExceeded,
+                           match="dimension 11 exceeds supported bound 10"):
+            pl.check_scale(pl.polyhedral_set(11, [((1,) * 11, 1)]))
 
 
 class TestMinimal:
@@ -428,12 +438,16 @@ def test_lineality_witness_needs_no_lp(monkeypatch, make):
     assert calls == []
 
 
+def _saturated(rows):
+    return il.lattice_rank_index(rows) == (len(rows), 1)
+
+
 class TestSaturation:
     def test_examples(self):
-        assert fl.saturation_check([(1, 0)])
-        assert fl.saturation_check([(1, 0), (1, 1)])
-        assert not fl.saturation_check([(0, -1), (2, 1)])
-        assert not fl.saturation_check([(1, 0), (-1, 0)])  # dependent
+        assert _saturated([(1, 0)])
+        assert _saturated([(1, 0), (1, 1)])
+        assert not _saturated([(0, -1), (2, 1)])
+        assert not _saturated([(1, 0), (-1, 0)])  # dependent
 
 
 class TestUnimodularity:
@@ -450,7 +464,7 @@ class TestUnimodularity:
         assert not rep.is_unimodular
         # the witness family really fails in isolation
         etas = [f5().facets[i - 1].eta for i in rep.saturated_witness]
-        assert not fl.saturation_check(etas)
+        assert not _saturated(etas)
 
     def test_non_primitive(self):
         p = pl.polyhedral_set(2, [((2, 2), 1)])
