@@ -46,7 +46,6 @@ toric cut       INPUT.json [--ambient '{"x":[...],"theta":[...],"z":[[re,im],...
 FLAGS = {"validate": {}, "classify": {}, "cut": {"ambient": False},
          "potential": {"points": False, "grid": False},
          "metric": {"points": True}, "invert": {"target": True}}
-FLOAT_COMMANDS = ("potential", "metric", "invert")
 
 
 class InputError(Exception):
@@ -115,8 +114,7 @@ def load_document(path: str) -> LoadedDocument:
     facets_raw = raw.get("facets")
     _expect(isinstance(facets_raw, list) and facets_raw,
             "facets must be a nonempty array")
-    facets = []
-    echo_facets = []
+    facets, echo_facets = [], []
     for pos, item in enumerate(facets_raw, start=1):
         _expect(isinstance(item, dict) and set(item) == {"eta", "kappa"},
                 f"facet {pos} must be an object with eta and kappa")
@@ -167,8 +165,8 @@ _SCALAR_TEXT = {int: int.__repr__, str: encode_basestring_ascii,
 def _emit(value, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(value, sort_keys=True,
     indent=2) writes, where newline breaks the line and indents it as the
-    line that value starts on. Rationals are written as strings and faces
-    as lists of indices; keys must be strings."""
+    line that value starts on; keys must be strings. Rationals are written
+    as strings, faces as index lists and a callable leaf f as f(newline)."""
     if isinstance(value, (dict, list, tuple)):
         if hasattr(value, "_fields"):
             # a NamedTuple record would flatten into a list and lose its
@@ -198,6 +196,8 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(encode_basestring_ascii(str(value)))
     elif isinstance(value, polylattice.FaceIndexSet):
         _emit([int(i) for i in value], newline, out)
+    elif callable(value):
+        out.append(value(newline))
     else:  # a scalar: json.dumps writes it alike with and without indent
         out.append(json.dumps(value))
 
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         doc = load_document(path)
         if command not in ("potential", "metric"):  # these evaluate any n
             polylattice.check_scale(doc.pset)
-        if command in FLOAT_COMMANDS:
+        if command in ("potential", "metric", "invert"):
             from . import floatreports as handlers
         else:
             from . import exactreports as handlers

@@ -17,14 +17,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import facelattice, polylattice
-from .errors import (IdentityViolation, NotACone, NotGood, NotInterior,
-                     PointOutside, ZeroPoint)
+from .errors import NotACone, NotGood, NotInterior, PointOutside, ZeroPoint
 
 SASAKIAN = "sasakian_type"
 NON_SASAKIAN = "non_sasakian_type"
 UNIT_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
-ACM_TOL = 1e-9
 
 
 class ContactClassification(NamedTuple):
@@ -185,26 +183,34 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
     diag(R^T G R, G^-1), and phi, the tangential part of J, sends r_j to
     (0, G r_j) and the angular e_j to the rotation coordinates w_k / x_m
     (k != m) of w = -G^-1 e_j + (<x, G^-1 e_j> / s^2) G^-1 x, which must
-    be orthogonal to x; that and the four identities are checked.
+    be orthogonal to x; that and the four identities are checked, each
+    entry against the magnitudes of its terms (`contactcheck`).
 
     Raises:
         NotInterior: cp touches the cone boundary.
-        IdentityViolation: a check fails beyond 1e-9.
+        IdentityViolation: a check fails.
     """
-    from .kahlerpotential import _dot
+    from .contactcheck import magnitudes, sqrt, verify_structure
     x, g, g_inv = _hessians(p, cp)
-    n = p.n
+    structure = _closed_form(x, g, g_inv)
+    verify_structure(structure, _closed_form(*magnitudes(x, g, g_inv), sqrt))
+    return structure[0]
+
+
+def _closed_form(x, g, g_inv, sqrt=math.sqrt):
+    """The structure of `induced_acm_structure` at x, and <x, w> for each
+    angle direction's w; on `Magnitude`s, sqrt is `contactcheck.sqrt`."""
+    from .kahlerpotential import _dot
+    n = len(x)
     g_inv_x = [_dot(row, x) for row in g_inv]
     s_sq = _dot(x, g_inv_x)
-    s = math.sqrt(s_sq)
+    s = sqrt(s_sq)
     m = max(range(n), key=lambda j: abs(x[j]))
     rotations = [[x[m] if k == j else -x[j] if k == m else 0.0
                   for k in range(n)] for j in range(n) if j != m]
     zeros = [0.0] * (n - 1)
     ws = [[c * g_inv_x[j] / s_sq - row[j] for row, c in zip(g_inv, g_inv_x)]
           for j in range(n)]
-    if max(abs(_dot(x, w)) for w in ws) > ACM_TOL:
-        raise IdentityViolation("J of an angle direction leaves the level")
     g_r = [[_dot(row, r) for row in g] for r in rotations]
     phi = ([zeros + [w[k] / x[m] for w in ws] for k in range(n) if k != m]
            + [[col[a] for col in g_r] + [0.0] * n for a in range(n)])
@@ -212,30 +218,9 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
               + [zeros + row for row in g_inv])
     frame = ([[r[a] for r in rotations] + [0.0] * n for a in range(n)]
              + [zeros + [float(a == b) for b in range(n)] for a in range(n)])
-    acm = AlmostContactMetric(zeros + [-v / s for v in g_inv_x],
-                              zeros + [-v / s for v in x], phi, metric, frame)
-    _verify_structure(acm)
-    return acm
-
-
-def _verify_structure(acm: AlmostContactMetric) -> None:
-    from .kahlerpotential import _dot
-    pairing = _dot(acm.alpha, acm.xi)
-    if abs(pairing - 1.0) > ACM_TOL:
-        raise IdentityViolation(f"alpha(xi) = {pairing!r}, expected 1")
-    if max(abs(_dot(row, acm.xi)) for row in acm.phi) > ACM_TOL:
-        raise IdentityViolation("phi does not annihilate xi")
-    cols = list(zip(*acm.phi))
-    square = [_dot(row, col) + float(a == b) - acm.xi[a] * acm.alpha[b]
-              for a, row in enumerate(acm.phi) for b, col in enumerate(cols)]
-    if max(map(abs, square)) > ACM_TOL:
-        raise IdentityViolation("phi squared misses -id + xi (x) alpha")
-    g_phi = [[_dot(row, col) for row in acm.metric] for col in cols]
-    compat = [_dot(cols[a], g_phi[b]) - acm.metric[a][b]
-              + acm.alpha[a] * acm.alpha[b]
-              for a in range(len(cols)) for b in range(len(cols))]
-    if max(map(abs, compat)) > ACM_TOL:
-        raise IdentityViolation("metric is not phi-compatible")
+    return (AlmostContactMetric(zeros + [-v / s for v in g_inv_x],
+                                zeros + [-v / s for v in x], phi, metric,
+                                frame), [_dot(x, w) for w in ws])
 
 
 def cone_metric_defect(p: polylattice.PolyhedralSet,

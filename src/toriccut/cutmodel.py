@@ -109,12 +109,6 @@ def stabilizer(p: polylattice.PolyhedralSet,
     return Stabilizer(gens, rank, (rank, index) == (len(gens), 1))
 
 
-def moment_level_membership(p: polylattice.PolyhedralSet,
-                            a: AmbientPoint) -> bool:
-    """True iff every |z_i|^2 equals the i-th slack within 1e-9."""
-    return _level_slacks(p, a) is not None
-
-
 def _babai_reduce(v, basis_vectors):
     # nearest-plane rounding: subtracts an integer combination so the
     # result lands in the Gram-Schmidt fundamental domain of the lattice

@@ -1,10 +1,12 @@
-"""Handlers of the float commands: `potential`, `metric` and `invert`, with
-the parsing of their points files, grids and targets. `cli.main` imports
-this module for these commands only. The float layer is plain Python, so
-none of them loads numpy. `potential` evaluates and writes CSV_CHUNK_ROWS
-points at a time, so a grid and its values are never held whole.
+"""Handlers of the float commands `potential`, `metric` and `invert`, with
+the parsing of their points files, grids and targets; `cli.main` imports
+this module for these commands only, and none of them loads numpy.
+`potential` evaluates and writes CSV_CHUNK_ROWS points at a time and
+formats each distinct nonzero value of a chunk once; `metric` fills its
+interior entries from a template that `_render` writes once per command.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -12,7 +14,7 @@ import sys
 
 from . import kahlerpotential
 from .cli import (EXIT_OK, InputError, LoadedDocument, _expect, _finite,
-                  _write_report)
+                  _render, _write_report)
 from .errors import ScaleLimitExceeded
 
 # a larger --grid exits 4 before any point is built
@@ -86,6 +88,13 @@ def _parse_grid(spec: str, n: int):
     return itertools.product(*axes), total
 
 
+class _Texts(dict):
+    """Texts of floats by value; a value without one, as 0.0 and -0.0 (one
+    key that prints as two), is formatted where it is looked up."""
+    def __missing__(self, value):
+        return repr(value)
+
+
 def cmd_potential(doc: LoadedDocument, points=None, grid=None) -> int:
     _expect((points is None) != (grid is None),
             "exactly one of --points and --grid is required")
@@ -102,14 +111,17 @@ def cmd_potential(doc: LoadedDocument, points=None, grid=None) -> int:
     rows = iter(rows)
     interior = 0
     # one chunk at a time, so neither the grid nor its values are held
-    # whole; the text is built column by column
+    # whole; each distinct nonzero value of a chunk is formatted once
     while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
         pts = kahlerpotential.interior_point(p, chunk)
         entropy = kahlerpotential.half_entropy(pts)
         columns = [*pts.x, kahlerpotential.symplectic_potential(pts, entropy),
                    kahlerpotential.guillemin_potential(pts, entropy),
                    *zip(*kahlerpotential.legendre_map(pts))]
-        lines = map(",".join, zip(*[map(repr, col) for col in columns]))
+        values = dict.fromkeys(itertools.chain(*columns))
+        values.pop(0.0, None)
+        text = _Texts(zip(values, map(repr, values))).__getitem__
+        lines = map(",".join, zip(*(map(text, column) for column in columns)))
         if grid is None:  # a --points row outside the set: NA values
             lines = [next(lines) if ok else ",".join(map(repr, row)) + missing
                      for row, ok in zip(chunk, pts.inside)]
@@ -133,27 +145,45 @@ def _residual(a, b, c) -> float:
     return max(worst)
 
 
+def _metric_template(n: int, one_cut: bool):
+    """Gives, from the texts of G, G^-1, -G^-1 (by rows), the residual, the
+    one-cut inverse and x, an interior `metric` entry as a leaf that
+    `cli._emit` writes at its indentation."""
+    slot, zero, nn = [lambda newline: "%s"] * n, [0.0] * n, n * n
+    entry = {"x": slot, "G": [slot] * n, "G_inv": [slot] * n,
+             "J": [zero + slot] * n + [slot + zero] * n,
+             "g": [slot + zero] * n + [zero + slot] * n,
+             "inverse_residual": slot[0], **({"one_cut": [slot] * n} if one_cut
+                                             else {})}
+    template = _render(entry)
+    # the slots follow the keys: G, G_inv, J = [[0, -G^-1], [G, 0]],
+    # g = [[G, 0], [0, G^-1]], inverse_residual, one_cut, x
+    return lambda t: functools.partial(str.replace, template % (
+        *t[:3 * nn], *t[:nn], *t[:nn], *t[nn:2 * nn], *t[3 * nn:]), "\n")
+
+
 def cmd_metric(doc: LoadedDocument, points: str) -> int:
     p = doc.pset
     rows = _load_points(points, p.n)
-    data = kahlerpotential.point_data(p, rows)
-    pts = data.points
+    pts, gs, g_invs = kahlerpotential.point_data(p, rows)
+    interior = zip(gs, g_invs, pts.l_values[0])
     identity = [[float(a == b) for b in range(p.n)] for a in range(p.n)]
+    one_cut = len(p.facets) == 1
+    entry = _metric_template(p.n, one_cut)
     entries = []
-    k = 0  # position of the next interior row in data
     for index, row in enumerate(rows):
         if not pts.inside[index]:
             entries.append({"x": row, "error": str(pts.rejection(index))})
             continue
-        entry = {"x": row, "G": data.G[k], "G_inv": data.G_inv[k],
-                 "J": data.J[k], "g": data.g[k],
-                 "inverse_residual": _residual(data.G[k], data.G_inv[k],
-                                               identity)}
-        if len(p.facets) == 1:
-            entry["one_cut"] = kahlerpotential.one_cut_inverse(
-                p.facets[0].eta, pts.l_values[0][k])
-        entries.append(entry)
-        k += 1
+        G, G_inv, l = next(interior)
+        cut = kahlerpotential.one_cut_inverse(p.facets[0].eta, l) if one_cut \
+            else []
+        inverse = [*itertools.chain(*G_inv)]
+        values = [*itertools.chain(*G), *inverse, *map(operator.neg, inverse),
+                  _residual(G, G_inv, identity), *itertools.chain(*cut), *row]
+        # each float formatted once, as `_render` would write it
+        entries.append(entry([*map(float.__repr__ if all(map(
+            math.isfinite, values)) else _render, values)]))
     _write_report(doc, {"metric": {"points": entries}})
     return EXIT_OK
 

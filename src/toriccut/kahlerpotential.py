@@ -5,12 +5,12 @@ Everything here is plain Python float64 with the natural logarithm; no
 numpy. The pointwise functions work on batches: points come as a sequence
 of rows of n floats, and each function returns a list with one value, row
 or matrix per point. A batch is evaluated column by column, one pass over
-all rows per step (`_combinations`), which costs the interpreter far less
-than a loop over points. Every value depends on its own row alone, and
-every sum adds its terms in order from 0.0, as `_dot` does, so a point
-gives the same bits alone, as a one-row batch, or among others.
-`invert_legendre` solves for one target at a time and evaluates its
-gradient with the same formula (`_gradient`).
+all rows per step, which costs the interpreter far less than a loop over
+points: the sums of `_combinations`, and each entry of G and of its
+Cholesky inverse. Every value depends on its own row alone, and every sum
+adds its terms in order from 0.0, as `_dot` does, so a point gives the
+same bits alone, as a one-row batch, or among others. `invert_legendre`
+solves for one target at a time, with the gradient formula (`_gradient`).
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ class InteriorPoints(NamedTuple):
     and by column: x[c][k] is coordinate c of the k-th interior row,
     l_values[i][k] = kappa_i - <x_k, eta_i> > 0 and log_values[i][k] its
     logarithm; l_infinity[k] is the sum of the slacks of that row. `inside`
-    marks which input rows they are. For every input row, worst_facet
-    (0-based) and worst_slack name its smallest slack, the first facet
-    among equal ones, a NaN slack first of all; a masked row reports them.
-    The float conormals (one row per facet) ride along so downstream
-    operations need only the batch.
+    marks which input rows they are. worst_slack is the smallest slack of
+    each input row; of a masked row, worst_facet (0-based, else None) names
+    it, the first among equal ones, a NaN slack first of all. The float
+    conormals (one row per facet) ride along so downstream operations need
+    only the batch.
     """
 
     x: list[list[float]]
@@ -51,7 +51,7 @@ class InteriorPoints(NamedTuple):
     l_infinity: list[float]
     etas: list[list[float]]
     inside: list[bool]
-    worst_facet: list[int]
+    worst_facet: list[int | None]
     worst_slack: list[float]
 
     def rejection(self, row: int) -> NotInterior:
@@ -71,15 +71,11 @@ class InteriorPoints(NamedTuple):
 
 
 class KahlerPointData(NamedTuple):
-    """The tensors that `metric` writes, of the interior rows of a batch,
-    one entry per row (CLI payload shape); `points` tells which input rows
-    they belong to."""
+    """G and G^-1 at each interior row of `points`, one matrix per row."""
 
     points: InteriorPoints
     G: list[list[list[float]]]
     G_inv: list[list[list[float]]]
-    J: list[list[list[float]]]
-    g: list[list[list[float]]]
 
 
 class NewtonResult(NamedTuple):
@@ -170,16 +166,16 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
               zip(kappas, _combinations(cols, etas))]
     totals = _row_sums(slacks)
     worst_slack = list(map(min, *slacks, repeat(math.inf)))
-    worst = [0] * len(totals)
-    for i in reversed(range(len(slacks))):
-        worst = [i if v == low else j
-                 for v, low, j in zip(slacks[i], worst_slack, worst)]
-    for k in compress(range(len(totals)), map(math.isnan, totals)):
-        # a NaN slack counts as the smallest, but min skips one not first
-        nans = [i for i, col in enumerate(slacks) if math.isnan(col[k])]
-        if nans:
-            worst[k], worst_slack[k] = nans[0], math.nan
-    inside = [v >= INTERIOR_MARGIN for v in worst_slack]
+    # a NaN slack makes the total NaN; min skips it unless it comes first
+    inside = [v >= INTERIOR_MARGIN and not math.isnan(total)
+              for v, total in zip(worst_slack, totals)]
+    outside = list(map(operator.not_, inside))
+    worst = [None] * len(totals)
+    for k, row in zip(compress(range(len(totals)), outside),
+                      compress(zip(*slacks), outside)):
+        if math.isnan(totals[k]):  # a NaN slack counts as the smallest
+            worst_slack[k] = next(filter(math.isnan, row), worst_slack[k])
+        worst[k] = row.index(worst_slack[k])  # by identity for a NaN
     l_values = [list(compress(col, inside)) for col in slacks]
     return InteriorPoints(
         x=[list(compress(col, inside)) for col in cols], l_values=l_values,
@@ -223,63 +219,83 @@ def legendre_map(pts: InteriorPoints) -> list[list[float]]:
     return list(map(list, zip(*_gradient(pts.x, pts.log_values, pts.etas))))
 
 
-def _hessian(columns, l) -> list[list[float]]:
-    """I + (1/2) sum_j eta_j eta_j^T / l_j at one point, not symmetrized,
-    from the conormals by column (columns[a][j] = eta_j[a]) and the slacks
-    l_j."""
-    weighted = [[e / s for e, s in zip(col, l)] for col in columns]
-    return [[float(a == b) + 0.5 * _dot(w, col)
-             for b, col in enumerate(columns)] for a, w in enumerate(weighted)]
+def _column_dot(us, vs):
+    """sum_k us[k] vs[k] row by row, in order from 0.0 as `_dot` sums."""
+    acc = repeat(0.0)
+    for u, v in zip(us, vs):
+        acc = [a + x * y for a, x, y in zip(acc, u, v)]
+    return acc
+
+
+def _symmetric_rows(g) -> list[list[list[float]]]:
+    """The matrix 0.5 (g + g^T) of each row, from entries kept by column."""
+    n = len(g)
+    flat = [[0.5 * (u + v) for u, v in zip(*pair)]
+            for row, col in zip(g, zip(*g)) for pair in zip(row, col)]
+    return [[list(row[a:a + n]) for a in range(0, n * n, n)]
+            for row in zip(*flat)]
+
+
+def _hessian_columns(etas, l_values) -> list[list[list[float]]]:
+    """Entry (a, b) of I + (1/2) sum_j eta_j eta_j^T / l_j by column, not
+    symmetrized; its sum leaves out the terms with eta_j[a] = 0."""
+    n = len(etas[0])
+    out = []
+    for a in range(n):
+        used = [(eta, col) for eta, col in zip(etas, l_values) if eta[a]]
+        sums = _combinations([[eta[a] / v for v in col] for eta, col in used],
+                             [[eta[b] for eta, _ in used] for b in range(n)]
+                             ) if used else [[0.0] * len(l_values[0])] * n
+        out.append([[float(a == b) + 0.5 * v for v in col]
+                    for b, col in enumerate(sums)])
+    return out
 
 
 def hessian_metric(pts: InteriorPoints) -> list[list[list[float]]]:
     """Hessian of the symplectic potential at each row, an n x n matrix:
     identity plus half the sum of rank-one conormal terms weighted by
     inverse slacks; symmetrized against rounding."""
-    columns = list(zip(*pts.etas))
-    n = len(columns)
-    out = []
-    for l in zip(*pts.l_values):
-        g = _hessian(columns, l)
-        out.append([[0.5 * (g[a][b] + g[b][a]) for b in range(n)]
-                    for a in range(n)])
-    return out
+    return _symmetric_rows(_hessian_columns(pts.etas, pts.l_values))
 
 
 def hessian_metric_inverse(g) -> list[list[list[float]]]:
     """Inverse of each matrix of a stack (one n x n matrix per row): from
     its Cholesky factor L, each column of L^-T L^-1 by forward then back
-    substitution; symmetrized against rounding.
+    substitution, entry by entry over the stack; symmetrized against
+    rounding.
 
     Raises:
-        NotSPD: a pivot of some factorization is not positive.
+        NotSPD: names the first pivot not positive of the first such matrix.
     """
-    out = []
-    for matrix in g:
-        n = len(matrix)
-        low = [[0.0] * n for _ in range(n)]
-        for j in range(n):
-            for i in range(j, n):
-                s = matrix[i][j] - _dot(low[i][:j], low[j][:j])
-                if i > j:
-                    low[i][j] = s / low[j][j]
-                elif s > 0.0:
-                    low[j][j] = math.sqrt(s)
-                else:  # NaN too
-                    raise NotSPD(f"matrix has no Cholesky factorization: "
-                                 f"pivot {j + 1} is {s!r}")
-        inv = []  # by columns
-        for c in range(n):
-            z = [0.0] * n
-            for i in range(c, n):  # L z = e_c
-                z[i] = (float(i == c) - _dot(low[i][c:i], z[c:i])) / low[i][i]
-            for i in reversed(range(n)):  # L^T w = z, in place
-                z[i] = (z[i] - _dot([low[k][i] for k in range(i + 1, n)],
-                                    z[i + 1:])) / low[i][i]
-            inv.append(z)
-        out.append([[0.5 * (inv[a][b] + inv[b][a]) for b in range(n)]
-                    for a in range(n)])
-    return out
+    g = [[list(col) for col in zip(*rows)] for rows in zip(*g)]  # g[a][b][k]
+    n = len(g)
+    low, pivots = [[None] * n for _ in range(n)], []
+    for j in range(n):
+        for i in range(j, n):
+            s = [v - d for v, d in
+                 zip(g[i][j], _column_dot(low[i][:j], low[j][:j]))]
+            if i > j:
+                low[i][j] = list(map(operator.truediv, s, low[j][j]))
+            else:  # NaN from a pivot that is not positive on
+                pivots.append(s)
+                low[j][j] = [math.sqrt(v) if v > 0.0 else math.nan for v in s]
+    for row in zip(*pivots):  # each matrix, at its first failing pivot
+        for j, s in enumerate(row):
+            if not s > 0.0:
+                raise NotSPD(f"matrix has no Cholesky factorization: "
+                             f"pivot {j + 1} is {s!r}")
+    inv = []  # by columns
+    for c in range(n):
+        z = [[0.0] * len(pivots[0])] * n
+        for i in range(c, n):  # L z = e_c
+            e = float(i == c)
+            z[i] = [(e - d) / v for d, v in
+                    zip(_column_dot(low[i][c:i], z[c:i]), low[i][i])]
+        for i in reversed(range(n)):  # L^T w = z, in place
+            z[i] = [(w - d) / v for w, d, v in zip(z[i], _column_dot(
+                [low[k][i] for k in range(i + 1, n)], z[i + 1:]), low[i][i])]
+        inv.append(z)
+    return _symmetric_rows(inv)
 
 
 def one_cut_inverse(eta, l: float) -> list[list[float]]:
@@ -299,20 +315,10 @@ def one_cut_inverse(eta, l: float) -> list[list[float]]:
 
 
 def point_data(p: polylattice.PolyhedralSet, x) -> KahlerPointData:
-    """G, G^-1, the complex structure J = [[0, -G^-1], [G, 0]] and the
-    metric g = [[G, 0], [0, G^-1]] in the (x, theta) frame, one of each per
-    interior row of a batch; the other rows are masked as in
-    `interior_point`."""
+    """G and G^-1 at each interior row of a batch (`interior_point`)."""
     pts = interior_point(p, x)
-    g_small = hessian_metric(pts)
-    g_inv = hessian_metric_inverse(g_small)
-    zero = [0.0] * p.n
-    jmat = [[zero + [-v for v in row] for row in inv]
-            + [row + zero for row in small]
-            for small, inv in zip(g_small, g_inv)]
-    metric = [[row + zero for row in small] + [zero + row for row in inv]
-              for small, inv in zip(g_small, g_inv)]
-    return KahlerPointData(pts, g_small, g_inv, jmat, metric)
+    g = hessian_metric(pts)
+    return KahlerPointData(pts, g, hessian_metric_inverse(g))
 
 
 class _Chart(NamedTuple):
@@ -406,11 +412,9 @@ def _jacobian(chart: _Chart, etas, l, scale):
     """d(legendre_map(x) - y)/dz entry by entry (not symmetrized), with
     scale = dq/dz. Entry (a, b) is M[a][b] scale[b], plus
     eta_j[a] (eta_j M)[b] scale[b] / (2 l_j) for each facet j outside B,
-    less eta_i[a] / 2 when b is the column of u_i. In the chart of x this
-    is the Hessian I + (1/2) sum_j eta_j eta_j^T / l_j (`_hessian`).
+    less eta_i[a] / 2 when b is the column of u_i. In the chart of x
+    (M = I, scale = 1) these are the bits of `_hessian_columns`.
     """
-    if not chart.facets:
-        return _hessian(list(zip(*etas)), l)
     n = len(scale)
     outside = [j for j in range(len(l)) if j not in chart.facets]
     weighted = [[etas[j][a] / l[j] for j in outside] for a in range(n)]

@@ -160,6 +160,15 @@ def delzant_cone(m):
         kind=pl.CONE)
 
 
+def kahler_tensors(G, G_inv):
+    """J = [[0, -G^-1], [G, 0]] and g = [[G, 0], [0, G^-1]] in the
+    (x, theta) frame, the layout `metric` writes, as numpy arrays."""
+    G, G_inv = np.array(G), np.array(G_inv)
+    zero = np.zeros_like(G)
+    return (np.block([[zero, -G_inv], [G, zero]]),
+            np.block([[G, zero], [zero, G_inv]]))
+
+
 def sample_interior(name, rng, count, margin=0.05):
     """Deterministic strictly interior samples for the named fixture."""
     pts = []

@@ -24,7 +24,7 @@ from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NotGood
 
-from conftest import FIXTURES, sample_interior, section
+from conftest import FIXTURES, kahler_tensors, sample_interior, section
 from test_cli import GOLDEN_CASES, resolve, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,7 +107,7 @@ def test_c02_complex_structure_compatibility(samples):
             eye = np.eye(2 * p.n)
             zero, unit = np.zeros((p.n, p.n)), np.eye(p.n)
             omega = np.block([[zero, unit], [-unit, zero]])
-            for J, g in zip(map(np.array, data.J), map(np.array, data.g)):
+            for J, g in map(kahler_tensors, data.G, data.G_inv):
                 assert np.max(np.abs(J @ J + eye)) < 1e-10
                 # the sign convention here pairs dx before dtheta, which
                 # makes the compatible product come out as +omega.J

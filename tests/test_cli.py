@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -28,7 +29,8 @@ from sympy.matrices.normalforms import smith_normal_form
 # counts their import
 from toriccut import (exactreports, facelattice, floatreports,  # noqa: F401
                       intlinalg, kahlerpotential, polylattice)
-from toriccut.cli import _render, main
+from toriccut import __version__
+from toriccut.cli import _render, load_document, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
                       random_set, write_document)
@@ -398,6 +400,113 @@ def test_metric_boundary_point_reports_error():
     assert "error" in points[2] and "G" not in points[2]
 
 
+def reference_metric_text(path, rows):
+    """The `metric` report as the generic renderer wrote it before the
+    entry template: json.dumps(sort_keys=True, indent=2) of the payload,
+    with J = [[0, -G^-1], [G, 0]] and g = [[G, 0], [0, G^-1]] laid out."""
+    doc = load_document(path)
+    p = doc.pset
+    data = kahlerpotential.point_data(p, rows)
+    identity = [[float(a == b) for b in range(p.n)] for a in range(p.n)]
+    zero = [0.0] * p.n
+    entries, k = [], 0
+    for index, row in enumerate(rows):
+        if not data.points.inside[index]:
+            entries.append({"x": row,
+                            "error": str(data.points.rejection(index))})
+            continue
+        G, G_inv = data.G[k], data.G_inv[k]
+        entry = {"x": row, "G": G, "G_inv": G_inv,
+                 "J": [zero + [-v for v in r] for r in G_inv]
+                 + [r + zero for r in G],
+                 "g": [r + zero for r in G] + [zero + r for r in G_inv],
+                 "inverse_residual": floatreports._residual(G, G_inv,
+                                                            identity)}
+        if len(p.facets) == 1:
+            entry["one_cut"] = kahlerpotential.one_cut_inverse(
+                p.facets[0].eta, data.points.l_values[0][k])
+        entries.append(entry)
+        k += 1
+    document = {"input": doc.echo,
+                "provenance": {"tool": "toriccut", "version": __version__,
+                               "tolerances": dict(sorted(
+                                   doc.tolerances.items()))},
+                "report": {"metric": {"points": entries}}}
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+METRIC_SETS = [(f"random{n}_{m}_{s}", random_set(n, m, s))
+               for n in range(1, 5) for m, s in ((n + 1, 1), (n + 3, 2))]
+METRIC_SETS += [
+    # a point far out makes inf - inf: a NaN slack
+    ("nan_slack", polylattice.polyhedral_set(2, [
+        ((3, -2), 1), ((-1, 0), 0), ((0, -1), 0), ((1, 1), 4)])),
+    ("one_facet", polylattice.polyhedral_set(2, [((1, 1), 1)])),
+    # G overflows to inf at its interior points: JSON writes Infinity
+    ("huge_conormal", polylattice.polyhedral_set(2, [
+        ((10**200, 1), 1), ((-10**200, -1), 1), ((0, -1), 0), ((0, 1), 1)]))]
+
+
+@pytest.mark.parametrize("name, p", METRIC_SETS,
+                         ids=[name for name, _ in METRIC_SETS])
+def test_metric_text_matches_generic_renderer(tmp_path, name, p):
+    # interior entries are written from a template; the bytes stay those
+    # of json.dumps on the full payload
+    path = write_document(tmp_path / f"{name}.json", p)
+    start, _ = polylattice.max_margin_point(p)
+    rng = random.Random(name)
+    center = [float(v) for v in start]
+    rows = [center] + [[v + rng.choice([0.0, 1e-13, 0.05, 0.5, 3.0])
+                        * rng.uniform(-1, 1) for v in center]
+                       for _ in range(40)]
+    rows += [[1e308] * p.n, [-1e308] + [1e308] * (p.n - 1), [0.0] * p.n,
+             [-0.0] * p.n, [0.0, 0.5], [1e-201, 0.25]][:4 + 2 * (p.n == 2)]
+    points = tmp_path / f"{name}.txt"
+    points.write_text("".join(" ".join(map(repr, row)) + "\n"
+                              for row in rows))
+    code, text = run_cli(["metric", str(path), "--points", str(points)])
+    assert code == 0
+    assert text == reference_metric_text(str(path), rows)
+    if name == "huge_conormal":
+        assert "Infinity" in text
+    if name == "nan_slack":
+        assert "slack nan below margin" in text
+
+
+def test_potential_texts_match_repr():
+    # texts are looked up by value; one not stored, as a zero of either
+    # sign (0.0 and -0.0 are one key) or another NaN, is formatted there
+    rng = random.Random(5)
+    repeated = [rng.choice([0.1, -2.5, 1e-300, 3.0]) for _ in range(100)]
+    columns = (repeated, repeated + [0.0, -0.0], [-0.0] * 5 + repeated,
+               [float(i) for i in range(50)],
+               [rng.random() for _ in range(50)],
+               [math.nan] * 2 + [1.0] * 6, [0.0, -0.0, 0.0], (), [-0.0])
+    texts = floatreports._Texts((v, repr(v)) for v in columns[0])
+    for column in columns:
+        assert [texts[v] for v in column] == list(map(repr, column))
+    assert 0.0 not in texts
+
+
+def test_potential_keeps_zero_signs(tmp_path):
+    # x1 = 0 is interior, so a grid axis or a row at -0.0 or 0.0 is
+    # evaluated and written with its sign
+    box = write_document(tmp_path / "box.json", polylattice.polyhedral_set(
+        2, [((-1, 0), 1), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1)]))
+    for zero in ("-0.0", "0.0"):
+        code, text = run_cli(["potential", str(box),
+                              f"--grid={zero}:1:1,0.1:0.9:5"])
+        lines = text.splitlines()
+        assert code == 0 and lines[-1] == "# skipped: 0"
+        assert [line.split(",")[0] for line in lines[1:-1]] == [zero] * 5
+    points = tmp_path / "zeros.txt"
+    points.write_text("0.0 0.5\n-0.0 0.5\n-0.0 -0.0\n0.0 0.0\n")
+    code, text = run_cli(["potential", str(box), "--points", str(points)])
+    assert code == 0
+    assert [line.split(",")[:2] for line in text.splitlines()[1:]] == [
+        ["0.0", "0.5"], ["-0.0", "0.5"], ["-0.0", "-0.0"], ["0.0", "0.0"]]
+
+
 def test_non_finite_coordinates_rejected(tmp_path, capsys):
     points = tmp_path / "nan_points.txt"
     points.write_text("0.5\nnan\n", encoding="utf-8")
@@ -682,9 +791,9 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1564),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1564),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1564),
+    (["invert", "f2.json", "--target=6,6"], 1594),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1594),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1594),
     (["validate", "f2.json"], 1413),
     (["classify", "f4.json"], 1676),
     (["cut", "f2.json"], 1632),

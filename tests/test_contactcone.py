@@ -9,16 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toriccut import contactcheck
 from toriccut import contactcone as cc
 from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
 from toriccut import intlinalg as il
 from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
-from toriccut.errors import (NotACone, NotGood, NotInterior, PointOutside,
-                             ZeroPoint)
+from toriccut.errors import (IdentityViolation, NotACone, NotGood, NotInterior,
+                             PointOutside, ZeroPoint)
 
-from conftest import FIXTURES, delzant_cone, determinant, orthant
+from conftest import (FIXTURES, delzant_cone, determinant, kahler_tensors,
+                      orthant)
 
 GOOD_CONES = ["f3", "f4", "lens", "halfspace_r3"]
 # pointed good cones for the almost contact metric structure
@@ -293,7 +295,7 @@ def reference_acm(p, cp):
     x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
     data = kp.point_data(p, [x])
     assert data.points.inside == [True]
-    j_mat, h = np.array(data.J[0]), np.array(data.g[0])
+    j_mat, h = kahler_tensors(data.G[0], data.G_inv[0])
     n = p.n
     nu_x = h[n:, n:] @ x
     nu = np.concatenate([nu_x, np.zeros(n)]) / math.sqrt(float(x @ nu_x))
@@ -351,6 +353,83 @@ def test_acm_needs_interior():
         cc.induced_acm_structure(p, cp)
     with pytest.raises(NotInterior):
         cc.cone_metric_defect(p, cp)
+
+
+def delzant_unit_points(m, count):
+    """delzant_cone(m) and count random points of its unit level: positive
+    combinations of its extreme rays with random.Random(m) weights."""
+    p = delzant_cone(m)
+    rays = cc._rays(fl.unimodularity_report(p).covers, p.n)
+    rng = random.Random(m)
+    points = []
+    for _ in range(count):
+        weights = [rng.random() for _ in rays]
+        x = [sum(w * ray[j] for w, ray in zip(weights, rays))
+             for j in range(p.n)]
+        points.append([v / math.hypot(*x) for v in x])
+    return p, points
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_acm_checks_scale_with_thin_cones(m):
+    # the entries of G grow like 1/slack; an absolute tolerance of 1e-9
+    # raised on up to 11 of these 20 points per cone
+    p, points = delzant_unit_points(m, 20)
+    for x in points:
+        acm = cc.induced_acm_structure(p, cc.contact_point(p, x))
+        assert len(acm.phi) == 2 * p.n - 1
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_acm_checks_catch_a_perturbed_phi(m):
+    # every nonzero entry of phi, off by 1e-8 relative, fails a check
+    p, points = delzant_unit_points(m, 3)
+    for x in points:
+        x, g, g_inv = cc._hessians(p, cc.contact_point(p, x))
+        acm, orth = cc._closed_form(x, g, g_inv)
+        size = cc._closed_form(*contactcheck.magnitudes(x, g, g_inv),
+                               contactcheck.sqrt)
+        contactcheck.verify_structure((acm, orth), size)
+        for i, row in enumerate(acm.phi):
+            for j in (j for j, v in enumerate(row) if v):
+                phi = [list(r) for r in acm.phi]
+                phi[i][j] *= 1 + 1e-8
+                with pytest.raises(IdentityViolation, match="entry"):
+                    contactcheck.verify_structure(
+                        (acm._replace(phi=phi), orth), size)
+
+
+def test_magnitude_arithmetic():
+    a, b = (contactcheck.Magnitude(abs(v), v) for v in (2.0, -3.0))
+    results = [a - b, 1.0 - a, -a, a * -4.0, -4.0 * a, a / -4.0, 0.0 + a,
+               a / b, contactcheck.sqrt(a * a)]
+    assert [(float(v), v.value) for v in results] == [
+        (5.0, 5.0), (3.0, -1.0), (2.0, -2.0), (8.0, -8.0), (8.0, -8.0),
+        (1.0, -0.5), (2.0, 2.0), (4.0 / 3.0, 2.0 / -3.0), (4.0, 2.0)]
+    assert all(type(v) is contactcheck.Magnitude for v in results)
+
+
+def test_acm_checks_count_a_cancelling_denominator():
+    # G = d I + v v^T with signs mixed in v: <x, G^-1 x> is up to ~10^4
+    # times smaller than the sum of the magnitudes of its terms, and the
+    # quotients by it and by its root carry that relative error
+    rng = random.Random(3)
+    worst = 0.0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        d = 10 ** rng.uniform(-9, -1)
+        v = [rng.choice([1, -1]) * rng.uniform(0.5, 1) for _ in range(n)]
+        g = [[float(a == b) * d + v[a] * v[b] for b in range(n)]
+             for a in range(n)]
+        x = [rng.uniform(0.1, 1) for _ in range(n)]
+        g_inv = kp.hessian_metric_inverse([g])[0]
+        inputs = contactcheck.magnitudes(x, g, g_inv)
+        size = cc._closed_form(*inputs, contactcheck.sqrt)
+        s_sq = sum(a * b * c for a, row in zip(*inputs[::2])
+                   for b, c in zip(row, inputs[0]))
+        worst = max(worst, float(s_sq) / s_sq.value)
+        contactcheck.verify_structure(cc._closed_form(x, g, g_inv), size)
+    assert worst > 1e4
 
 
 def central_difference_defect(p, cp, step=1e-5):

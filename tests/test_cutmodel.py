@@ -95,16 +95,20 @@ def test_membership_ignores_phases():
         phases = rng.uniform(0, TWO_PI, size=2)
         z = [math.sqrt(0.5) * cmath.exp(1j * t) for t in phases]
         a = cm.ambient_point([0.5], [0.0], z)
-        assert cm.moment_level_membership(p, a)
-    assert not cm.moment_level_membership(
-        p, cm.ambient_point([0.5], [0.0], [1.0, 1.0]))
+        assert cm.canonical_representative(p, a).active == pl.FaceIndexSet(())
+    with pytest.raises(NotOnLevel):
+        cm.canonical_representative(
+            p, cm.ambient_point([0.5], [0.0], [1.0, 1.0]))
 
 
 def test_membership_boundary_and_outside():
     p = FIXTURES["f1"]()
-    assert cm.moment_level_membership(p, cm.ambient_point([0.0], [0.0], [0.0, 1.0]))
+    boundary = cm.ambient_point([0.0], [0.0], [0.0, 1.0])
+    assert cm.canonical_representative(p, boundary).active == \
+        pl.FaceIndexSet([1])
     outside = cm.ambient_point([1.5], [0.0], [0.0, 0.0])
-    assert not cm.moment_level_membership(p, outside)
+    with pytest.raises(NotOnLevel):
+        cm.canonical_representative(p, outside)
 
 
 def test_canonical_phase_transfer():
@@ -261,7 +265,8 @@ def test_embed_values():
     third = math.sqrt(1 / 3)
     assert all(abs(z - third) < 1e-15 for z in b.z)
     assert section(p, [0], [0.0]).z == (0j, 1 + 0j)
-    assert cm.moment_level_membership(p, section(p, [Fraction(1, 3)], [0.0]))
+    third = cm.canonical_representative(p, section(p, [Fraction(1, 3)], [0.0]))
+    assert third.active == pl.FaceIndexSet(())
 
 
 def _stabilizer_at(p, x):

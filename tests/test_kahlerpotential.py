@@ -13,8 +13,8 @@ from toriccut import kahlerpotential as kp
 from toriccut import polylattice as pl
 from toriccut.errors import NoConvergence, NotInterior, NotSPD
 
-from conftest import (cube, f1, f2, f3, f4, f5, random_set, sample_interior,
-                      slab)
+from conftest import (cube, f1, f2, f3, f4, f5, kahler_tensors, random_set,
+                      sample_interior, slab)
 
 mp.dps = 40
 
@@ -142,6 +142,125 @@ class TestInteriorPoint:
         assert kp.symplectic_potential(empty) == []
         assert kp.legendre_map(empty) == []
         assert kp.hessian_metric(empty) == []
+
+
+def reference_inverse(g):
+    """G^-1 of each matrix of a stack by the per-matrix Cholesky loop that
+    the column version replaced."""
+    out = []
+    for matrix in g:
+        n = len(matrix)
+        low = [[0.0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                s = matrix[i][j] - kp._dot(low[i][:j], low[j][:j])
+                if i > j:
+                    low[i][j] = s / low[j][j]
+                elif s > 0.0:
+                    low[j][j] = math.sqrt(s)
+                else:
+                    raise NotSPD(f"matrix has no Cholesky factorization: "
+                                 f"pivot {j + 1} is {s!r}")
+        inv = []
+        for c in range(n):
+            z = [0.0] * n
+            for i in range(c, n):
+                z[i] = ((float(i == c) - kp._dot(low[i][c:i], z[c:i]))
+                        / low[i][i])
+            for i in reversed(range(n)):
+                z[i] = (z[i] - kp._dot([low[k][i] for k in range(i + 1, n)],
+                                       z[i + 1:])) / low[i][i]
+            inv.append(z)
+        out.append([[0.5 * (inv[a][b] + inv[b][a]) for b in range(n)]
+                    for a in range(n)])
+    return out
+
+
+def reference_worst(slack_rows):
+    """(worst facet, worst slack) of a row as the full scan named them: the
+    first NaN slack, else the first facet of smallest slack."""
+    out = []
+    for row in slack_rows:
+        nans = [i for i, v in enumerate(row) if math.isnan(v)]
+        worst = nans[0] if nans else row.index(min(row))
+        out.append((worst, math.nan if nans else row[worst]))
+    return out
+
+
+COLUMN_SETS = [("f1", f1), ("f2", f2), ("f3", f3), ("f4", f4), ("f5", f5),
+               ("slab", slab), ("cube3", lambda: cube(3)),
+               ("one_facet", lambda: pl.polyhedral_set(2, [((1, 1), 1)]))]
+COLUMN_SETS += [(f"random{n}_{m}_{s}",
+                 lambda n=n, m=m, s=s: random_set(n, m, s))
+                for n in range(1, 7) for m, s in ((n + 1, 1), (2 * n + 1, 2))]
+
+
+class TestColumnMetric:
+    @pytest.mark.parametrize("name, fix", COLUMN_SETS,
+                             ids=[name for name, _ in COLUMN_SETS])
+    def test_matches_per_point_reference(self, name, fix):
+        # G and G^-1 are built entry by entry over the batch; every row
+        # keeps the bits of the per-point formulas, in a batch with rows
+        # outside the set and in a one-row batch
+        p = fix()
+        start, _ = pl.max_margin_point(p)
+        rng = np.random.default_rng(len(name))
+        center = [float(v) for v in start]
+        xs = [center] + (center + rng.uniform(-1.5, 1.5, size=(60, p.n))
+                         ).tolist()
+        xs += [[float("nan")] * p.n, [1e308] * p.n]
+        pts = kp.interior_point(p, xs)
+        assert 0 < sum(pts.inside) < len(xs)
+        expected = [reference_point(p, x)[3]
+                    for x, ok in zip(xs, pts.inside) if ok]
+        assert bits(kp.hessian_metric(pts)) == bits(expected)
+        assert bits(kp.hessian_metric(kp.interior_point(p, xs[:1]))) == bits(
+            expected[:1])
+        data = kp.point_data(p, xs)
+        assert bits(data.G) == bits(expected)
+        assert bits(data.G_inv) == bits(reference_inverse(expected))
+        assert bits(kp.hessian_metric_inverse(expected[:1])) == bits(
+            reference_inverse(expected[:1]))
+        # the worst facet is looked for in the masked rows only
+        masked = [k for k, ok in enumerate(pts.inside) if not ok]
+        slack_rows = [[float(f.kappa) - in_order(
+            float(e) * v for e, v in zip(f.eta, xs[k])) for f in p.facets]
+            for k in masked]
+        for k, (facet, slack) in zip(masked, reference_worst(slack_rows)):
+            assert pts.worst_facet[k] == facet
+            assert pts.worst_slack[k] == slack or (
+                math.isnan(pts.worst_slack[k]) and math.isnan(slack))
+        assert all(pts.worst_facet[k] is None
+                   for k, ok in enumerate(pts.inside) if ok)
+
+    @pytest.mark.parametrize("name, fix", COLUMN_SETS[:8],
+                             ids=[name for name, _ in COLUMN_SETS[:8]])
+    def test_newton_jacobian_in_x_is_the_hessian(self, name, fix):
+        # the Newton step in the chart of x takes the general chart
+        # Jacobian, which there has the bits of the Hessian's entries
+        p = fix()
+        etas = kp.float_facets(p)[0]
+        chart = kp._chart(p, ())
+        rng = np.random.default_rng(len(name))
+        for l in rng.uniform(1e-6, 5.0, size=(5, len(p.facets))).tolist():
+            hessian = kp._hessian_columns(etas, [[v] for v in l])
+            assert bits(kp._jacobian(chart, etas, l, [1.0] * p.n)) == bits(
+                [[col[0] for col in row] for row in hessian])
+
+    def test_not_spd_names_first_row_and_its_first_pivot(self):
+        # the first row fails at pivot 3, the second already at pivot 1;
+        # the error names the first row's pivot, as the per-row loop did
+        stack = [[[1.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]],
+                 [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]
+        for rows in (stack, stack[1:], stack[2:], stack[::-1]):
+            with pytest.raises(NotSPD) as got:
+                kp.hessian_metric_inverse(rows)
+            with pytest.raises(NotSPD) as expected:
+                reference_inverse(rows)
+            assert str(got.value) == str(expected.value)
+        with pytest.raises(NotSPD, match="pivot 3 is -8.0"):
+            kp.hessian_metric_inverse(stack)
 
 
 class TestPotentials:
@@ -413,9 +532,10 @@ def symplectic_form(n):
 class TestBlockTensors:
     def test_f1_frozen(self):
         data = kp.point_data(f1(), [[0.5]])
-        assert np.allclose(data.J, [[[0, -1 / 3], [3, 0]]], atol=1e-14)
-        assert np.allclose(data.g, [[[3, 0], [0, 1 / 3]]], atol=1e-14)
         assert data.G == [[[3.0]]] and np.allclose(data.G_inv, [[[1 / 3]]])
+        jmat, metric = kahler_tensors(data.G[0], data.G_inv[0])
+        assert np.allclose(jmat, [[0, -1 / 3], [3, 0]], atol=1e-14)
+        assert np.allclose(metric, [[3, 0], [0, 1 / 3]], atol=1e-14)
 
     def test_compatibility(self):
         rng = np.random.default_rng(16)
@@ -424,13 +544,9 @@ class TestBlockTensors:
             data = kp.point_data(p, sample_interior(name, rng, 5))
             assert all(data.points.inside)
             omega = symplectic_form(p.n)
-            for G, G_inv, jmat, metric in zip(data.G, data.G_inv, data.J,
-                                              data.g):
-                jmat, metric = np.array(jmat), np.array(metric)
+            for G, G_inv in zip(data.G, data.G_inv):
+                jmat, metric = kahler_tensors(G, G_inv)
                 dim = 2 * p.n
-                assert np.array_equal(metric, np.block(
-                    [[np.array(G), np.zeros((p.n, p.n))],
-                     [np.zeros((p.n, p.n)), np.array(G_inv)]]))
                 assert np.max(np.abs(jmat @ jmat + np.eye(dim))) < 1e-10
                 assert np.max(np.abs(metric - omega @ jmat)) < 1e-10
                 assert np.max(np.abs(jmat.T @ omega @ jmat - omega)) < 1e-10
@@ -464,7 +580,7 @@ def evaluate(p, xs):
     per_interior = [list(zip(*pts.x)), list(zip(*pts.l_values)),
                     list(zip(*pts.log_values)), pts.l_infinity,
                     kp.symplectic_potential(pts), kp.guillemin_potential(pts),
-                    kp.legendre_map(pts), data.G, data.G_inv, data.J, data.g]
+                    kp.legendre_map(pts), data.G, data.G_inv]
     return per_input, per_interior
 
 
