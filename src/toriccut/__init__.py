@@ -7,13 +7,13 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = ("cli", "contactcheck", "contactcone", "cutmodel", "errors",
-               "exactreports", "facelattice", "floatreports", "intlinalg",
-               "kahlerpotential", "polylattice")
+               "exactreports", "facelattice", "floatbase", "floatreports",
+               "intlinalg", "kahlerpotential", "legendreinverse",
+               "polylattice")
 
 
 def __getattr__(name):
-    # `toriccut.<submodule>` imports the submodule on first use, so the
-    # package exposes every layer and `import toriccut` compiles none
+    # a layer is imported on first use: `import toriccut` compiles none
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

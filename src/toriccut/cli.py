@@ -8,10 +8,10 @@ failure, 4 desk scale exceeded, 5 no convergence.
 `main` parses argv, loads the document, and only then imports the handler
 of the command: `exactreports` for validate, classify and cut,
 `floatreports` for potential, metric and invert. They import the layers
-they run, so a command compiles no other command's code. JSON reports are
-written by `_render`, which gives the bytes of json.dumps(sort_keys=True,
-indent=2) in one pass. `entry`, the console script, exits without
-interpreter teardown.
+they run (`legendreinverse` only for invert), so a command compiles no
+other command's code. JSON reports are written by `_render`, which gives
+the bytes of json.dumps(sort_keys=True, indent=2) in one pass. `entry`,
+the console script, exits without interpreter teardown.
 """
 
 import json

@@ -82,19 +82,19 @@ def identities(acm, orth) -> dict:
     names: the angle directions' images under J are tangent to the level
     (orth, <x, w> of each w of the closed form), alpha(xi) = 1, phi xi = 0,
     phi^2 = -id + xi (x) alpha and g(phi., phi.) = g - alpha (x) alpha."""
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     cols = list(zip(*acm.phi))
-    g_phi = [[_dot(row, col) for row in acm.metric] for col in cols]
+    g_phi = [[dot(row, col) for row in acm.metric] for col in cols]
     frame = range(len(cols))
     return {
         "J of an angle direction leaves the level": orth,
-        "alpha(xi) misses 1": [_dot(acm.alpha, acm.xi) - 1.0],
-        "phi does not annihilate xi": [_dot(row, acm.xi) for row in acm.phi],
+        "alpha(xi) misses 1": [dot(acm.alpha, acm.xi) - 1.0],
+        "phi does not annihilate xi": [dot(row, acm.xi) for row in acm.phi],
         "phi squared misses -id + xi (x) alpha": [
-            _dot(row, col) + float(a == b) - acm.xi[a] * acm.alpha[b]
+            dot(row, col) + float(a == b) - acm.xi[a] * acm.alpha[b]
             for a, row in enumerate(acm.phi) for b, col in enumerate(cols)],
         "metric is not phi-compatible": [
-            _dot(cols[a], g_phi[b]) - acm.metric[a][b]
+            dot(cols[a], g_phi[b]) - acm.metric[a][b]
             + acm.alpha[a] * acm.alpha[b] for a in frame for b in frame]}
 
 

@@ -147,14 +147,14 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
         ZeroPoint: the apex has no direction.
         PointOutside: x is not in the cone.
     """
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     _require_cone(p)
     v = [float(c) for c in x]
     norm = math.hypot(*v)
     if norm == 0.0:
         raise ZeroPoint("cannot normalize the apex")
     for i, f in enumerate(p.facets, start=1):
-        if _dot(f.eta, v) > BOUNDARY_TOL * norm:
+        if dot(f.eta, v) > BOUNDARY_TOL * norm:
             raise PointOutside(f"facet {i} violated")
     return tuple(c / norm for c in v)
 
@@ -200,10 +200,10 @@ def induced_acm_structure(p: polylattice.PolyhedralSet,
 def _closed_form(x, g, g_inv, sqrt=math.sqrt):
     """The structure of `induced_acm_structure` at x, and <x, w> for each
     angle direction's w; on `Magnitude`s, sqrt is `contactcheck.sqrt`."""
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     n = len(x)
-    g_inv_x = [_dot(row, x) for row in g_inv]
-    s_sq = _dot(x, g_inv_x)
+    g_inv_x = [dot(row, x) for row in g_inv]
+    s_sq = dot(x, g_inv_x)
     s = sqrt(s_sq)
     m = max(range(n), key=lambda j: abs(x[j]))
     rotations = [[x[m] if k == j else -x[j] if k == m else 0.0
@@ -211,16 +211,16 @@ def _closed_form(x, g, g_inv, sqrt=math.sqrt):
     zeros = [0.0] * (n - 1)
     ws = [[c * g_inv_x[j] / s_sq - row[j] for row, c in zip(g_inv, g_inv_x)]
           for j in range(n)]
-    g_r = [[_dot(row, r) for row in g] for r in rotations]
+    g_r = [[dot(row, r) for row in g] for r in rotations]
     phi = ([zeros + [w[k] / x[m] for w in ws] for k in range(n) if k != m]
            + [[col[a] for col in g_r] + [0.0] * n for a in range(n)])
-    metric = ([[_dot(r, q) for q in g_r] + [0.0] * n for r in rotations]
+    metric = ([[dot(r, q) for q in g_r] + [0.0] * n for r in rotations]
               + [zeros + row for row in g_inv])
     frame = ([[r[a] for r in rotations] + [0.0] * n for a in range(n)]
              + [zeros + [float(a == b) for b in range(n)] for a in range(n)])
     return (AlmostContactMetric(zeros + [-v / s for v in g_inv_x],
                                 zeros + [-v / s for v in x], phi, metric,
-                                frame), [_dot(x, w) for w in ws])
+                                frame), [dot(x, w) for w in ws])
 
 
 def cone_metric_defect(p: polylattice.PolyhedralSet,
@@ -240,9 +240,9 @@ def cone_metric_defect(p: polylattice.PolyhedralSet,
     Raises:
         NotInterior: cp touches the cone boundary.
     """
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     _, g, g_inv = _hessians(p, cp)
     return max(max(abs(float(a == b) - v) for a, row in enumerate(g)
                    for b, v in enumerate(row)),
-               max(abs(v + _dot(row, col)) for row in g_inv
+               max(abs(v + dot(row, col)) for row in g_inv
                    for v, col in zip(row, zip(*g_inv))))

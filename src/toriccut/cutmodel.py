@@ -6,8 +6,8 @@ their residual angle reduction, stabilizer data at boundary points, and
 the freeness table for stepwise cutting.
 
 The slacks and angles are plain Python floats, the projection exact.
-The float layer's `_dot` and `float_facets` are imported where they run,
-so plain `cut` loads no float layer.
+`floatbase.dot` and `float_facets` are imported where they run, so plain
+`cut` loads no float module and `cut --ambient` loads only `floatbase`.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def _level_slacks(p: polylattice.PolyhedralSet, a: AmbientPoint):
     is not within LEVEL_TOL of the i-th; |z|^2 is a product, so a modulus
     past 1e154 squares to inf, which is off, and does not raise, and a NaN
     slack (inf - inf) is off too."""
-    from .kahlerpotential import _dot, float_facets
+    from .floatbase import dot, float_facets
     etas, kappas = float_facets(p)
-    slacks = [kappa - _dot(eta, a.x) for eta, kappa in zip(etas, kappas)]
+    slacks = [kappa - dot(eta, a.x) for eta, kappa in zip(etas, kappas)]
     if not all(abs(abs(z) * abs(z) - s) <= LEVEL_TOL
                for z, s in zip(a.z, slacks)):
         return None
@@ -112,17 +112,17 @@ def stabilizer(p: polylattice.PolyhedralSet,
 def _babai_reduce(v, basis_vectors):
     # nearest-plane rounding: subtracts an integer combination so the
     # result lands in the Gram-Schmidt fundamental domain of the lattice
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     gs = []
     for b in basis_vectors:
         w = list(b)
         for g in gs:
-            c = _dot(w, g) / _dot(g, g)
+            c = dot(w, g) / dot(g, g)
             w = [wi - c * gi for wi, gi in zip(w, g)]
         gs.append(w)
     out = list(v)
     for b, g in reversed(list(zip(basis_vectors, gs))):
-        coeff = round(_dot(out, g) / _dot(g, g))
+        coeff = round(dot(out, g) / dot(g, g))
         out = [o - coeff * bi for o, bi in zip(out, b)]
     return out
 
@@ -141,7 +141,7 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
     [0, 2*pi) with a seam snap makes the result stable under float noise
     on either side of 0.
     """
-    from .kahlerpotential import _dot
+    from .floatbase import dot
     v = [float(c) % TWO_PI for c in theta]
     if len(active) > 0:
         perp = intlinalg.integer_kernel_basis(
@@ -154,7 +154,7 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
         project = [[float(sum(map(operator.mul, a, b))) for b in zip(*weights)]
                    for a in zip(*perp)]  # K^T (K K^T)^-1 K
         lattice = [[TWO_PI * float(c) for c in row] for row in weights]
-        v = _babai_reduce([_dot(row, v) for row in project], lattice)
+        v = _babai_reduce([dot(row, v) for row in project], lattice)
     out = [c % TWO_PI for c in v]
     return tuple(0.0 if c >= TWO_PI - SEAM_TOL else c for c in out)
 
@@ -171,7 +171,7 @@ def canonical_representative(p: polylattice.PolyhedralSet,
 
     Raises:
         NotOnLevel: the moduli of z do not match the slacks.
-        ScaleLimitExceeded: as `kahlerpotential.float_facets`.
+        ScaleLimitExceeded: as `floatbase.float_facets`.
     """
     slacks = _level_slacks(p, a)
     if slacks is None:

@@ -1,6 +1,9 @@
 """Handlers of the float commands `potential`, `metric` and `invert`, with
 the parsing of their points files, grids and targets; `cli.main` imports
-this module for these commands only, and none of them loads numpy.
+this module for these commands only, and none of them loads numpy. Each
+handler imports its layer where it runs: `potential` and `metric` the
+field of `kahlerpotential`, `invert` the Newton solve of
+`legendreinverse`, so neither loads the other's code.
 `potential` evaluates and writes CSV_CHUNK_ROWS points at a time and
 formats each distinct nonzero value of a chunk once; `metric` fills its
 interior entries from a template that `_render` writes once per command.
@@ -12,7 +15,6 @@ import math
 import operator
 import sys
 
-from . import kahlerpotential
 from .cli import (EXIT_OK, InputError, LoadedDocument, _expect, _finite,
                   _render, _write_report)
 from .errors import ScaleLimitExceeded
@@ -63,6 +65,7 @@ def _parse_grid(spec: str, n: int):
     Raises:
         ScaleLimitExceeded: the grid has more than GRID_POINT_LIMIT points;
             checked before anything is built.
+        InputError: an axis value is not finite, as when hi - lo overflows.
     """
     parts = spec.split(",")
     _expect(len(parts) == n, f"grid needs {n} axis specs min:max:steps")
@@ -85,6 +88,8 @@ def _parse_grid(spec: str, n: int):
     axes = [[lo] if steps == 1
             else [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
             for lo, hi, steps in bounds]
+    for part, axis in zip(parts, axes):
+        _expect(_finite(axis), f"--grid: axis {part!r} leaves the float range")
     return itertools.product(*axes), total
 
 
@@ -96,6 +101,7 @@ class _Texts(dict):
 
 
 def cmd_potential(doc: LoadedDocument, points=None, grid=None) -> int:
+    from . import floatbase, kahlerpotential
     _expect((points is None) != (grid is None),
             "exactly one of --points and --grid is required")
     p = doc.pset
@@ -117,7 +123,7 @@ def cmd_potential(doc: LoadedDocument, points=None, grid=None) -> int:
         entropy = kahlerpotential.half_entropy(pts)
         columns = [*pts.x, kahlerpotential.symplectic_potential(pts, entropy),
                    kahlerpotential.guillemin_potential(pts, entropy),
-                   *zip(*kahlerpotential.legendre_map(pts))]
+                   *floatbase.gradient(pts.x, pts.log_values, pts.etas)]
         values = dict.fromkeys(itertools.chain(*columns))
         values.pop(0.0, None)
         text = _Texts(zip(values, map(repr, values))).__getitem__
@@ -163,6 +169,7 @@ def _metric_template(n: int, one_cut: bool):
 
 
 def cmd_metric(doc: LoadedDocument, points: str) -> int:
+    from . import kahlerpotential
     p = doc.pset
     rows = _load_points(points, p.n)
     pts, gs, g_invs = kahlerpotential.point_data(p, rows)
@@ -189,9 +196,10 @@ def cmd_metric(doc: LoadedDocument, points: str) -> int:
 
 
 def cmd_invert(doc: LoadedDocument, target: str) -> int:
+    from . import legendreinverse
     p = doc.pset
     target = _parse_floats(target, p.n, "target")
-    result = kahlerpotential.invert_legendre(
+    result = legendreinverse.invert_legendre(
         p, target, tol=doc.tolerances["newton_tol"],
         max_iter=doc.tolerances["newton_max_iter"])
     payload = {"target": target, "x": list(result.x),

@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 from toriccut import cutmodel as cm
+from toriccut import floatbase as fb
 from toriccut import polylattice as pl
 
 
@@ -167,6 +168,14 @@ def kahler_tensors(G, G_inv):
     zero = np.zeros_like(G)
     return (np.block([[zero, -G_inv], [G, zero]]),
             np.block([[G, zero], [zero, G_inv]]))
+
+
+def gradient_rows(pts):
+    """The gradient of the symplectic potential at each interior row of a
+    batch (`kahlerpotential.InteriorPoints`), one row per point, from the
+    columns of `floatbase.gradient`."""
+    return [list(row) for row in
+            zip(*fb.gradient(pts.x, pts.log_values, pts.etas))]
 
 
 def sample_interior(name, rng, count, margin=0.05):

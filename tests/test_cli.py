@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-# kahlerpotential and the handlers are imported here, so that no traced run
-# counts their import
-from toriccut import (exactreports, facelattice, floatreports,  # noqa: F401
-                      intlinalg, kahlerpotential, polylattice)
-from toriccut import __version__
+# the float layers and the handlers are imported here, so that no traced
+# run counts their import
+from toriccut import (exactreports, facelattice, floatbase,  # noqa: F401
+                      floatreports, intlinalg, kahlerpotential,
+                      legendreinverse, polylattice)
+from toriccut import _SUBMODULES, __version__
 from toriccut.cli import _render, load_document, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
@@ -511,11 +512,21 @@ def test_non_finite_coordinates_rejected(tmp_path, capsys):
     points = tmp_path / "nan_points.txt"
     points.write_text("0.5\nnan\n", encoding="utf-8")
     f1 = data("f1.json")
+    # on -1 <= x <= 1, hi - lo overflows to inf for the first spec (x = 0
+    # is interior but never built), and i * (hi - lo) for 102 of the 1001
+    # values of the second; neither grid may drop its points silently
+    interval = write_document(tmp_path / "interval.json",
+                              polylattice.polyhedral_set(
+                                  1, [((1,), 1), ((-1,), 1)]))
     cases = [
         (["potential", f1, "--points", str(points)], f"{points}:2"),
         (["metric", f1, "--points", str(points)], f"{points}:2"),
         (["potential", f1, "--grid", "nan:1:3"], "--grid"),
         (["potential", f1, "--grid", "0:inf:3"], "--grid"),
+        (["potential", interval, "--grid=-1e308:1e308:3"],
+         "--grid: axis '-1e308:1e308:3' leaves the float range"),
+        (["potential", interval, "--grid=-1e305:1e305:1001"],
+         "--grid: axis '-1e305:1e305:1001' leaves the float range"),
         (["invert", f1, "--target", "nan"], "--target"),
         (["invert", data("f2.json"), "--target", "inf,0"], "--target"),
         (["cut", f1, "--ambient",
@@ -527,6 +538,9 @@ def test_non_finite_coordinates_rejected(tmp_path, capsys):
         code, out = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert named in capsys.readouterr().err, argv
+    code, out = run_cli(["potential", interval, "--grid=-1e300:1e300:3"])
+    assert code == 0 and out.splitlines()[1:] == [
+        "0.0,-1.0,-1.0,0.0", "# skipped: 2"]
 
 
 def test_ambient_booleans_rejected(capsys):
@@ -645,10 +659,10 @@ def test_overflowing_pairing_is_quiet(tmp_path, capsys):
         assert run_cli(["potential", f2, "--points", str(points)]) == (
             0, header + "1e+308,1e+308,NA,NA,NA,NA\n")
         code, out = run_cli(["metric", f2, "--points", str(points)])
-        # rows with inf and NaN slacks: every grid point is skipped
+        # finite grid points whose pairing overflows: each is skipped
         assert run_cli(["potential", f2,
-                        "--grid=-1e308:1e308:3,-1e308:1e308:3"]) == (
-            0, header + "# skipped: 9\n")
+                        "--grid=1e308:1.7e308:2,1e308:1.7e308:2"]) == (
+            0, header + "# skipped: 4\n")
     assert code == 0
     assert json.loads(out)["report"]["metric"]["points"] == [
         {"x": [1e308, 1e308], "error": "facet 3 slack -inf below margin"}]
@@ -690,6 +704,7 @@ for argv in {argvs!r}:
         code = toriccut.cli.main(argv)
     assert code in (0, 3), (argv, code)
     assert not absent & set(sys.modules), argv
+    assert {present!r} <= set(sys.modules), argv
 """
 
 
@@ -702,10 +717,11 @@ def _child_env():
     return env
 
 
-def _assert_not_loaded(absent, argvs):
-    """Run the commands in one fresh interpreter; none may load `absent`."""
-    proc = subprocess.run([sys.executable, "-c",
-                           NOT_LOADED.format(absent=absent, argvs=argvs)],
+def _assert_not_loaded(absent, argvs, present=frozenset()):
+    """Run the commands in one fresh interpreter; none may load `absent`,
+    and each leaves `present` loaded."""
+    proc = subprocess.run([sys.executable, "-c", NOT_LOADED.format(
+                               absent=absent, argvs=argvs, present=present)],
                           env=_child_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -758,24 +774,41 @@ def test_commands_load_only_their_modules(tmp_path):
     box = write_document(tmp_path / "cube3.json", cube(3))
     common = {"argparse", "numpy", "dataclasses", "toriccut.contactcone",
               "toriccut.cutmodel"}
+    floats = {"toriccut.floatbase", "toriccut.kahlerpotential",
+              "toriccut.legendreinverse"}
     exact = [["validate", path]
              for path in (data("f2.json"), data("f5_lift.json"), box)]
     exact += [["classify", data("f2.json")], ["classify", data("slab.json")]]
-    _assert_not_loaded(common | {"toriccut.kahlerpotential",
-                                 "toriccut.floatreports"}, exact)
-    floats = [["invert", data("f2.json"), "--target=6,6"],
-              ["invert", box, "--target=0.5,-1,2"]] + FLOAT_COMMANDS
-    _assert_not_loaded(common | {"toriccut.facelattice", "toriccut.intlinalg",
-                                 "toriccut.exactreports"}, floats)
+    _assert_not_loaded(common | floats | {"toriccut.floatreports"}, exact)
+    # invert loads the Newton solve, potential and metric the field; each
+    # leaves the other and the exact layers out
+    no_exact = common | {"toriccut.facelattice", "toriccut.intlinalg",
+                         "toriccut.exactreports"}
+    _assert_not_loaded(no_exact | {"toriccut.kahlerpotential"},
+                       [["invert", data("f2.json"), "--target=6,6"],
+                        ["invert", box, "--target=0.5,-1,2"]],
+                       {"toriccut.floatbase", "toriccut.legendreinverse"})
+    _assert_not_loaded(no_exact | {"toriccut.legendreinverse"},
+                       FLOAT_COMMANDS,
+                       {"toriccut.floatbase", "toriccut.kahlerpotential"})
     # classify on a cone loads the contact layer and plain cut the cut
-    # model, but neither loads the float layer; cut --ambient loads the
-    # float layer's _dot, but no argparse
-    no_float = {"argparse", "numpy", "dataclasses", "toriccut.kahlerpotential",
-                "toriccut.floatreports"}
+    # model, but neither loads a float module; cut --ambient loads the
+    # shared float arithmetic, but neither the field nor the Newton solve
+    no_float = {"argparse", "numpy", "dataclasses",
+                "toriccut.floatreports"} | floats
     _assert_not_loaded(no_float, [["classify", data("lens.json")],
                                   ["cut", data("f2.json")]])
-    _assert_not_loaded({"argparse"},
-                       [["cut", data("f1.json"), "--ambient", AMBIENT_F1]])
+    _assert_not_loaded(no_float - {"toriccut.floatbase"},
+                       [["cut", data("f1.json"), "--ambient", AMBIENT_F1]],
+                       {"toriccut.floatbase"})
+
+
+def test_submodules_are_the_package_modules():
+    # `toriccut.<name>` reaches exactly the modules of the package
+    package = Path(__file__).parents[1] / "src" / "toriccut"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert sorted(_SUBMODULES) == sorted(modules)
+    assert len(set(_SUBMODULES)) == len(_SUBMODULES)
 
 
 COMPILED_LINES = """
@@ -791,20 +824,21 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1594),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1594),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1594),
+    (["invert", "f2.json", "--target=6,6"], 1393),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1367),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1367),
     (["validate", "f2.json"], 1413),
-    (["classify", "f4.json"], 1676),
-    (["cut", "f2.json"], 1632),
-    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 2183),
+    (["classify", "f4.json"], 1661),
+    (["cut", "f2.json"], 1626),
+    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1698),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])
 def test_compile_budget(argv, budget):
     # the source lines of the toriccut modules one command loads: without
     # bytecode caches (PYTHONDONTWRITEBYTECODE) each is compiled on every
     # run. The float commands compile no face lattice, normal forms or
-    # exact handlers; no command compiles more than before the split
+    # exact handlers; invert compiles no field, and potential and metric
+    # no Newton solve
     proc = subprocess.run(
         [sys.executable, "-c", COMPILED_LINES.format(argv=resolve(argv))],
         env=_child_env(), capture_output=True, text=True, timeout=120)

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, log as mplog
 
+from toriccut import floatbase as fb
 from toriccut import kahlerpotential as kp
+from toriccut import legendreinverse as li
 from toriccut import polylattice as pl
 from toriccut.errors import NoConvergence, NotInterior, NotSPD
 
-from conftest import (cube, f1, f2, f3, f4, f5, kahler_tensors, random_set,
-                      sample_interior, slab)
+from conftest import (cube, f1, f2, f3, f4, f5, gradient_rows, kahler_tensors,
+                      random_set, sample_interior, slab)
 
 mp.dps = 40
 
@@ -36,7 +38,7 @@ def mp_symplectic(p, x):
 
 
 def mp_gradient_error(p, res, y):
-    """Largest entry of |legendre_map - y| at an inversion's solution, in
+    """Largest entry of |gradient - y| at an inversion's solution, in
     50 digits: the slacks of the chart's facets are e^log_slacks, the
     others exact at the float x."""
     chart = dict(zip(res.chart_facets, res.log_slacks))
@@ -140,7 +142,7 @@ class TestInteriorPoint:
         empty = kp.interior_point(f2(), np.zeros((0, 2)))
         assert empty.x == [[], []] and empty.inside == []
         assert kp.symplectic_potential(empty) == []
-        assert kp.legendre_map(empty) == []
+        assert gradient_rows(empty) == []
         assert kp.hessian_metric(empty) == []
 
 
@@ -153,7 +155,7 @@ def reference_inverse(g):
         low = [[0.0] * n for _ in range(n)]
         for j in range(n):
             for i in range(j, n):
-                s = matrix[i][j] - kp._dot(low[i][:j], low[j][:j])
+                s = matrix[i][j] - fb.dot(low[i][:j], low[j][:j])
                 if i > j:
                     low[i][j] = s / low[j][j]
                 elif s > 0.0:
@@ -165,10 +167,10 @@ def reference_inverse(g):
         for c in range(n):
             z = [0.0] * n
             for i in range(c, n):
-                z[i] = ((float(i == c) - kp._dot(low[i][c:i], z[c:i]))
+                z[i] = ((float(i == c) - fb.dot(low[i][c:i], z[c:i]))
                         / low[i][i])
             for i in reversed(range(n)):
-                z[i] = (z[i] - kp._dot([low[k][i] for k in range(i + 1, n)],
+                z[i] = (z[i] - fb.dot([low[k][i] for k in range(i + 1, n)],
                                        z[i + 1:])) / low[i][i]
             inv.append(z)
         out.append([[0.5 * (inv[a][b] + inv[b][a]) for b in range(n)]
@@ -239,12 +241,12 @@ class TestColumnMetric:
         # the Newton step in the chart of x takes the general chart
         # Jacobian, which there has the bits of the Hessian's entries
         p = fix()
-        etas = kp.float_facets(p)[0]
-        chart = kp._chart(p, ())
+        etas = fb.float_facets(p)[0]
+        chart = li._chart(p, ())
         rng = np.random.default_rng(len(name))
         for l in rng.uniform(1e-6, 5.0, size=(5, len(p.facets))).tolist():
             hessian = kp._hessian_columns(etas, [[v] for v in l])
-            assert bits(kp._jacobian(chart, etas, l, [1.0] * p.n)) == bits(
+            assert bits(li._jacobian(chart, etas, l, [1.0] * p.n)) == bits(
                 [[col[0] for col in row] for row in hessian])
 
     def test_not_spd_names_first_row_and_its_first_pivot(self):
@@ -390,10 +392,10 @@ class TestOneCut:
 class TestLegendre:
     def test_frozen_values(self):
         assert np.allclose(
-            kp.legendre_map(kp.interior_point(f1(), [[0.5], [0.25]])),
+            gradient_rows(kp.interior_point(f1(), [[0.5], [0.25]])),
             [[0.5], [-0.29930614433405484]], atol=1e-14)
         assert np.allclose(
-            kp.legendre_map(one(f2(), [1 / 3, 1 / 3])),
+            gradient_rows(one(f2(), [1 / 3, 1 / 3])),
             [[1 / 3, 1 / 3]], atol=1e-14)
 
     def test_fd_gradient_of_potential(self):
@@ -404,15 +406,15 @@ class TestLegendre:
             return kp.symplectic_potential(one(p, x))[0]
 
         for x in sample_interior("f2", rng, 5):
-            grad = kp.legendre_map(one(p, x))[0]
+            grad = gradient_rows(one(p, x))[0]
             fd = fd_gradient(fun, x)
             assert np.max(np.abs(fd - grad)) / max(1.0, np.max(np.abs(grad))) < 1e-6
 
     def test_invert_fixed_point(self):
-        res = kp.invert_legendre(f1(), [0.5])
+        res = li.invert_legendre(f1(), [0.5])
         assert np.allclose(res.x, [0.5], atol=1e-12)
         assert res.iterations == 0
-        res = kp.invert_legendre(f2(), [1 / 3, 1 / 3])
+        res = li.invert_legendre(f2(), [1 / 3, 1 / 3])
         assert np.allclose(res.x, [1 / 3, 1 / 3], atol=1e-12)
 
     def test_invert_roundtrip(self):
@@ -421,12 +423,12 @@ class TestLegendre:
             p = fix()
             for _ in range(20):
                 y = rng.uniform(-10, 10, size=p.n)
-                res = kp.invert_legendre(p, y)
-                image = kp.legendre_map(one(p, res.x))[0]
+                res = li.invert_legendre(p, y)
+                image = gradient_rows(one(p, res.x))[0]
                 assert np.max(np.abs(image - y)) < 1e-8
 
     def test_invert_quadrant(self):
-        res = kp.invert_legendre(f4(), [0.0, 0.0])
+        res = li.invert_legendre(f4(), [0.0, 0.0])
         # root of x + log(x)/2 = 0 in each coordinate
         assert np.allclose(res.x, [0.4263027509962124] * 2, atol=1e-9)
 
@@ -436,44 +438,44 @@ class TestLegendre:
         p = f2()
         for _ in range(50):
             a, b = sample_interior("f2", rng, 2)
-            ga, gb = kp.legendre_map(kp.interior_point(p, [a, b]))
+            ga, gb = gradient_rows(kp.interior_point(p, [a, b]))
             assert np.subtract(ga, gb) @ (a - b) > 0
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
-            kp.invert_legendre(f1(), [5.0], max_iter=1)
+            li.invert_legendre(f1(), [5.0], max_iter=1)
 
     def test_empty_set_is_not_interior(self):
         p = pl.polyhedral_set(1, [((1,), 0), ((-1,), -1)])
         with pytest.raises(NotInterior, match="set is empty"):
-            kp.invert_legendre(p, [0.5])
+            li.invert_legendre(p, [0.5])
 
     def test_singular_system_in_the_same_chart(self, monkeypatch):
         # a zero pivot where the chart would not change ends the solve
-        monkeypatch.setattr(kp, "_solve", lambda a, b: None)
+        monkeypatch.setattr(li, "_solve", lambda a, b: None)
         with pytest.raises(NoConvergence,
                            match="iteration 0: singular Newton system"):
-            kp.invert_legendre(f1(), [5.0])
+            li.invert_legendre(f1(), [5.0])
 
     def test_iterate_leaves_interior(self):
         # the solution lies within rounding of the boundary: in x, the tiny
         # step of an exhausted line search would land outside the set, so
         # the solve moves to the chart of facet 3, whose slack is e^u
         y = [49.30956189235279, 34.19801309523521]
-        res = kp.invert_legendre(f5(), y)
+        res = li.invert_legendre(f5(), y)
         assert res.chart_facets == (2,)
         assert res.log_slacks[0] < -60
         assert res.residual < 1e-9
         assert mp_gradient_error(f5(), res, y) < 1e-8 * max(map(abs, y))
         # a slack of e^-1998 underflows to 0.0 even in the chart
         with pytest.raises(NoConvergence, match="left the interior"):
-            kp.invert_legendre(f1(), [1000.0])
+            li.invert_legendre(f1(), [1000.0])
 
     def test_chart_facets_independent(self):
         # the slab's two facets are parallel: only the smaller slack joins
-        assert kp._chart_facets(slab(), [5e-4, 1e-4]) == (1,)
-        assert kp._chart_facets(f2(), [5e-4, 2e-3, 1e-4]) == (0, 2)
-        assert kp._chart_facets(cube(3), [0.5] * 6) == ()
+        assert li._chart_facets(slab(), [5e-4, 1e-4]) == (1,)
+        assert li._chart_facets(f2(), [5e-4, 2e-3, 1e-4]) == (0, 2)
+        assert li._chart_facets(cube(3), [0.5] * 6) == ()
 
     @pytest.mark.parametrize("name, y, facets", [
         # slacks of 1e-8 and 1.6e-10, a facet x_j >= -1 each: x_j rounded
@@ -489,37 +491,37 @@ class TestLegendre:
         ("singular3", (20, 1, 20), (2, 4))])
     def test_invert_in_chart(self, name, y, facets):
         p, _ = batch_set(name)
-        res = kp.invert_legendre(p, y)
+        res = li.invert_legendre(p, y)
         assert res.chart_facets == facets
         assert res.residual < 1e-9
         assert mp_gradient_error(p, res, y) < 1e-8 * max(map(abs, y))
 
     def test_exact_interior_check(self):
         # in the chart of x, z is x itself
-        x_chart = kp._chart(f1(), ())
-        res = kp._solution(f1(), x_chart, [5e-324], [5e-324], 2, 0.0)
+        x_chart = li._chart(f1(), ())
+        res = li._solution(f1(), x_chart, [5e-324], [5e-324], 2, 0.0)
         assert res == ((5e-324,), 2, 0.0, (), ())
         with pytest.raises(NotInterior, match="facet 1 slack -5.000e-01"):
-            kp._solution(f1(), x_chart, [-0.5], [-0.5], 0, 0.0)
+            li._solution(f1(), x_chart, [-0.5], [-0.5], 0, 0.0)
         with pytest.raises(NotInterior, match="facet 2 slack 0.000e"):
-            kp._solution(f1(), x_chart, [1.0], [1.0], 0, 0.0)
+            li._solution(f1(), x_chart, [1.0], [1.0], 0, 0.0)
         # in the chart of facet 2, u = 1 names x = 1 - e, outside facet 1
-        chart = kp._chart(f1(), (1,))
+        chart = li._chart(f1(), (1,))
         with pytest.raises(NotInterior, match="facet 1 slack -1.718e"):
-            kp._solution(f1(), chart, [1.0], None, 0, 0.0)
-        res = kp._solution(f1(), chart, [-1.0], None, 3, 0.0)
+            li._solution(f1(), chart, [1.0], None, 0, 0.0)
+        res = li._solution(f1(), chart, [-1.0], None, 3, 0.0)
         assert res == ((1 - math.exp(-1.0),), 3, 0.0, (1,), (-1.0,))
 
     def test_solve_zero_pivot(self):
-        assert kp._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
-        assert kp._solve([[0.0]], [1.0]) is None
+        assert li._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+        assert li._solve([[0.0]], [1.0]) is None
 
     def test_solve_pivots(self):
         rng = np.random.default_rng(17)
         a = [[0.0, 2.0, 1.0], [1e-3, 1.0, 4.0], [3.0, -1.0, 0.5]]
         for _ in range(20):
             b = rng.uniform(-5, 5, size=3)
-            z = kp._solve([row[:] for row in a], b.tolist())
+            z = li._solve([row[:] for row in a], b.tolist())
             assert np.allclose(np.array(a) @ z, b, rtol=0, atol=1e-12)
 
 
@@ -580,7 +582,7 @@ def evaluate(p, xs):
     per_interior = [list(zip(*pts.x)), list(zip(*pts.l_values)),
                     list(zip(*pts.log_values)), pts.l_infinity,
                     kp.symplectic_potential(pts), kp.guillemin_potential(pts),
-                    kp.legendre_map(pts), data.G, data.G_inv]
+                    gradient_rows(pts), data.G, data.G_inv]
     return per_input, per_interior
 
 
@@ -651,7 +653,7 @@ class TestBatches:
         pts = kp.interior_point(p, xs)
         batched = zip(zip(*pts.l_values), kp.symplectic_potential(pts),
                       kp.guillemin_potential(pts), kp.hessian_metric(pts),
-                      kp.legendre_map(pts))
+                      gradient_rows(pts))
         for x, got in zip(xs[pts.inside], batched):
             for value, expected in zip(got, reference_point(p, x.tolist())):
                 assert bits(value) == bits(expected)
@@ -687,9 +689,15 @@ def solution_batch(p, res):
        st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
 def test_invert_matches_batch_legendre_map(name, coords):
     # invert_legendre evaluates the gradient of one point in its chart and
-    # legendre_map a batch in x: the two must agree at the solution
+    # potential that of a batch in x: the two must agree at the solution
     p, _ = batch_set(name)
     y = coords[:p.n]
-    res = kp.invert_legendre(p, y)
-    image = np.array(kp.legendre_map(solution_batch(p, res))[0])
+    res = li.invert_legendre(p, y)
+    batch = solution_batch(p, res)
+    image = np.array(gradient_rows(batch)[0])
     assert np.max(np.abs(image - y)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
+    if not res.chart_facets:
+        # in the chart of x the solve ran the batch formula on one row
+        columns = fb.gradient(batch.x, batch.log_values, batch.etas)
+        assert max(abs(col[0] - t) for col, t in zip(columns, y)) == (
+            res.residual)
