@@ -6,7 +6,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("cli", "contactcheck", "contactcone", "cutmodel", "errors",
+_SUBMODULES = ("cli", "contactcone", "contactmetric", "cutmodel", "errors",
                "exactreports", "facelattice", "floatbase", "floatreports",
                "intlinalg", "kahlerpotential", "legendreinverse",
                "polylattice")

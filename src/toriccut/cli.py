@@ -17,6 +17,7 @@ the console script, exits without interpreter teardown.
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -33,6 +34,9 @@ EXIT_SCALE = 4
 EXIT_NO_CONVERGENCE = 5
 
 DEFAULT_TOLERANCES = {"newton_tol": 1e-9, "newton_max_iter": 200}
+# kappa strings Fraction reads alike on every Python: p/q (q > 0) or decimals
+RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|"
+                      r"\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*", re.ASCII)
 
 USAGE = """\
 toric validate  INPUT.json
@@ -85,10 +89,8 @@ def _finite(values) -> bool:
 def _parse_rational(value) -> Fraction:
     _expect(isinstance(value, str),
             'kappa must be an exact rational string like "1/2"')
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {value!r}") from exc
+    _expect(RATIONAL.fullmatch(value), f"bad rational {value!r}")
+    return Fraction(value)
 
 
 def load_document(path: str) -> LoadedDocument:

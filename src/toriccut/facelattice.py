@@ -108,6 +108,11 @@ def _face_system(p: PolyhedralSet, indices):
     return cons
 
 
+def reeb_candidate(p: PolyhedralSet) -> tuple[int, ...]:
+    """r = -sum eta_i; <r, x> > 0 off the apex if a cone's conormals span."""
+    return tuple(-sum(column) for column in zip(*p.etas))
+
+
 def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
     """Exact point of the face F_I inside p, or None when the face is empty.
 
@@ -125,10 +130,7 @@ def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
             rank = polylattice.rational_rank(etas)
         if rank < p.n:
             return intlinalg.integer_kernel_basis(etas)[0]
-        # r = -sum eta_i is positive on the punctured cone, so the slice
-        # <r, x> = 1 meets every ray and one LP decides nonemptiness
-        reeb = tuple(-sum(column) for column in zip(*p.etas))
-        cons.append((reeb, EQ, 1))
+        cons.append((reeb_candidate(p), EQ, 1))  # a slice meeting every ray
     res = polylattice.feasible(cons, p.n)
     return res.witness if res.feasible else None
 

@@ -2,7 +2,7 @@
 Python floats: the in-order dot product, the facets as floats, the column
 sums of a batch, and the gradient of the symplectic potential. The field
 (`kahlerpotential`), the Newton solve (`legendreinverse`), `cutmodel` and
-`contactcone` import it, so each command loads only its own float code.
+`contactmetric` import it, so each command loads only its own float code.
 """
 
 from __future__ import annotations

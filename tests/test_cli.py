@@ -159,6 +159,27 @@ def test_exit_code_parse_errors(tmp_path):
     assert run_cli(["validate", str(nonzero)])[0] == 2
 
 
+@pytest.mark.parametrize("kappa, value", [
+    ("1_000", None), ("2 / 3", None), ("1_0/3", None), ("\u0663", None),
+    ("1/0", None), ("1/2", "1/2"), (" -3 ", "-3"), ("0.25", "1/4"),
+    ("1e400", "1" + "0" * 400)],
+    ids=["underscore", "spaced-slash", "underscore-ratio", "arabic-digit",
+         "zero-denominator", "ratio", "padded-sign", "decimal", "exponent"])
+def test_kappa_grammar_is_the_same_on_every_python(tmp_path, capsys, kappa,
+                                                    value):
+    # Fraction reads "1_000" from Python 3.11 on and "2 / 3" from 3.12 on;
+    # a document reads alike on all of them
+    doc = json.loads((DATA / "f1.json").read_text(encoding="utf-8"))
+    doc["facets"][1]["kappa"] = kappa
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    if value is None:
+        assert run_cli(["validate", str(path)]) == (2, "")
+        assert f"bad rational {kappa!r}" in capsys.readouterr().err
+    else:
+        assert load_document(str(path)).echo["facets"][1]["kappa"] == value
+
+
 def test_exit_code_domain_errors(tmp_path):
     off_level = '{"x": [0.5], "theta": [0.3], "z": [[0.6, 0.4], [0.7, 0.0]]}'
     assert run_cli(["cut", data("f1.json"), "--ambient", off_level])[0] == 3
@@ -736,14 +757,17 @@ FLOAT_COMMANDS = [
 ]
 
 
-# the float parts of the contact and cut layers, on a cone and a triangle
+# the float parts of the contact and cut layers, on a cone and a triangle;
+# the contact structure loads its module and the float layer it runs on
 CONTACT_AND_ANGLES = """
-import sys
-from toriccut import contactcone as cc, cutmodel as cm, polylattice as pl
+import math, sys
+from toriccut import contactmetric as cmt, cutmodel as cm, polylattice as pl
 cone = pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0)], kind=pl.CONE)
-cp = cc.contact_point(cone, cc.normalize_moment(cone, (3, 1)), t=0.2)
-cc.induced_acm_structure(cone, cp)
-cc.cone_metric_defect(cone, cp)
+x = [v * math.exp(0.2) for v in cmt.normalize_moment(cone, (3, 1))]
+cmt.induced_acm_structure(cone, x)
+cmt.cone_metric_defect(cone, x)
+assert {"toriccut.contactmetric", "toriccut.kahlerpotential",
+        "toriccut.floatbase"} <= set(sys.modules)
 triangle = pl.polyhedral_set(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
 a = cm.ambient_point((0.25, 0.75), (1.0, 2.0), (0.5, 0.75 ** 0.5 * 1j, 0))
 cm.canonical_representative(triangle, a)
@@ -791,13 +815,16 @@ def test_commands_load_only_their_modules(tmp_path):
     _assert_not_loaded(no_exact | {"toriccut.legendreinverse"},
                        FLOAT_COMMANDS,
                        {"toriccut.floatbase", "toriccut.kahlerpotential"})
-    # classify on a cone loads the contact layer and plain cut the cut
-    # model, but neither loads a float module; cut --ambient loads the
-    # shared float arithmetic, but neither the field nor the Newton solve
-    no_float = {"argparse", "numpy", "dataclasses",
-                "toriccut.floatreports"} | floats
+    # classify on a cone loads the exact contact classification and plain
+    # cut the cut model, but neither loads the contact structure or a float
+    # module; cut --ambient loads the shared float arithmetic, but neither
+    # the field nor the Newton solve
+    no_float = {"argparse", "numpy", "dataclasses", "toriccut.floatreports",
+                "toriccut.contactmetric"} | floats
     _assert_not_loaded(no_float, [["classify", data("lens.json")],
-                                  ["cut", data("f2.json")]])
+                                  ["classify", data("f3.json")]],
+                       {"toriccut.contactcone"})
+    _assert_not_loaded(no_float, [["cut", data("f2.json")]])
     _assert_not_loaded(no_float - {"toriccut.floatbase"},
                        [["cut", data("f1.json"), "--ambient", AMBIENT_F1]],
                        {"toriccut.floatbase"})
@@ -828,7 +855,7 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
     (["potential", "f2.json", "--points", "f2_points.txt"], 1367),
     (["metric", "f2.json", "--points", "f2_points.txt"], 1367),
     (["validate", "f2.json"], 1413),
-    (["classify", "f4.json"], 1661),
+    (["classify", "f4.json"], 1491),
     (["cut", "f2.json"], 1626),
     (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1698),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",

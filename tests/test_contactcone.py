@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toriccut import contactcheck
 from toriccut import contactcone as cc
+from toriccut import contactmetric as cmt
 from toriccut import cutmodel as cm
 from toriccut import facelattice as fl
 from toriccut import intlinalg as il
@@ -221,34 +221,20 @@ def test_classify_lens_and_failures():
         classify(FIXTURES["f2"]())
 
 
-def test_contact_point_validation():
-    p = FIXTURES["f4"]()
-    with pytest.raises(ValueError):
-        cc.contact_point(p, (1.0, 1.0))
-    with pytest.raises(NotInterior):
-        cc.contact_point(p, (1.0, 0.0))
-    relaxed = cc.contact_point(p, (1.0, 0.0), strict=False)
-    assert relaxed.x == (1.0, 0.0) and relaxed.t == 0.0
-    with pytest.raises(PointOutside):
-        cc.contact_point(p, (0.6, -0.8), strict=False)
-    with pytest.raises(ValueError):
-        cc.contact_point(p, (1.0,))
-
-
 def test_normalize_moment():
     p = FIXTURES["f4"]()
-    assert cc.normalize_moment(p, (3, 4)) == (0.6, 0.8)
-    assert cc.normalize_moment(FIXTURES["f3"](), (0, 5)) == (0.0, 1.0)
+    assert cmt.normalize_moment(p, (3, 4)) == (0.6, 0.8)
+    assert cmt.normalize_moment(FIXTURES["f3"](), (0, 5)) == (0.0, 1.0)
     rng = np.random.default_rng(17)
     for _ in range(100):
         v = rng.uniform(0.1, 5.0, size=2)
-        once = cc.normalize_moment(p, v)
-        twice = cc.normalize_moment(p, once)
+        once = cmt.normalize_moment(p, v)
+        twice = cmt.normalize_moment(p, once)
         assert max(abs(a - b) for a, b in zip(once, twice)) < 1e-15
     with pytest.raises(ZeroPoint):
-        cc.normalize_moment(p, (0, 0))
+        cmt.normalize_moment(p, (0, 0))
     with pytest.raises(PointOutside):
-        cc.normalize_moment(p, (-1, 2))
+        cmt.normalize_moment(p, (-1, 2))
 
 
 @pytest.mark.parametrize("name,sampler", [
@@ -260,9 +246,8 @@ def test_acm_identities_random_points(name, sampler):
     p = ACM_CONES[name]()
     rng = np.random.default_rng(29)
     for _ in range(20):
-        cp = cc.contact_point(p, sampler(rng))
-        acm = cc.AlmostContactMetric(
-            *map(np.array, cc.induced_acm_structure(p, cp)))
+        acm = cmt.AlmostContactMetric(
+            *map(np.array, cmt.induced_acm_structure(p, sampler(rng))))
         dim = 2 * p.n - 1
         assert abs(float(acm.alpha @ acm.xi) - 1.0) <= 1e-9
         assert np.max(np.abs(acm.phi @ acm.xi)) <= 1e-9
@@ -277,8 +262,8 @@ def test_acm_identities_random_points(name, sampler):
 def test_acm_fixture_point_compatibility():
     p = FIXTURES["f4"]()
     root_half = math.sqrt(0.5)
-    acm = cc.AlmostContactMetric(*map(np.array, cc.induced_acm_structure(
-        p, cc.contact_point(p, (root_half, root_half)))))
+    acm = cmt.AlmostContactMetric(*map(np.array, cmt.induced_acm_structure(
+        p, (root_half, root_half))))
     rng = np.random.default_rng(41)
     for _ in range(20):
         vec = rng.uniform(-2, 2, size=3)
@@ -287,12 +272,12 @@ def test_acm_fixture_point_compatibility():
         assert abs(lhs - rhs) < 1e-9
 
 
-def reference_acm(p, cp):
+def reference_acm(p, x):
     """The structure by the numpy construction that the closed form
     replaced: nu, xi = -J nu and the tangential part of J taken from the
     2n x 2n tensors, with every frame coordinate from a linear solve in the
     basis (frame, nu)."""
-    x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    x = np.array([float(v) for v in x])
     data = kp.point_data(p, [x])
     assert data.points.inside == [True]
     j_mat, h = kahler_tensors(data.G[0], data.G_inv[0])
@@ -315,7 +300,7 @@ def reference_acm(p, cp):
         image = j_mat @ frame[:, k]
         image = image - float(image @ (h @ nu)) * nu
         phi_cols.append(np.linalg.solve(basis, image)[:-1])
-    return cc.AlmostContactMetric(
+    return cmt.AlmostContactMetric(
         frame.T @ (h @ xi_amb), np.linalg.solve(basis, xi_amb)[:-1],
         np.column_stack(phi_cols), frame.T @ h @ frame, frame)
 
@@ -328,31 +313,43 @@ def test_acm_matches_numpy_reference(name):
     generators = np.array(rays(p), dtype=float)
     rng = np.random.default_rng(53)
     for _ in range(25):
-        x = unit(rng.uniform(0.1, 1.0, size=len(generators)) @ generators)
-        cp = cc.contact_point(p, x, rng.uniform(0, 2 * math.pi, size=p.n),
-                              t=rng.uniform(-0.5, 0.5))
-        for field, got, want in zip(cc.AlmostContactMetric._fields,
-                                    cc.induced_acm_structure(p, cp),
-                                    reference_acm(p, cp)):
+        u = unit(rng.uniform(0.1, 1.0, size=len(generators)) @ generators)
+        # draw the angles too, which keeps the sample points of the seed;
+        # the torus-invariant structure ignores them
+        rng.uniform(0, 2 * math.pi, size=p.n)
+        level = math.exp(rng.uniform(-0.5, 0.5))
+        x = [float(v) * level for v in u]
+        for field, got, want in zip(cmt.AlmostContactMetric._fields,
+                                    cmt.induced_acm_structure(p, x),
+                                    reference_acm(p, x)):
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * scale, \
                 (field, x)
 
 
 def test_float_type_hints_resolve():
-    hints = typing.get_type_hints(cc.AlmostContactMetric)
-    assert set(hints) == set(cc.AlmostContactMetric._fields)
+    hints = typing.get_type_hints(cmt.AlmostContactMetric)
+    assert set(hints) == set(cmt.AlmostContactMetric._fields)
     assert (typing.get_type_hints(cm._reduce_theta)["return"]
             == tuple[float, ...])
 
 
 def test_acm_needs_interior():
+    # a point on the boundary or outside the cone
     p = FIXTURES["f4"]()
-    cp = cc.contact_point(p, (1.0, 0.0), strict=False)
-    with pytest.raises(NotInterior):
-        cc.induced_acm_structure(p, cp)
-    with pytest.raises(NotInterior):
-        cc.cone_metric_defect(p, cp)
+    for x in ((1.0, 0.0), (0.6, -0.8)):
+        with pytest.raises(NotInterior):
+            cmt.induced_acm_structure(p, x)
+        with pytest.raises(NotInterior):
+            cmt.cone_metric_defect(p, x)
+
+
+def test_acm_needs_a_point_of_the_cone_space():
+    p = FIXTURES["f4"]()
+    with pytest.raises(ValueError):
+        cmt.induced_acm_structure(p, (1.0,))
+    with pytest.raises(NotACone):
+        cmt.cone_metric_defect(FIXTURES["f2"](), (0.25, 0.25))
 
 
 def delzant_unit_points(m, count):
@@ -376,7 +373,7 @@ def test_acm_checks_scale_with_thin_cones(m):
     # raised on up to 11 of these 20 points per cone
     p, points = delzant_unit_points(m, 20)
     for x in points:
-        acm = cc.induced_acm_structure(p, cc.contact_point(p, x))
+        acm = cmt.induced_acm_structure(p, x)
         assert len(acm.phi) == 2 * p.n - 1
 
 
@@ -385,28 +382,27 @@ def test_acm_checks_catch_a_perturbed_phi(m):
     # every nonzero entry of phi, off by 1e-8 relative, fails a check
     p, points = delzant_unit_points(m, 3)
     for x in points:
-        x, g, g_inv = cc._hessians(p, cc.contact_point(p, x))
-        acm, orth = cc._closed_form(x, g, g_inv)
-        size = cc._closed_form(*contactcheck.magnitudes(x, g, g_inv),
-                               contactcheck.sqrt)
-        contactcheck.verify_structure((acm, orth), size)
+        x, g, g_inv = cmt._hessians(p, x)
+        acm, orth = cmt._closed_form(x, g, g_inv)
+        size = cmt._closed_form(*cmt.magnitudes(x, g, g_inv), cmt.sqrt)
+        cmt.verify_structure((acm, orth), size)
         for i, row in enumerate(acm.phi):
             for j in (j for j, v in enumerate(row) if v):
                 phi = [list(r) for r in acm.phi]
                 phi[i][j] *= 1 + 1e-8
                 with pytest.raises(IdentityViolation, match="entry"):
-                    contactcheck.verify_structure(
+                    cmt.verify_structure(
                         (acm._replace(phi=phi), orth), size)
 
 
 def test_magnitude_arithmetic():
-    a, b = (contactcheck.Magnitude(abs(v), v) for v in (2.0, -3.0))
+    a, b = (cmt.Magnitude(abs(v), v) for v in (2.0, -3.0))
     results = [a - b, 1.0 - a, -a, a * -4.0, -4.0 * a, a / -4.0, 0.0 + a,
-               a / b, contactcheck.sqrt(a * a)]
+               a / b, cmt.sqrt(a * a)]
     assert [(float(v), v.value) for v in results] == [
         (5.0, 5.0), (3.0, -1.0), (2.0, -2.0), (8.0, -8.0), (8.0, -8.0),
         (1.0, -0.5), (2.0, 2.0), (4.0 / 3.0, 2.0 / -3.0), (4.0, 2.0)]
-    assert all(type(v) is contactcheck.Magnitude for v in results)
+    assert all(type(v) is cmt.Magnitude for v in results)
 
 
 def test_acm_checks_count_a_cancelling_denominator():
@@ -423,20 +419,20 @@ def test_acm_checks_count_a_cancelling_denominator():
              for a in range(n)]
         x = [rng.uniform(0.1, 1) for _ in range(n)]
         g_inv = kp.hessian_metric_inverse([g])[0]
-        inputs = contactcheck.magnitudes(x, g, g_inv)
-        size = cc._closed_form(*inputs, contactcheck.sqrt)
+        inputs = cmt.magnitudes(x, g, g_inv)
+        size = cmt._closed_form(*inputs, cmt.sqrt)
         s_sq = sum(a * b * c for a, row in zip(*inputs[::2])
                    for b, c in zip(row, inputs[0]))
         worst = max(worst, float(s_sq) / s_sq.value)
-        contactcheck.verify_structure(cc._closed_form(x, g, g_inv), size)
+        cmt.verify_structure(cmt._closed_form(x, g, g_inv), size)
     assert worst > 1e4
 
 
-def central_difference_defect(p, cp, step=1e-5):
+def central_difference_defect(p, x, step=1e-5):
     """The dilation defect by central differences in t: the max-abs entry
     of the derivative of diag(e^2t G(e^t x), G(e^t x)^-1) at t = 0 minus
     twice the metric."""
-    base_x = np.array([float(v) for v in cp.x]) * math.exp(cp.t)
+    base_x = np.array([float(v) for v in x])
     times = (step, -step, 0.0)
     scales = np.array([math.exp(tv) for tv in times])[:, None]
     g_small = kp.hessian_metric(kp.interior_point(p, scales * base_x))
@@ -457,17 +453,17 @@ def central_difference_defect(p, cp, step=1e-5):
     ("lens", unit_lens(0.85), -0.5),
 ])
 def test_cone_defect_matches_central_differences(name, x, t):
+    # x on the unit level, moved to the level e^t
     p = FIXTURES[name]()
-    cp = cc.contact_point(p, x, t=t)
-    closed = cc.cone_metric_defect(p, cp)
-    assert abs(closed - central_difference_defect(p, cp)) <= 1e-9 * closed
+    point = [float(v) * math.exp(t) for v in x]
+    closed = cmt.cone_metric_defect(p, point)
+    assert abs(closed - central_difference_defect(p, point)) <= 1e-9 * closed
 
 
 def test_cone_defect_f4_fixture():
     p = FIXTURES["f4"]()
     root_half = math.sqrt(0.5)
-    cp = cc.contact_point(p, (root_half, root_half))
-    value = cc.cone_metric_defect(p, cp)
+    value = cmt.cone_metric_defect(p, (root_half, root_half))
     assert abs(value - 0.9289321881345247) < 1e-8
     assert abs(value - diag_defect_oracle([root_half, root_half])) < 1e-8
     assert value > 0.1
@@ -476,14 +472,13 @@ def test_cone_defect_f4_fixture():
 def test_cone_defect_scaled_point_stays_positive():
     p = FIXTURES["f4"]()
     root_half = math.sqrt(0.5)
-    cp = cc.contact_point(p, (root_half, root_half), t=0.4)
-    value = cc.cone_metric_defect(p, cp)
-    scaled = [math.exp(0.4) * root_half] * 2
+    scaled = [root_half * math.exp(0.4)] * 2
+    value = cmt.cone_metric_defect(p, scaled)
     assert abs(value - diag_defect_oracle(scaled)) < 1e-8
     assert value > 0
 
 
 def test_cone_defect_lens_positive():
     p = FIXTURES["lens"]()
-    value = cc.cone_metric_defect(p, cc.contact_point(p, unit_lens(0.4)))
+    value = cmt.cone_metric_defect(p, unit_lens(0.4))
     assert value > 0.1
