@@ -35,8 +35,8 @@ EXIT_NO_CONVERGENCE = 5
 
 DEFAULT_TOLERANCES = {"newton_tol": 1e-9, "newton_max_iter": 200}
 # kappa strings Fraction reads alike on every Python: p/q (q > 0) or decimals
-RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+\.?[0-9]*|"
-                      r"\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*", re.ASCII)
+RATIONAL = re.compile(r"\s*[-+]?(?:[0-9]+/0*[1-9][0-9]*|([0-9]+\.?[0-9]*|"
+                      r"\.[0-9]+)(?:[eE]([-+]?[0-9]+))?)\s*", re.ASCII)
 
 USAGE = """\
 toric validate  INPUT.json
@@ -86,10 +86,19 @@ def _finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def _digit_limit(what: str) -> ScaleLimitExceeded:
+    return ScaleLimitExceeded(f"{what} exceeds Python's limit of "
+                              f"{sys.get_int_max_str_digits()} digits")
+
+
 def _parse_rational(value) -> Fraction:
     _expect(isinstance(value, str),
             'kappa must be an exact rational string like "1/2"')
-    _expect(RATIONAL.fullmatch(value), f"bad rational {value!r}")
+    _expect(match := RATIONAL.fullmatch(value), f"bad rational {value!r}")
+    # past twice the digit limit an exponent leaves too many digits (or 0)
+    limit = getattr(sys, "get_int_max_str_digits", int)() or math.inf
+    if match[2] and abs(int(match[2])) > 2 * limit:
+        raise ValueError("exponent")  # before Fraction builds 10**exponent
     return Fraction(value)
 
 
@@ -99,8 +108,10 @@ def load_document(path: str) -> LoadedDocument:
             raw = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise _digit_limit(f"an integer in {path}") from exc
     _expect(isinstance(raw, dict), "top level must be an object")
     extra = set(raw) - {"schema_version", "n", "kind", "orientation",
                         "facets", "options"}
@@ -124,11 +135,14 @@ def load_document(path: str) -> LoadedDocument:
         _expect(isinstance(eta, list) and len(eta) == n
                 and all(_is_int(v) for v in eta),
                 f"facet {pos}: eta must be an integer array of length {n}")
-        kappa = _parse_rational(item["kappa"])
+        try:  # Fraction and str refuse an integer past the digit limit
+            kappa = _parse_rational(item["kappa"])
+            echo_facets.append({"eta": list(eta), "kappa": str(kappa)})
+        except ValueError as exc:
+            raise _digit_limit(f"facet {pos}: the offset") from exc
         if kind == "cone":
             _expect(kappa == 0, f'facet {pos}: cone offsets must be "0"')
         facets.append((tuple(eta), kappa))
-        echo_facets.append({"eta": list(eta), "kappa": str(kappa)})
     options = raw.get("options", {})
     _expect(isinstance(options, dict)
             and set(options) <= {"auto_primitivize", "tolerances"},
@@ -171,8 +185,7 @@ def _emit(value, newline: str, out: list) -> None:
     as strings, faces as index lists and a callable leaf f as f(newline)."""
     if isinstance(value, (dict, list, tuple)):
         if hasattr(value, "_fields"):
-            # a NamedTuple record would flatten into a list and lose its
-            # field names; payloads spell out the fields they report
+            # a record would lose its field names: payloads spell them out
             raise TypeError(f"record {type(value).__name__} in a payload")
         keyed = isinstance(value, dict)
         brackets = "{}" if keyed else "[]"

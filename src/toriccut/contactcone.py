@@ -8,6 +8,7 @@ dilation defect, are float work; they live in `contactmetric`, so
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import facelattice, polylattice
@@ -40,7 +41,7 @@ def _rays(covers, n: int) -> tuple[tuple[int, ...], ...]:
     for cover in covers.values():
         if cover.rank == n - 1:
             ints, _ = polylattice.integer_row(cover.witness)
-            g = polylattice.vector_gcd(ints)
+            g = math.gcd(*ints)
             found.add(tuple(v // g for v in ints))
     return tuple(sorted(found))
 

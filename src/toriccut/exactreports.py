@@ -7,8 +7,8 @@ run.
 import json
 
 from . import facelattice, polylattice
-from .cli import (EXIT_INVALID, EXIT_OK, InputError, LoadedDocument, _expect,
-                  _finite, _is_number, _write_report)
+from .cli import (EXIT_INVALID, EXIT_OK, InputError, LoadedDocument,
+                  _digit_limit, _expect, _finite, _is_number, _write_report)
 from .errors import NotGood, NotUnimodular
 
 
@@ -88,6 +88,8 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad ambient JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise _digit_limit("an integer in the ambient JSON") from exc
     _expect(isinstance(raw, dict) and set(raw) <= {"x", "theta", "z"},
             "ambient must be an object with x, z, and optional theta")
     x = raw.get("x")
@@ -119,6 +121,7 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
 def cmd_cut(doc: LoadedDocument, ambient=None) -> int:
     from . import cutmodel
     p = doc.pset
+    point = None if ambient is None else _parse_ambient(ambient, p)
     kernel = cutmodel.delzant_kernel(p)
     payload = {
         "pi_matrix": [list(row) for row in kernel.pi_matrix],
@@ -127,8 +130,8 @@ def cmd_cut(doc: LoadedDocument, ambient=None) -> int:
         "freeness": [{"face": face, "facet": j, "free": free}
                      for face, j, free in cutmodel.freeness_table(p)],
     }
-    if ambient is not None:
-        rep = cutmodel.canonical_representative(p, _parse_ambient(ambient, p))
+    if point is not None:
+        rep = cutmodel.canonical_representative(p, point)
         stab = cutmodel.stabilizer(p, rep.active)
         payload["representative"] = {"x": [float(v) for v in rep.x],
                                      "active": list(rep.active),

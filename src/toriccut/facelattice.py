@@ -11,6 +11,7 @@ Every verdict is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -248,7 +249,7 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
     """
     minimal = is_minimal(p)
     primitive_witness = next((i for i, f in enumerate(p.facets, start=1)
-                              if polylattice.vector_gcd(f.eta) != 1), None)
+                              if math.gcd(*f.eta) != 1), None)
     simple, simple_witness = True, None
     seen_vertices = set()
     saturated, saturated_witness = True, None

@@ -14,47 +14,40 @@ import math
 from . import polylattice
 
 
-def _copy_int_matrix(mat):
-    return [[int(v) for v in row] for row in mat]
-
-
 def hermite_normal_form(mat):
     """Row-style Hermite normal form of the lattice spanned by the rows.
 
-    Pivots are chosen in the leftmost column containing a nonzero entry,
-    rows are combined by Euclidean steps, pivot entries are made positive,
-    and entries above each pivot are reduced into [0, pivot).
+    In each column, from the left, the rows not yet pivots are reduced by
+    the one of least nonzero |entry| there, with nearest-integer quotients,
+    until one nonzero entry remains; that row, made positive there, is the
+    pivot, and the pivot rows above it are reduced into [0, pivot). The
+    rounded quotients keep the rows that are not yet pivots small.
 
     Returns:
         The nonzero HNF rows; a row's pivot is its first nonzero entry.
         Zero input rows are dropped.
     """
-    h = _copy_int_matrix(mat)
-    m = len(h)
-    ncols = len(h[0]) if h else 0
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == m:
-            break
-        nz = [i for i in range(pivot_row, m) if h[i][col] != 0]
-        if not nz:
-            continue
-        if nz[0] != pivot_row:
-            h[pivot_row], h[nz[0]] = h[nz[0]], h[pivot_row]
-        for i in range(pivot_row + 1, m):
-            while h[i][col] != 0:
-                q = h[pivot_row][col] // h[i][col]
-                h[pivot_row] = [a - q * b for a, b in zip(h[pivot_row], h[i])]
-                h[pivot_row], h[i] = h[i], h[pivot_row]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-v for v in h[pivot_row]]
-        p = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // p
-            if q != 0:
-                h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-        pivot_row += 1
-    return h[:pivot_row]
+    h, rest = [], [[int(v) for v in row] for row in mat]
+    for col in range(len(rest[0]) if rest else 0):
+        live = [row for row in rest if row[col]]
+        while len(live) > 1:
+            least = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not least:  # leaves |row[col]| <= |least[col]| / 2
+                    q = (2 * row[col] + least[col]) // (2 * least[col])
+                    row[:] = [a - q * b for a, b in zip(row, least)]
+            live = [row for row in live if row[col]]
+        if live:
+            pivot = live[0]
+            rest = [row for row in rest if row is not pivot]
+            if pivot[col] < 0:
+                pivot[:] = [-v for v in pivot]
+            for row in h:
+                q = row[col] // pivot[col]
+                if q:
+                    row[:] = [a - q * b for a, b in zip(row, pivot)]
+            h.append(pivot)
+    return h
 
 
 def lattice_rank_index(rows):

@@ -2,8 +2,7 @@
 gradient of the canonical potential, a diffeomorphism of the interior onto
 R^n (Guillemin 1994), in plain Python floats. Its residual is
 `floatbase.gradient` on a one-row batch; charts of log slacks (`_Chart`)
-keep small slacks exact. It does not load the field of `kahlerpotential`.
-"""
+keep small slacks exact. It does not load the field of `kahlerpotential`."""
 
 from __future__ import annotations
 
@@ -12,20 +11,20 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import polylattice
-from .errors import NoConvergence, NotInterior
+from .errors import NoConvergence, NotInterior, ScaleLimitExceeded
 from .floatbase import dot, float_facets, floats, gradient
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 200
 BOUNDARY_FRACTION = 0.95
 CHART_SLACK = 1e-3
+LOG_SLACK_FLOOR = -1e6  # below it, e^u has over 1.4 million bits
 
 
 class NewtonResult(NamedTuple):
-    """The solution x of an inversion. When the solve ended in a chart
-    (see `_Chart`), chart_facets (0-based) names its facets and
-    log_slacks their slacks' logarithms, which x rounded to floats may not
-    resolve; both are empty when it ended in x itself."""
+    """The solution x of an inversion. When it ended in a chart (`_Chart`),
+    chart_facets (0-based) names its facets and log_slacks the logs of
+    their slacks, the only ones x in floats may not resolve; else empty."""
 
     x: tuple[float, ...]
     iterations: int
@@ -34,18 +33,14 @@ class NewtonResult(NamedTuple):
     log_slacks: tuple[float, ...] = ()
 
 
-
 class _Chart(NamedTuple):
-    """Newton coordinates z = (u, w) on the interior.
-
-    u_i = log l_i for the facets B (0-based, ascending) and w = x_c for the
-    coordinate columns c that complete eta_B to an invertible matrix A.
-    With M = A^-1, v = M (kappa_B, 0) and q = (-e^u, w), the point is
-    x = v + M q, and every slack is an exact offset less a float
-    correction: l_j = (kappa_j - <eta_j, v>) - <eta_j M, q>. A slack of B
-    is e^u and never loses digits to cancellation, however small it is.
-    With B empty, z is x itself.
-    """
+    """Newton coordinates z = (u, w) on the interior: u_i = log l_i for the
+    facets B (0-based, ascending) and w = x_c for the coordinate columns c
+    that complete eta_B to an invertible matrix A. With M = A^-1,
+    v = M (kappa_B, 0) and q = (-e^u, w), the point is x = v + M q, and
+    every slack is an exact offset less a float correction:
+    l_j = (kappa_j - <eta_j, v>) - <eta_j M, q>. A slack of B is e^u and
+    loses no digits to cancellation. With B empty, z is x itself."""
 
     facets: tuple[int, ...]
     columns: tuple[int, ...]
@@ -58,17 +53,15 @@ class _Chart(NamedTuple):
 
 
 def _chart(p: polylattice.PolyhedralSet, facets) -> _Chart:
-    n = p.n
     if not facets:  # x itself: no exact arithmetic needed
-        identity = polylattice.identity_matrix(n)
+        identity = polylattice.identity_matrix(p.n)
         etas, kappas = float_facets(p)
-        return _Chart((), tuple(range(n)), identity, [0] * n, kappas, etas,
-                      [list(map(float, row)) for row in identity], [0.0] * n)
+        return _Chart((), tuple(range(p.n)), identity, [0] * p.n, kappas, etas,
+                      [list(map(float, row)) for row in identity], [0.0] * p.n)
     a = [list(p.facets[i].eta) for i in facets]
     columns = []
-    for c in range(n):
-        unit = [int(j == c) for j in range(n)]
-        if len(a) < n and polylattice.rational_rank(a + [unit]) > len(a):
+    for c, unit in enumerate(polylattice.identity_matrix(p.n)):
+        if len(a) < p.n and polylattice.rational_rank(a + [unit]) > len(a):
             a.append(unit)
             columns.append(c)
     inverse = polylattice.rational_inverse(a)
@@ -99,9 +92,9 @@ def _chart_facets(p: polylattice.PolyhedralSet, l) -> tuple[int, ...]:
 
 
 def _state(chart: _Chart, etas, z, y):
-    """(slacks, log slacks, x, gradient(x) - y, its largest entry in
-    absolute value) at chart coordinates z, or None when a slack is not
-    finite and positive."""
+    """(slacks, log slacks, x, gradient(x) - y, its largest |entry|) at
+    chart coordinates z, or None if a slack outside the chart is not finite
+    and positive. A chart facet's log slack is its u, even if e^u is 0.0."""
     k = len(chart.facets)
     try:
         q = [-math.exp(u) for u in z[:k]] + z[k:]
@@ -109,13 +102,13 @@ def _state(chart: _Chart, etas, z, y):
         return None
     # a facet i of B has offset 0 and row e_i, so its slack is e^u exactly
     l = [o - dot(row, q) for o, row in zip(chart.offsets, chart.rows)]
-    if not all(0.0 < v < math.inf for v in l):
+    logs = dict(zip(chart.facets, z))
+    if not all(0.0 < v < math.inf for j, v in enumerate(l) if j not in logs):
         return None
-    logs = [math.log(v) for v in l]
-    for i, u in zip(chart.facets, z):
-        logs[i] = u
+    logs = [logs[j] if j in logs else math.log(v) for j, v in enumerate(l)]
+    # in the chart of x, 0.0 + dot(e_c, q) is q_c: no iterate is -0.0
     x = [b + dot(row, q) for b, row in
-         zip(chart.float_base, chart.float_inverse)] if k else q
+         zip(chart.float_base, chart.float_inverse)]
     # the gradient formula of `potential`, on a batch of one row
     grad = [col[0] - yj for col, yj in
             zip(gradient([[v] for v in x], [[v] for v in logs], etas), y)]
@@ -123,13 +116,10 @@ def _state(chart: _Chart, etas, z, y):
 
 
 def _jacobian(chart: _Chart, etas, l, scale):
-    """d(gradient(x) - y)/dz entry by entry (not symmetrized), with
-    scale = dq/dz. Entry (a, b) is M[a][b] scale[b], plus
-    eta_j[a] (eta_j M)[b] scale[b] / (2 l_j) for each facet j outside B,
-    less eta_i[a] / 2 when b is the column of u_i. In the chart of x
-    (M = I, scale = 1) these are the bits of
-    `kahlerpotential._hessian_columns`.
-    """
+    """d(gradient(x) - y)/dz entry by entry, not symmetrized (in the chart
+    of x, bit for bit `kahlerpotential._hessian_columns`), with scale =
+    dq/dz: M[a][b] scale[b], plus eta_j[a] (eta_j M)[b] scale[b] / (2 l_j)
+    for each j outside B, less eta_i[a] / 2 when b is the column of u_i."""
     n = len(scale)
     outside = [j for j in range(len(l)) if j not in chart.facets]
     weighted = [[etas[j][a] / l[j] for j in outside] for a in range(n)]
@@ -168,54 +158,70 @@ def _solve(a, b):
     return b
 
 
-def _solution(p: polylattice.PolyhedralSet, chart: _Chart, z, x, iterations,
+def _exp(u: float) -> Fraction:
+    """e^u as a positive Fraction: Fraction(math.exp(u)) where that is
+    normal, else (e^(u/2^s))^(2^s), s least, within ~2^s ulps of e^u."""
+    s = 0
+    while math.exp(u / 2 ** s) < 2.0 ** -1022:  # the least normal float
+        s += 1
+    return Fraction(math.exp(u / 2 ** s)) ** 2 ** s
+
+
+def _solution(p: polylattice.PolyhedralSet, chart: _Chart, z, iterations,
               residual) -> NewtonResult:
-    """The result at chart coordinates z: x itself in the chart of x, else
-    the exact point v + M q that the float coordinates z name.
+    """The result at chart coordinates z: the exact point v + M q that they
+    name, with q = (-e^u, w) (see `_exp`), and x, its rounding to floats.
 
     Raises:
-        NotInterior: an exact slack of that point is not positive; names
-            the first facet of smallest slack.
+        ScaleLimitExceeded: a log slack is below LOG_SLACK_FLOOR, or x is
+            not inside a facet outside the chart, whose slack x cannot show.
+        NotInterior: an exact slack is not positive (names the first least).
     """
     k = len(chart.facets)
-    q = [-Fraction(math.exp(u)) for u in z[:k]] + [Fraction(w) for w in z[k:]]
-    point = [b + sum(m * v for m, v in zip(row, q))
-             for b, row in zip(chart.base, chart.inverse)] if k else q
-    slacks = [f.kappa - sum(e * v for e, v in zip(f.eta, point))
+    low = [i + 1 for i, u in zip(chart.facets, z) if u < LOG_SLACK_FLOOR]
+    if low:
+        raise ScaleLimitExceeded(
+            f"facet {low[0]} log slack below {LOG_SLACK_FLOOR:g}")
+    q = [-_exp(u) for u in z[:k]] + [Fraction(w) for w in z[k:]]
+    # 2^bits q is integral, so 2^bits x and 2^bits l need no gcd of huge ints
+    bits = max(v.denominator.bit_length() for v in q) - 1
+    q = [v.numerator << (bits + 1 - v.denominator.bit_length()) for v in q]
+    point = [b * 2 ** bits + sum(m * v for m, v in zip(row, q))
+             for b, row in zip(chart.base, chart.inverse)]
+    slacks = [f.kappa * 2 ** bits - sum(a * v for a, v in zip(f.eta, point))
               for f in p.facets]
+    values = [v.numerator / (v.denominator << bits) for v in point + slacks]
     worst = min(range(len(slacks)), key=slacks.__getitem__)
     if slacks[worst] <= 0:
         raise NotInterior(f"facet {worst + 1} slack "
-                          f"{float(slacks[worst]):.3e} below margin")
-    return NewtonResult(tuple(map(float, point)) if k else tuple(x),
-                        iterations, residual, chart.facets, tuple(z[:k]))
+                          f"{values[p.n + worst]:.3e} below margin")
+    x = tuple(values[:p.n])
+    lost = [j + 1 for j, f in enumerate(p.facets) if j not in chart.facets
+            and f.kappa <= sum(e * Fraction(v) for e, v in zip(f.eta, x))]
+    if lost:  # e.g. at a vertex of four facets in R^3, three in the chart
+        raise ScaleLimitExceeded(
+            f"facet {lost[0]} slack below the resolution of x in floats")
+    return NewtonResult(x, iterations, residual, chart.facets, tuple(z[:k]))
 
 
 def invert_legendre(p: polylattice.PolyhedralSet, y,
                     tol: float = NEWTON_TOL,
                     max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
-    """Newton solve of gradient(x) = y over the strict interior, for
-    one target y in R^n, in plain Python floats.
-
-    The start point maximizes the smallest slack (computed exactly, then
-    rounded to float). Each step solves the Jacobian system in the current
-    chart and is damped two ways: a fraction-to-boundary rule keeps every
-    slack outside the chart's facets at >= 5% of its current value, and
-    the step is halved while the residual norm (the merit function) fails
-    to decrease. The solve starts in the chart of x. When the halving runs
-    out, or a pivot of the Newton system is zero, the float point no
-    longer resolves its small slacks, and the solve moves, at the same
-    point, to the chart of the facets whose slacks are below CHART_SLACK
-    (once per new set of facets; an iteration). The solution is returned
-    only when its exact slacks are positive (see `_solution`).
+    """Newton solve of gradient(x) = y over the strict interior, for one
+    target y in R^n, in floats, from the max-margin point in the chart of
+    x. Each iteration moves, at the same point, to the chart of the slacks
+    below CHART_SLACK (`_chart_facets`) unless it has just moved, or takes
+    a Newton step there: each slack outside the chart keeps >= 5% of its
+    value, and the step halves up to 40 times while the residual norm does
+    not fall. It ends at a residual below tol in its own chart.
 
     Raises:
         ValueError: y does not have n coordinates.
-        NotInterior: the set is empty or has no strict interior, or an
-            exact slack of the solution is not positive.
+        NotInterior: the set is empty or has no strict interior.
         NoConvergence: after max_iter iterations above tolerance, when
-            rounding has put an iterate outside the interior, or at a
-            singular Newton system in an unchanged chart.
+            rounding puts an iterate outside the interior, or at a singular
+            Newton system.
+        NotInterior, ScaleLimitExceeded: see `_solution`.
     """
     yv = [float(v) for v in y]
     if len(yv) != p.n:
@@ -227,44 +233,38 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
     if margin <= 0:
         raise NotInterior("set has no strict interior")
     etas = float_facets(p)[0]
-    chart = _chart(p, ())
+    chart, moved = _chart(p, ()), False
     z = floats(start, "the max-margin start point")
-    iteration = 0
-    while True:
+    for iteration in range(max_iter + 1):
         state = _state(chart, etas, z, yv)
         if state is None:
             raise NoConvergence(f"iterate {iteration} left the interior")
         l, logs, x, grad, residual = state
-        if residual < tol:
-            return _solution(p, chart, z, x, iteration, residual)
-        if iteration >= max_iter:
+        facets = chart.facets if moved else _chart_facets(p, l)
+        if residual < tol and facets == chart.facets:
+            return _solution(p, chart, z, iteration, residual)
+        if iteration == max_iter:
             raise NoConvergence(
                 f"residual {residual:.3e} after {max_iter} iterations")
+        moved = facets != chart.facets
+        if moved:
+            chart = _chart(p, facets)
+            z = [logs[i] for i in facets] + [x[c] for c in chart.columns]
+            continue
         scale = [-l[i] for i in chart.facets] + [1.0] * len(chart.columns)
         step = _solve(_jacobian(chart, etas, l, scale), [-g for g in grad])
-        if step is not None:  # else the system is singular: no search
-            dq = [s * d for s, d in zip(scale, step)]
-            ratios = [l[j] / d for j, d in
-                      enumerate(dot(row, dq) for row in chart.rows)
-                      if d > 0 and j not in chart.facets]  # slack loss rate
-            t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
-        for _ in range(40 if step is not None else 0):
+        if step is None:
+            raise NoConvergence(
+                f"iteration {iteration}: singular Newton system")
+        dq = [s * d for s, d in zip(scale, step)]
+        ratios = [l[j] / d for j, d in
+                  enumerate(dot(row, dq) for row in chart.rows)
+                  if d > 0 and j not in chart.facets]  # slack loss rate
+        t = min(1.0, BOUNDARY_FRACTION * min(ratios)) if ratios else 1.0
+        for _ in range(40):  # an exhausted search keeps its tiny step
             trial = _state(chart, etas,
                            [zj + t * sj for zj, sj in zip(z, step)], yv)
             if trial is not None and trial[-1] < residual:
                 break
             t *= 0.5
-        else:  # the search ran out, or there was none
-            facets = _chart_facets(p, l)
-            if facets != chart.facets:
-                chart = _chart(p, facets)
-                z = [logs[i] for i in facets] + [x[c] for c in chart.columns]
-                iteration += 1
-                continue
-            if step is None:
-                raise NoConvergence(
-                    f"iteration {iteration}: singular Newton system")
-        # an exhausted search in an unchanged chart keeps the tiny step;
-        # the iteration cap above is the arbiter of non-convergence
         z = [zj + t * sj for zj, sj in zip(z, step)]
-        iteration += 1

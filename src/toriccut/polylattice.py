@@ -123,7 +123,6 @@ class FeasibilityResult(NamedTuple):
     certificate: tuple[int, ...] | None = None
 
 
-
 def polyhedral_set(n, facets, kind=GENERAL, orientation=UPPER,
                    auto_primitivize=False) -> PolyhedralSet:
     """Build a PolyhedralSet in the upper convention <x, eta> <= kappa
@@ -151,7 +150,7 @@ def polyhedral_set(n, facets, kind=GENERAL, orientation=UPPER,
             raise ValueError("conormal length does not match dimension")
         if not any(eta):
             raise ZeroConormal(f"facet {pos} has a zero conormal")
-        g = vector_gcd(eta) if auto_primitivize else 1
+        g = gcd(*eta) if auto_primitivize else 1
         if g > 1:
             eta = tuple(v // g for v in eta)
             kappa = kappa / g
@@ -168,13 +167,6 @@ def polyhedral_set(n, facets, kind=GENERAL, orientation=UPPER,
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def vector_gcd(vec) -> int:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(int(v)))
-    return g
 
 
 def integer_row(values):
@@ -435,7 +427,7 @@ def feasible(constraints, n: int | None = None) -> FeasibilityResult:
     cert = [0] * len(cons)
     for (k, scale), yk in zip(eq_origin + origin, y):
         cert[k] += scale * yk
-    g = vector_gcd(cert)
+    g = gcd(*cert)
     return FeasibilityResult(False, None, tuple(v // g for v in cert))
 
 
@@ -450,10 +442,8 @@ def max_margin_point(p: PolyhedralSet):
     Raises:
         ValueError: when the set is empty.
     """
-    rows = []
-    for f in p.facets:
-        ints, scale = integer_row([*f.eta, f.kappa])
-        rows.append((tuple(ints[:-1]), scale, ints[-1]))
+    rows = [(tuple(ints[:-1]), scale, ints[-1]) for ints, scale in
+            (integer_row([*f.eta, f.kappa]) for f in p.facets)]
     status, x, t, _ = _simplex(rows, p.n, margin=True)
     if status == "infeasible":
         raise ValueError("set is empty")

@@ -31,6 +31,7 @@ from toriccut import (exactreports, facelattice, floatbase,  # noqa: F401
                       floatreports, intlinalg, kahlerpotential,
                       legendreinverse, polylattice)
 from toriccut import _SUBMODULES, __version__
+from toriccut import cli
 from toriccut.cli import _render, load_document, main
 
 from conftest import (cube, delzant_cone, delzant_polygon, orthant,
@@ -275,6 +276,83 @@ def test_invert_singular_newton_system():
     report = json.loads(text)["report"]["invert"]
     assert report["chart"]["facets"] == [3, 5]
     assert report["residual"] < 1e-9
+
+
+def test_invert_delzant_40gon():
+    # the cut facets of the 40-gon crowd one corner of the square; at
+    # y = 0 the solution's slack at facet 1, x >= 0, is e^-49.8, which the
+    # chart of that facet carries
+    code, text = run_cli(["invert", data("dp40.json"), "--target=0,0"])
+    assert code == 0
+    report = json.loads(text)["report"]["invert"]
+    assert report["chart"]["facets"] == [1]
+    assert abs(report["chart"]["log_slacks"][0] + 49.83) < 0.01
+    assert report["residual"] < 1e-9
+
+
+# Python refuses int <-> str conversions past this many digits (3.10.7+)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT,
+                                       reason="no int/str digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("kappa", [
+    f"1e{DIGIT_LIMIT}", f"1e{DIGIT_LIMIT + 700}", "1e10000000",
+    "1" * (DIGIT_LIMIT + 700), "1/" + "1" * (DIGIT_LIMIT + 700)],
+    ids=["exponent", "larger-exponent", "huge-exponent", "integer",
+         "denominator"])
+@pytest.mark.parametrize("command", [["validate"],
+                                     ["potential", "--grid=0.1:0.9:3"]])
+def test_offset_past_the_digit_limit_exits_4(tmp_path, capsys, kappa,
+                                             command):
+    # Fraction refuses the long strings, str the long results and the
+    # parser a long exponent: a traceback before, exit 4 naming the facet
+    doc = _document([([-1], 0), ([1], kappa)])
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli([command[0], str(path), *command[1:]]) == (4, "")
+    assert "facet 2: the offset exceeds" in capsys.readouterr().err
+    doc["facets"][1]["kappa"] = f"1e{DIGIT_LIMIT - 1}"  # fits the limit
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["validate", str(path)])[0] == 0
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("kappa", ["1e10000000", "-.5e-10000000",
+                                   f"0e{2 * DIGIT_LIMIT + 1}"])
+def test_long_exponent_is_refused_before_fraction(monkeypatch, kappa):
+    # Fraction would build 10**exponent (seconds for 10^7 digits) before
+    # the limit refuses its result; past twice the limit the exponent alone
+    # decides, whatever the mantissa, so even a zero is refused
+    monkeypatch.setattr(cli, "Fraction", None)  # a call would raise
+    with pytest.raises(ValueError, match="exponent"):
+        cli._parse_rational(kappa)
+    monkeypatch.undo()  # at twice the limit Fraction still parses it
+    edge = 2 * DIGIT_LIMIT
+    assert cli._parse_rational(f"1e{edge}") == 10 ** edge
+
+
+@needs_digit_limit
+def test_json_integer_past_the_digit_limit_exits_4(tmp_path, capsys):
+    digits = "1" + "0" * DIGIT_LIMIT
+    path = tmp_path / "long.json"
+    path.write_text('{"schema_version": "1", "n": 1, "facets": ['
+                    f'{{"eta": [-1], "kappa": "0"}}, '
+                    f'{{"eta": [{digits}], "kappa": "1"}}]}}',
+                    encoding="utf-8")
+    assert run_cli(["validate", str(path)]) == (4, "")
+    assert "exceeds Python's limit" in capsys.readouterr().err
+    ambient = f'{{"x": [{digits}], "z": [0, 0]}}'
+    assert run_cli(["cut", data("f1.json"), "--ambient", ambient]) == (4, "")
+    assert "ambient JSON exceeds" in capsys.readouterr().err
+
+
+def test_non_utf8_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "facets": "\xff"}')  # not UTF-8
+    assert run_cli(["validate", str(path)]) == (2, "")
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def _document(facets, n=None):

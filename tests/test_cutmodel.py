@@ -1,7 +1,10 @@
 """Kernel lattices, level membership, canonical representatives, freeness."""
 
 import cmath
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +18,9 @@ from toriccut import intlinalg as il
 from toriccut import polylattice as pl
 from toriccut.errors import NotOnLevel
 
-from conftest import FIXTURES, random_set, sample_interior, section, simplex
-from test_cli import _sympy_saturated
+from conftest import (FIXTURES, random_set, sample_interior, section, simplex,
+                      write_document)
+from test_cli import _child_env, _sympy_saturated
 
 TWO_PI = 2.0 * math.pi
 
@@ -69,6 +73,43 @@ def test_kernel_exact_sequence(name):
     if k.kernel_basis:
         rows = [list(vec) for vec in k.kernel_basis]
         assert il.lattice_rank_index(rows) == (len(rows), 1)
+
+
+KERNEL_TIMED = """
+import json, sys, time
+from toriccut import cli, cutmodel
+p = cli.load_document(sys.argv[1]).pset
+start = time.perf_counter()
+kernel = cutmodel.delzant_kernel(p)
+print(json.dumps([time.perf_counter() - start, kernel.kernel_basis]))
+"""
+
+
+@pytest.mark.parametrize("n, m", [(5, 64), (6, 64), (7, 64), (8, 64),
+                                  (8, 40), (8, 48), (8, 56)])
+def test_kernel_stays_bounded(tmp_path, n, m):
+    # a Hermite form that reduced only the rows above each pivot let the
+    # rows below grow: 1.9 s at (8, 48), minutes at (8, 56), (6, 64) and
+    # (7, 64). A child with a timeout fails a relapse instead of hanging.
+    # pi k = 0, the Hermite shape and index 1 on m - rank(pi) rows fix
+    # the basis
+    p = random_set(n, m, 1)
+    path = write_document(tmp_path / "set.json", p)
+    proc = subprocess.run([sys.executable, "-c", KERNEL_TIMED, path],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seconds, kernel = json.loads(proc.stdout)
+    assert seconds < 0.5
+    pi = [[-f.eta[row] for f in p.facets] for row in range(n)]
+    assert all(sum(a * b for a, b in zip(row, vec)) == 0
+               for row in pi for vec in kernel)
+    pivots = [next(c for c, v in enumerate(vec) if v) for vec in kernel]
+    assert pivots == sorted(set(pivots))
+    for k, (vec, c) in enumerate(zip(kernel, pivots)):
+        assert vec[c] > 0
+        assert all(0 <= above[c] < vec[c] for above in kernel[:k])
+    assert il.lattice_rank_index(kernel) == (m - pl.rational_rank(pi), 1)
 
 
 def test_kernel_takes_one_hermite_transform(monkeypatch):

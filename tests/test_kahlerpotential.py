@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -13,10 +15,12 @@ from toriccut import floatbase as fb
 from toriccut import kahlerpotential as kp
 from toriccut import legendreinverse as li
 from toriccut import polylattice as pl
-from toriccut.errors import NoConvergence, NotInterior, NotSPD
+from toriccut.errors import (NoConvergence, NotInterior, NotSPD,
+                             ScaleLimitExceeded)
 
-from conftest import (cube, f1, f2, f3, f4, f5, gradient_rows, kahler_tensors,
-                      random_set, sample_interior, slab)
+from conftest import (cube, delzant_polygon, f1, f2, f3, f4, f5,
+                      gradient_rows, kahler_tensors, lens_cone, random_set,
+                      sample_interior, simplex, slab)
 
 mp.dps = 40
 
@@ -39,19 +43,41 @@ def mp_symplectic(p, x):
 
 def mp_gradient_error(p, res, y):
     """Largest entry of |gradient - y| at an inversion's solution, in
-    50 digits: the slacks of the chart's facets are e^log_slacks, the
-    others exact at the float x."""
-    chart = dict(zip(res.chart_facets, res.log_slacks))
+    50 digits, at the point x = v + M q that its chart names (see
+    `li._Chart`), with q = (-e^u, x_c) for the log slacks u and the chart's
+    columns c. A slack is an exact rational plus sum_i (eta_j M)_i e^(u_i),
+    so slacks far below the spacing of the float x stay resolved. The float
+    x itself must lie strictly inside every facet outside the chart."""
+    for j, f in enumerate(p.facets):
+        l = f.kappa - sum(e * Fraction(v) for e, v in zip(f.eta, res.x))
+        assert j in res.chart_facets or l > 0
+    chart = li._chart(p, res.chart_facets)
+    k = len(res.chart_facets)
+    w = [Fraction(res.x[c]) for c in chart.columns]
     with mp.workdps(50):
+        e_u = [mp.exp(u) for u in res.log_slacks]
+
+        def affine(base, row):  # base + <row, q>
+            exact = base + sum(r * v for r, v in zip(row[k:], w))
+            return mpf(exact.numerator) / exact.denominator - sum(
+                mpf(r.numerator) / r.denominator * e
+                for r, e in zip(map(Fraction, row[:k]), e_u))
+
+        x = [affine(Fraction(b), row)
+             for b, row in zip(chart.base, chart.inverse)]
         logs = []
         for j, f in enumerate(p.facets):
-            l = f.kappa - sum(e * Fraction(v) for e, v in zip(f.eta, res.x))
-            assert j in chart or l > 0
-            logs.append(mpf(chart[j]) if j in chart
-                        else mplog(mpf(l.numerator) / l.denominator))
+            if j in res.chart_facets:
+                logs.append(mpf(res.log_slacks[res.chart_facets.index(j)]))
+                continue
+            row = [-sum(e * m for e, m in zip(f.eta, col))
+                   for col in zip(*chart.inverse)]
+            l = affine(f.kappa - sum(e * b for e, b in zip(f.eta, chart.base)),
+                       row)
+            assert l > 0
+            logs.append(mplog(l))
         return float(max(
-            abs(mpf(res.x[c]) - sum(lg * f.eta[c]
-                                    for lg, f in zip(logs, p.facets)) / 2
+            abs(x[c] - sum(lg * f.eta[c] for lg, f in zip(logs, p.facets)) / 2
                 - y[c]) for c in range(p.n)))
 
 
@@ -389,6 +415,16 @@ class TestOneCut:
             assert abs(computed - l / (l + 1)) > 0.01
 
 
+# ROADMAP's invert sweep: the eight sets, then the cones f4 and lens and the
+# slab, whose targets are drawn the same way
+SWEEP_SETS = {"f1": f1, "f2": f2, "f5": f5, "cube2": lambda: cube(2),
+              "simplex3": lambda: simplex(3),
+              "random3_8_1": lambda: random_set(3, 8, 1),
+              "dp40": lambda: delzant_polygon(40),
+              "dp64": lambda: delzant_polygon(64),
+              "f4": f4, "lens": lens_cone, "slab": slab}
+
+
 class TestLegendre:
     def test_frozen_values(self):
         assert np.allclose(
@@ -458,18 +494,94 @@ class TestLegendre:
             li.invert_legendre(f1(), [5.0])
 
     def test_iterate_leaves_interior(self):
-        # the solution lies within rounding of the boundary: in x, the tiny
-        # step of an exhausted line search would land outside the set, so
-        # the solve moves to the chart of facet 3, whose slack is e^u
+        # the solutions lie within rounding of the boundary: in x, a step
+        # would land outside the set, so the solve moves to the chart of
+        # the small slacks, whose slacks are e^u
         y = [49.30956189235279, 34.19801309523521]
         res = li.invert_legendre(f5(), y)
-        assert res.chart_facets == (2,)
-        assert res.log_slacks[0] < -60
+        assert res.chart_facets == (0, 2)
+        assert res.log_slacks[1] < -60
         assert res.residual < 1e-9
         assert mp_gradient_error(f5(), res, y) < 1e-8 * max(map(abs, y))
-        # a slack of e^-1998 underflows to 0.0 even in the chart
-        with pytest.raises(NoConvergence, match="left the interior"):
-            li.invert_legendre(f1(), [1000.0])
+        # a slack of e^-1998 underflows to 0.0, but its log is u
+        res = li.invert_legendre(f1(), [1000.0])
+        assert res.chart_facets == (1,) and res.log_slacks[0] < -1990
+        assert res.residual < 1e-9
+        assert mp_gradient_error(f1(), res, [1000.0]) < 1e-8 * 1000.0
+
+    @pytest.mark.parametrize("u", [-1998.0, -1e4])
+    def test_exp_below_the_float_range(self, u):
+        # e^u underflows to 0.0; its rational is positive and close
+        value = li._exp(u)
+        with mp.workdps(50):
+            exact = mp.exp(mpf(u))
+            assert value > 0
+            ratio = mpf(value.numerator) / value.denominator / exact
+            assert abs(ratio - 1) < 1e-12
+
+    def test_exp_is_the_float_where_normal(self):
+        rng = np.random.default_rng(18)
+        for u in [0.0, -1.0, -708.0, *rng.uniform(-700.0, 0.0, 200)]:
+            assert li._exp(float(u)) == Fraction(math.exp(u))
+
+    def test_log_slack_floor(self):
+        # e^u past LOG_SLACK_FLOOR has too many bits for the exact check
+        chart = li._chart(f1(), (1,))
+        with pytest.raises(ScaleLimitExceeded, match="facet 2 log slack"):
+            li._solution(f1(), chart, [2 * li.LOG_SLACK_FLOOR], 0, 0.0)
+
+    @pytest.mark.parametrize("s", [10, 100, 1000])
+    def test_invert_sweep(self, s):
+        # 40 targets per set, each coordinate +-uniform(1, s). Only targets
+        # of random(3, 8, 1) fail, each with a preimage near a vertex on
+        # four facets: (-1, -1, 0) on facets 1, 2, 4, 5 or (-1, -1, -1/3) on
+        # 1, 2, 5, 7. A chart holds three of them and leaves the slack of
+        # facet 5 (down to about e^-188) to a float correction. Three stop
+        # at the iteration cap; at four the solve ends, but x in floats
+        # lies on facet 5, so it is refused (see `test_x_on_a_facet_...`)
+        rng = random.Random(7)
+        failed = {}
+        for name, make in SWEEP_SETS.items():
+            p = make()
+            for k in range(40):
+                y = [rng.choice((-1, 1)) * rng.uniform(1, s)
+                     for _ in range(p.n)]
+                try:
+                    res = li.invert_legendre(p, y)
+                except (NoConvergence, ScaleLimitExceeded) as exc:
+                    failed[name, k] = str(exc)
+                    continue
+                assert mp_gradient_error(p, res, y) < 1e-8 * max(map(abs, y))
+        cap = "after 200 iterations"
+        lost = "facet 5 slack below the resolution of x in floats"
+        expected = {10: {}, 100: {7: lost},
+                    1000: {4: cap, 7: cap, 18: lost, 26: lost, 28: cap,
+                           29: lost}}[s]
+        assert sorted(failed) == [("random3_8_1", k) for k in expected]
+        for (_, k), message in failed.items():
+            assert expected[k] in message
+
+    def test_x_on_a_facet_outside_the_chart(self):
+        # random(3, 8, 1) has the vertex (-1, -1, 0) on facets 1, 2, 4 and
+        # 5. In the chart of 1, 2 and 4 the slack of facet 5 is
+        # e^u_1 + 3 e^u_2: positive, but at u = -40 x in floats rounds to
+        # the vertex, which `potential` would refuse
+        p = random_set(3, 8, 1)
+        chart = li._chart(p, (0, 1, 3))
+        with pytest.raises(ScaleLimitExceeded, match="facet 5 slack below"):
+            li._solution(p, chart, [-40.0] * 3, 0, 0.0)
+        res = li._solution(p, chart, [-1.0] * 3, 0, 0.0)
+        assert res.chart_facets == (0, 1, 3)
+        assert mp_gradient_error(p, res, [0.0] * 3) < math.inf
+
+    def test_no_chart_move_right_after_a_move(self, monkeypatch):
+        # were the chart rule to alternate between two charts, the solve
+        # would take a step in each before it moves on, and converge
+        answers = itertools.cycle([(1,), ()])
+        monkeypatch.setattr(li, "_chart_facets", lambda p, l: next(answers))
+        res = li.invert_legendre(f1(), [1.0])
+        assert res.residual < 1e-9
+        assert mp_gradient_error(f1(), res, [1.0]) < 1e-8
 
     def test_chart_facets_independent(self):
         # the slab's two facets are parallel: only the smaller slack joins
@@ -499,17 +611,17 @@ class TestLegendre:
     def test_exact_interior_check(self):
         # in the chart of x, z is x itself
         x_chart = li._chart(f1(), ())
-        res = li._solution(f1(), x_chart, [5e-324], [5e-324], 2, 0.0)
+        res = li._solution(f1(), x_chart, [5e-324], 2, 0.0)
         assert res == ((5e-324,), 2, 0.0, (), ())
         with pytest.raises(NotInterior, match="facet 1 slack -5.000e-01"):
-            li._solution(f1(), x_chart, [-0.5], [-0.5], 0, 0.0)
+            li._solution(f1(), x_chart, [-0.5], 0, 0.0)
         with pytest.raises(NotInterior, match="facet 2 slack 0.000e"):
-            li._solution(f1(), x_chart, [1.0], [1.0], 0, 0.0)
+            li._solution(f1(), x_chart, [1.0], 0, 0.0)
         # in the chart of facet 2, u = 1 names x = 1 - e, outside facet 1
         chart = li._chart(f1(), (1,))
         with pytest.raises(NotInterior, match="facet 1 slack -1.718e"):
-            li._solution(f1(), chart, [1.0], None, 0, 0.0)
-        res = li._solution(f1(), chart, [-1.0], None, 3, 0.0)
+            li._solution(f1(), chart, [1.0], 0, 0.0)
+        res = li._solution(f1(), chart, [-1.0], 3, 0.0)
         assert res == ((1 - math.exp(-1.0),), 3, 0.0, (1,), (-1.0,))
 
     def test_solve_zero_pivot(self):
