@@ -92,27 +92,21 @@ def _parse_ambient(text: str, p: polylattice.PolyhedralSet):
         raise _digit_limit("an integer in the ambient JSON") from exc
     _expect(isinstance(raw, dict) and set(raw) <= {"x", "theta", "z"},
             "ambient must be an object with x, z, and optional theta")
-    x = raw.get("x")
-    _expect(isinstance(x, list) and len(x) == p.n
-            and all(_is_number(v) for v in x),
-            f"ambient x must be a {p.n}-vector")
-    theta = raw.get("theta", [0.0] * p.n)
-    _expect(isinstance(theta, list) and len(theta) == p.n
-            and all(_is_number(v) for v in theta),
-            f"ambient theta must be a {p.n}-vector")
+    x, theta = raw.get("x"), raw.get("theta", [0.0] * p.n)
+    for name, value in (("x", x), ("theta", theta)):
+        _expect(isinstance(value, list) and len(value) == p.n
+                and all(map(_is_number, value)),
+                f"ambient {name} must be a {p.n}-vector")
     z_raw = raw.get("z")
     _expect(isinstance(z_raw, list) and len(z_raw) == len(p.facets),
             f"ambient z must list {len(p.facets)} complex entries")
     zs = []
     for pos, item in enumerate(z_raw, start=1):
-        if _is_number(item):
-            zs.append(complex(*_ambient_floats([item])))
-        elif (isinstance(item, list) and len(item) == 2
-              and all(_is_number(v) for v in item)):
-            zs.append(complex(*_ambient_floats(item)))
-        else:
-            raise InputError(f"ambient z entry {pos} must be a number "
-                             "or a [re, im] pair")
+        pair = [item, 0] if _is_number(item) else item
+        _expect(isinstance(pair, list) and len(pair) == 2
+                and all(map(_is_number, pair)),
+                f"ambient z entry {pos} must be a number or a [re, im] pair")
+        zs.append(complex(*_ambient_floats(pair)))
     from . import cutmodel
     return cutmodel.ambient_point(_ambient_floats(x), _ambient_floats(theta),
                                   zs)

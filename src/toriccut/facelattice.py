@@ -89,24 +89,11 @@ def is_minimal(p: PolyhedralSet) -> MinimalityResult:
     all the others. The witness is the first inessential index.
     """
     for j, fj in enumerate(p.facets, start=1):
-        cons = []
-        for i, fi in enumerate(p.facets, start=1):
-            if i == j:
-                continue
-            cons.append((fi.eta, LE, fi.kappa))
+        cons = [(f.eta, LE, f.kappa) for f in p.facets[:j - 1] + p.facets[j:]]
         cons.append((tuple(-v for v in fj.eta), LT, -fj.kappa))
         if not polylattice.feasible(cons, p.n).feasible:
             return MinimalityResult(False, j)
     return MinimalityResult(True, None)
-
-
-def _face_system(p: PolyhedralSet, indices):
-    cons = []
-    idx = set(indices)
-    for i, f in enumerate(p.facets, start=1):
-        rel = EQ if i in idx else LE
-        cons.append((f.eta, rel, f.kappa))
-    return cons
 
 
 def reeb_candidate(p: PolyhedralSet) -> tuple[int, ...]:
@@ -124,7 +111,8 @@ def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
     the witness. `rank` is the rank of a cone's conormals when the caller
     has it (an enumeration computes it once).
     """
-    cons = _face_system(p, indices)
+    cons = [(f.eta, EQ if i in indices else LE, f.kappa)
+            for i, f in enumerate(p.facets, start=1)]
     if p.kind == CONE:
         etas = [list(e) for e in p.etas]
         if rank is None:
@@ -134,15 +122,6 @@ def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
         cons.append((reeb_candidate(p), EQ, 1))  # a slice meeting every ray
     res = polylattice.feasible(cons, p.n)
     return res.witness if res.feasible else None
-
-
-def _integer_facets(p: PolyhedralSet):
-    """Each facet as integers (a, b) with <x, a> <= b the same half-space."""
-    rows = []
-    for f in p.facets:
-        ints, _ = polylattice.integer_row([*f.eta, f.kappa])
-        rows.append((ints[:-1], ints[-1]))
-    return rows
 
 
 def _tight_facets(rows, point):
@@ -160,18 +139,29 @@ def _tight_facets(rows, point):
     return mask
 
 
-def _equation_point(p: PolyhedralSet, combo):
+def _equation_point(p: PolyhedralSet, combo, rank: int | None = None):
     """What the equations <x, eta_i> = kappa_i, i in I, decide alone.
 
     Returns (True, x) when they cut out the single point x (in p or not),
     (True, None) when they have no solution or cut out only the apex of a
-    cone, and (False, None) when their solutions form a line or more.
+    cone, and (False, None) when their solutions form a line or more. On a
+    cone whose conormals span R^n (`rank` n) a line through the apex is
+    decided too: <r, x> > 0 on the cone off the apex, so the line meets it
+    at most in the ray through the line's one point x on the slice
+    <r, x> = 1 of `face_witness`, returned in p or not, or None off it.
     """
     solvable, x = polylattice.rational_solve(
         [(*p.facets[i - 1].eta, p.facets[i - 1].kappa) for i in combo], p.n)
-    if solvable and x is None:
+    if not solvable or x is not None:
+        return True, None if p.kind == CONE else x
+    kernel = intlinalg.integer_kernel_basis(
+        [p.facets[i - 1].eta for i in combo], p.n
+    ) if rank == p.n and len(combo) >= p.n - 1 else ()
+    if len(kernel) != 1:  # a plane or more, or not such a cone
         return False, None
-    return True, None if p.kind == CONE else x
+    d = kernel[0]
+    height = sum(a * v for a, v in zip(reeb_candidate(p), d))
+    return True, tuple(Fraction(v, height) for v in d) if height else None
 
 
 def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
@@ -188,16 +178,19 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
     the last index of I) is built only from a key I, and only when every
     subset that drops one facet is a key, since a superset of an empty face
     is empty. A candidate no witness covers is settled by its equations
-    when they fix a single point or have none, and by one LP otherwise, so
-    LPs go only to candidates of rank below n that no witness found so far
-    lies on. Faces found by one witness share its Cover, so one rank and
-    index is taken per distinct witness.
+    when they fix a single point or have none, or a line through the apex
+    of a cone whose conormals span R^n, and by one LP otherwise, so LPs go
+    only to candidates of rank below n (n - 1 on such a cone) that no
+    witness found so far lies on. Faces found by one witness share its
+    Cover, so one rank and index is taken per distinct witness.
 
     Raises:
         ScaleLimitExceeded: when more than FACE_CANDIDATE_BUDGET candidates
             would have to be examined.
     """
-    rows = _integer_facets(p)
+    # each facet as integers (a, b), <x, a> <= b the same half-space
+    rows = [(ints[:-1], ints[-1]) for ints, _ in
+            (polylattice.integer_row([*f.eta, f.kappa]) for f in p.facets)]
     rank = (polylattice.rational_rank([list(e) for e in p.etas])
             if p.kind == CONE else None)
     witnesses: list[tuple[int, Cover]] = []  # (tight mask, cover)
@@ -215,7 +208,7 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
             cover = next((cover for active, cover in witnesses
                           if mask & active == mask), None)
             if cover is None:
-                decided, w = _equation_point(p, combo)
+                decided, w = _equation_point(p, combo, rank)
                 if not decided:
                     w = face_witness(p, combo, rank)
                 tight = None if w is None else _tight_facets(rows, w)

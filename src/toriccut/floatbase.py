@@ -1,6 +1,6 @@
 """The float arithmetic that more than one command path shares, in plain
 Python floats: the in-order dot product, the facets as floats, the column
-sums of a batch, and the gradient of the symplectic potential. The field
+sums of a batch, the gradient of the potential and its Jacobian. The field
 (`kahlerpotential`), the Newton solve (`legendreinverse`), `cutmodel` and
 `contactmetric` import it, so each command loads only its own float code.
 """
@@ -70,3 +70,22 @@ def gradient(x, logs, etas) -> list[list[float]]:
     log slacks."""
     return [[v - 0.5 * s for v, s in zip(col, sums)] for col, sums in
             zip(x, combinations(logs, list(zip(*etas))))]
+
+
+def chart_jacobian(etas, l_values, inverse, rows, scale, facets=()):
+    """Entry (a, b) of d gradient / dz in the coordinates z of a chart
+    (`legendreinverse._Chart`) by column over a batch, not symmetrized:
+    M[a][b] s_b + (1/2) sum_j (eta_j[a] / l_j) (r_j[b] s_b) over j outside
+    B by `combinations`, less eta_i[a] / 2 in the column of u_i; M = inverse,
+    r = rows, s = scale, B = facets. In the chart of x, the Hessian G."""
+    n, out = len(scale), []
+    for a in range(n):
+        used = [j for j, eta in enumerate(etas) if eta[a] and j not in facets]
+        sums = combinations(
+            [[etas[j][a] / v for v in l_values[j]] for j in used],
+            [[rows[j][b] * scale[b] for j in used] for b in range(n)]
+        ) if used else [[0.0] * len(l_values[0])] * n
+        half = [0.5 * etas[i][a] for i in facets] + [0.0] * (n - len(facets))
+        out.append([[inverse[a][b] * scale[b] + 0.5 * v - h for v in col]
+                    for b, (col, h) in enumerate(zip(sums, half))])
+    return out

@@ -47,9 +47,9 @@ def _load_points(path: str, n: int) -> list[list[float]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        text = stripped.replace(",", " ")
-        try:
-            values = [float(piece) for piece in text.split()]
+        fields = stripped.split("," if "," in stripped else None)
+        try:  # an empty field, as in "0.2,,0.3" or a trailing comma, is bad
+            values = [float(piece) for piece in fields]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: bad point") from exc
         _expect(len(values) == n, f"{path}:{lineno}: expected {n} coordinates")

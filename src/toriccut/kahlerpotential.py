@@ -10,9 +10,8 @@ points: the sums of `floatbase.combinations`, and each entry of G and of
 its Cholesky inverse. Every value depends on its own row alone, and every
 sum adds its terms in order from 0.0, as `floatbase.dot` does, so a point
 gives the same bits alone, as a one-row batch, or among others. The
-gradient of the potential is `floatbase.gradient`, which `potential` and
-the Newton solve of `legendreinverse` share; neither that solve nor
-`cut --ambient` loads this module.
+gradient and the Hessian G are `floatbase`'s, which the Newton solve of
+`legendreinverse` shares; neither it nor `cut --ambient` loads this module.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 from . import polylattice
 from .errors import NotInterior, NotSPD
-from .floatbase import combinations, dot, float_facets
+from .floatbase import chart_jacobian, combinations, dot, float_facets
 
 INTERIOR_MARGIN = 1e-12
 
@@ -159,26 +158,12 @@ def _symmetric_rows(g) -> list[list[list[float]]]:
             for row in zip(*flat)]
 
 
-def _hessian_columns(etas, l_values) -> list[list[list[float]]]:
-    """Entry (a, b) of I + (1/2) sum_j eta_j eta_j^T / l_j by column, not
-    symmetrized; its sum leaves out the terms with eta_j[a] = 0."""
-    n = len(etas[0])
-    out = []
-    for a in range(n):
-        used = [(eta, col) for eta, col in zip(etas, l_values) if eta[a]]
-        sums = combinations([[eta[a] / v for v in col] for eta, col in used],
-                            [[eta[b] for eta, _ in used] for b in range(n)]
-                            ) if used else [[0.0] * len(l_values[0])] * n
-        out.append([[float(a == b) + 0.5 * v for v in col]
-                    for b, col in enumerate(sums)])
-    return out
-
-
 def hessian_metric(pts: InteriorPoints) -> list[list[list[float]]]:
-    """Hessian of the symplectic potential at each row, an n x n matrix:
-    identity plus half the sum of rank-one conormal terms weighted by
-    inverse slacks; symmetrized against rounding."""
-    return _symmetric_rows(_hessian_columns(pts.etas, pts.l_values))
+    """G = I + (1/2) sum_j eta_j eta_j^T / l_j at each row: `chart_jacobian`
+    in the chart of x, symmetrized against rounding."""
+    eye = polylattice.identity_matrix(len(pts.x))
+    g = chart_jacobian(pts.etas, pts.l_values, eye, pts.etas, [1.0] * len(eye))
+    return _symmetric_rows(g)
 
 
 def hessian_metric_inverse(g) -> list[list[list[float]]]:

@@ -1,8 +1,9 @@
 """The Newton solve of `invert`: the preimage of one target under the
 gradient of the canonical potential, a diffeomorphism of the interior onto
-R^n (Guillemin 1994), in plain Python floats. Its residual is
-`floatbase.gradient` on a one-row batch; charts of log slacks (`_Chart`)
-keep small slacks exact. It does not load the field of `kahlerpotential`."""
+R^n (Guillemin 1994), in plain Python floats. Its residual and Jacobian
+are `floatbase.gradient` and `chart_jacobian` on a one-row batch; charts
+of log slacks (`_Chart`) keep small slacks exact. It does not load the
+field of `kahlerpotential`."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 from . import polylattice
 from .errors import NoConvergence, NotInterior, ScaleLimitExceeded
-from .floatbase import dot, float_facets, floats, gradient
+from .floatbase import chart_jacobian, dot, float_facets, floats, gradient
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 200
@@ -113,24 +114,6 @@ def _state(chart: _Chart, etas, z, y):
     grad = [col[0] - yj for col, yj in
             zip(gradient([[v] for v in x], [[v] for v in logs], etas), y)]
     return l, logs, x, grad, max(map(abs, grad))
-
-
-def _jacobian(chart: _Chart, etas, l, scale):
-    """d(gradient(x) - y)/dz entry by entry, not symmetrized (in the chart
-    of x, bit for bit `kahlerpotential._hessian_columns`), with scale =
-    dq/dz: M[a][b] scale[b], plus eta_j[a] (eta_j M)[b] scale[b] / (2 l_j)
-    for each j outside B, less eta_i[a] / 2 when b is the column of u_i."""
-    n = len(scale)
-    outside = [j for j in range(len(l)) if j not in chart.facets]
-    weighted = [[etas[j][a] / l[j] for j in outside] for a in range(n)]
-    moved = [[chart.rows[j][b] * scale[b] for j in outside] for b in range(n)]
-    jac = [[chart.float_inverse[a][b] * scale[b]
-            + 0.5 * dot(weighted[a], moved[b]) for b in range(n)]
-           for a in range(n)]
-    for b, i in enumerate(chart.facets):
-        for a in range(n):
-            jac[a][b] -= 0.5 * etas[i][a]
-    return jac
 
 
 def _solve(a, b):
@@ -252,7 +235,9 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
             z = [logs[i] for i in facets] + [x[c] for c in chart.columns]
             continue
         scale = [-l[i] for i in chart.facets] + [1.0] * len(chart.columns)
-        step = _solve(_jacobian(chart, etas, l, scale), [-g for g in grad])
+        jac = chart_jacobian(etas, [[v] for v in l], chart.float_inverse,
+                             chart.rows, scale, chart.facets)
+        step = _solve([[c[0] for c in row] for row in jac], [-g for g in grad])
         if step is None:
             raise NoConvergence(
                 f"iteration {iteration}: singular Newton system")

@@ -41,16 +41,13 @@ def max_dim_limit() -> int:
     Raises:
         ConfigError: when TORIC_MAX_DIM is set but is not a positive integer.
     """
-    raw = os.environ.get("TORIC_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
+    raw = os.environ.get("TORIC_MAX_DIM", str(DEFAULT_MAX_DIM))
     try:
-        value = int(raw)
+        if (value := int(raw)) >= 1:
+            return value
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(f"TORIC_MAX_DIM must be a positive integer, got {raw!r}")
-    return value
+        pass
+    raise ConfigError(f"TORIC_MAX_DIM must be a positive integer, got {raw!r}")
 
 
 class Facet(NamedTuple):
@@ -358,9 +355,7 @@ def rational_solve(rows, n):
     tb, rank, _ = _eliminate([(row[-1], *row[:-1]) for row in rows], n)
     if any(row[0] for row, var in zip(tb.tab, tb.basic) if var >= n):
         return False, None
-    if rank < n:
-        return True, None
-    return True, tuple(tb.value(j) for j in range(n))
+    return True, tuple(tb.value(j) for j in range(n)) if rank == n else None
 
 
 def rational_inverse(mat):

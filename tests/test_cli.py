@@ -707,6 +707,25 @@ def test_empty_points_file(tmp_path):
     assert json.loads(out)["report"]["metric"]["points"] == []
 
 
+def test_points_row_with_an_empty_field_exits_2(tmp_path, capsys):
+    # a row's fields are split at commas when it has one, else at
+    # whitespace; an empty field is a bad point, named by file and line
+    good = tmp_path / "good.txt"
+    good.write_text("0.33, 0.33\n0.2 0.3\n\t0.1 ,0.2 \n", encoding="utf-8")
+    code, out = run_cli(["potential", data("f2.json"), "--points", str(good)])
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["0.33", "0.33"], ["0.2", "0.3"], ["0.1", "0.2"]]
+    for row in ("0.2,,0.3", ",0.2,0.3", "0.2,0.3,", "0.2 , , 0.3"):
+        points = tmp_path / "bad.txt"
+        points.write_text(f"0.2 0.3\n{row}\n", encoding="utf-8")
+        for command in ("potential", "metric"):
+            code, out = run_cli([command, data("f2.json"), "--points",
+                                 str(points)])
+            assert (code, out) == (2, ""), (command, row)
+            assert f"{points}:2: bad point" in capsys.readouterr().err
+
+
 def test_potential_chunks_are_invisible(monkeypatch, tmp_path):
     # chunks of 1 and 7 rows write the bytes of the default chunk, on a grid
     # with skipped points and on points with NA rows among interior ones
@@ -929,12 +948,12 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1393),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1367),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1367),
-    (["validate", "f2.json"], 1413),
-    (["classify", "f4.json"], 1491),
-    (["cut", "f2.json"], 1626),
+    (["invert", "f2.json", "--target=6,6"], 1392),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1366),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1366),
+    (["validate", "f2.json"], 1394),
+    (["classify", "f4.json"], 1469),
+    (["cut", "f2.json"], 1607),
     (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1698),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])
@@ -1208,9 +1227,9 @@ AMBIENT_F1_FACET = '{"x": [0.0], "theta": [0.3], "z": [0, [1, 0]]}'
 
 @pytest.mark.parametrize("name, expected", [
     ("lens", {"convexity_class": 1, "rational_rank": 2,
-              "lattice_rank_index": 2, "hermite_transform": 1}),
+              "lattice_rank_index": 2, "hermite_transform": 2}),
     ("halfspace_r3",
-     {"hermite_normal_form": 7, "hermite_transform": 2,
+     {"hermite_normal_form": 8, "hermite_transform": 3,
       "lattice_rank_index": 2, "convexity_class": 1, "rational_rank": 3}),
     ("slab",
      {"hermite_normal_form": 6, "hermite_transform": 1,
@@ -1226,7 +1245,9 @@ def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # rows of the conormals and one transform of them, and needs no
     # convexity class of its projected set; lens's other rank is the
     # enumeration's. A rank and index takes two Hermite forms, a transform
-    # one. f1 and f2 run cut --ambient at a point of facet 1: the kernel
+    # one; the enumeration takes a transform for the line through the apex
+    # of a cone that no LP witness lies on (a ray of lens, and the
+    # half-line that halfspace_r3 projects to) in place of an LP. f1 and f2 run cut --ambient at a point of facet 1: the kernel
     # and the angle reduction take a transform each, the covers and the
     # stabilizer a rank and index each; on f2 the gauge lattice is read off
     # the one inverse of the projection, with no second kernel or

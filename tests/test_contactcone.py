@@ -137,6 +137,20 @@ def test_extreme_rays_match_subset_walk_on_random_cones():
         assert rays(p) == reference_rays(p), p
 
 
+def test_ray_witnesses_are_the_lp_points_on_random_cones():
+    # the enumeration settles a line through the apex without an LP; the
+    # point it takes on each ray face is the one the slice LP of
+    # `face_witness` finds there
+    checked = 0
+    for p in random_pointed_cones(200, 20261018) + [delzant_cone(8)]:
+        for face, cover in fl.active_faces(p).items():
+            etas = [p.facets[i - 1].eta for i in face]
+            if etas and pl.rational_rank(etas) == p.n - 1:
+                assert cover.witness == fl.face_witness(p, face.indices), p
+                checked += 1
+    assert checked > 200
+
+
 def test_extreme_rays():
     assert rays(FIXTURES["f4"]()) == ((0, 1), (1, 0))
     assert rays(FIXTURES["lens"]()) == ((0, 1), (2, -1))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, log as mplog
 
+from toriccut import facelattice as fl
 from toriccut import floatbase as fb
 from toriccut import kahlerpotential as kp
 from toriccut import legendreinverse as li
@@ -19,8 +20,8 @@ from toriccut.errors import (NoConvergence, NotInterior, NotSPD,
                              ScaleLimitExceeded)
 
 from conftest import (cube, delzant_polygon, f1, f2, f3, f4, f5,
-                      gradient_rows, kahler_tensors, lens_cone, random_set,
-                      sample_interior, simplex, slab)
+                      gradient_rows, halfspace_r3, kahler_tensors, lens_cone,
+                      random_set, sample_interior, simplex, slab)
 
 mp.dps = 40
 
@@ -223,6 +224,28 @@ COLUMN_SETS += [(f"random{n}_{m}_{s}",
                 for n in range(1, 7) for m, s in ((n + 1, 1), (2 * n + 1, 2))]
 
 
+def jacobian_slacks(p, rng):
+    """Rows of slacks for a chart Jacobian batch: five uniform in
+    [1e-6, 5], and one with slack 5e-324 on facet 1."""
+    rows = rng.uniform(1e-6, 5.0, size=(5, len(p.facets))).tolist()
+    return rows + [[5e-324] + rows[0][1:]]
+
+
+def reference_chart_jacobian(etas, l, chart, scale):
+    """The chart Jacobian at one point, every sum a `dot` over all facets
+    outside the chart (see `li._Chart` and `fb.chart_jacobian`)."""
+    n = len(scale)
+    outside = [j for j in range(len(l)) if j not in chart.facets]
+    jac = [[chart.float_inverse[a][b] * scale[b] + 0.5 * fb.dot(
+        [etas[j][a] / l[j] for j in outside],
+        [chart.rows[j][b] * scale[b] for j in outside]) for b in range(n)]
+        for a in range(n)]
+    for b, i in enumerate(chart.facets):
+        for a in range(n):
+            jac[a][b] -= 0.5 * etas[i][a]
+    return jac
+
+
 class TestColumnMetric:
     @pytest.mark.parametrize("name, fix", COLUMN_SETS,
                              ids=[name for name, _ in COLUMN_SETS])
@@ -264,16 +287,53 @@ class TestColumnMetric:
     @pytest.mark.parametrize("name, fix", COLUMN_SETS[:8],
                              ids=[name for name, _ in COLUMN_SETS[:8]])
     def test_newton_jacobian_in_x_is_the_hessian(self, name, fix):
-        # the Newton step in the chart of x takes the general chart
-        # Jacobian, which there has the bits of the Hessian's entries
+        # the Newton step in the chart of x takes the chart Jacobian, which
+        # there has the bits of I + (1/2) sum_j eta_j eta_j^T / l_j summed
+        # with `dot` (a slack of 5e-324 makes 1 / l_j inf, and 0 * inf a
+        # NaN in dot and in `combinations` alike)
         p = fix()
         etas = fb.float_facets(p)[0]
         chart = li._chart(p, ())
+        rows = jacobian_slacks(p, np.random.default_rng(len(name)))
+        jac = fb.chart_jacobian(etas, [list(col) for col in zip(*rows)],
+                                chart.float_inverse, chart.rows,
+                                [1.0] * p.n, chart.facets)
+        for k, l in enumerate(rows):
+            hessian = [[float(a == b) + 0.5 * fb.dot(
+                [eta[a] / v for eta, v in zip(etas, l)],
+                [eta[b] for eta in etas]) for b in range(p.n)]
+                for a in range(p.n)]
+            assert bits([[col[k] for col in row] for row in jac]) == bits(
+                hessian)
+
+    @pytest.mark.parametrize("name, fix", COLUMN_SETS[:8],
+                             ids=[name for name, _ in COLUMN_SETS[:8]])
+    def test_chart_jacobian_matches_dot_reference(self, name, fix):
+        # in every chart of independent facets that `_chart` builds on the
+        # set (the chart of x is the test above), every row of a batch has
+        # the bits of the one-point formula summed with `dot` over all
+        # facets outside the chart, zero terms included
+        p = fix()
+        etas = fb.float_facets(p)[0]
         rng = np.random.default_rng(len(name))
-        for l in rng.uniform(1e-6, 5.0, size=(5, len(p.facets))).tolist():
-            hessian = kp._hessian_columns(etas, [[v] for v in l])
-            assert bits(li._jacobian(chart, etas, l, [1.0] * p.n)) == bits(
-                [[col[0] for col in row] for row in hessian])
+        charts = [facets for size in range(1, p.n + 1) for facets in
+                  itertools.combinations(range(len(p.facets)), size)
+                  if pl.rational_rank([p.facets[i].eta for i in facets])
+                  == size]
+        assert charts
+        for facets in charts:
+            chart = li._chart(p, facets)
+            rows = jacobian_slacks(p, rng)
+            scale = ([-v for v in rng.uniform(1e-3, 3, len(facets)).tolist()]
+                     + [1.0] * len(chart.columns))
+            scale[0] = -1.0  # a coefficient of +-1 takes the exact shortcut
+            jac = fb.chart_jacobian(etas, [list(col) for col in zip(*rows)],
+                                    chart.float_inverse, chart.rows, scale,
+                                    facets)
+            for k, l in enumerate(rows):
+                expected = reference_chart_jacobian(etas, l, chart, scale)
+                assert bits([[col[k] for col in row] for row in jac]) == bits(
+                    expected)
 
     def test_not_spd_names_first_row_and_its_first_pivot(self):
         # the first row fails at pivot 3, the second already at pivot 1;
@@ -813,3 +873,69 @@ def test_invert_matches_batch_legendre_map(name, coords):
         columns = fb.gradient(batch.x, batch.log_values, batch.etas)
         assert max(abs(col[0] - t) for col, t in zip(columns, y)) == (
             res.residual)
+
+
+def splitting_sets():
+    """Weakly convex unimodular sets: f3, halfspace_r3, slab, one whose
+    change of basis is not the identity, and Delzant cores times R^k in a
+    random lattice basis W: the conormals (eta, 0) W of the core's."""
+    sets = {"f3": f3(), "halfspace_r3": halfspace_r3(), "slab": slab(),
+            "tilted": pl.polyhedral_set(3, [((-1, -1, 0), 0),
+                                            ((0, -1, -2), 0),
+                                            ((1, 2, 2), 1)])}
+    rng = random.Random(31)
+    cores = [f1(), f2(), f4(), cube(2), simplex(3), delzant_polygon(6)]
+    for index in range(12):
+        core, k = rng.choice(cores), rng.randint(1, 2)
+        n = core.n + k
+        w = pl.identity_matrix(n)
+        for _ in range(8):
+            (i, j), c = rng.sample(range(n), 2), rng.choice((-2, -1, 1, 2))
+            w[i] = [a + c * b for a, b in zip(w[i], w[j])]
+        facets = [(tuple(sum(e * w[r][c] for r, e in enumerate(f.eta))
+                         for c in range(n)), f.kappa) for f in core.facets]
+        sets[f"random{index}"] = pl.polyhedral_set(n, facets, kind=core.kind)
+    return sets
+
+
+SPLITTING_SETS = splitting_sets()
+
+
+@pytest.mark.parametrize("name", list(SPLITTING_SETS))
+def test_splitting_is_an_identity_for_the_metric(name):
+    # with U the unimodular change of `classify`'s splitting, the conormals
+    # U eta_j end in k zeros, and <U eta_j, U^-T x> = <eta_j, x>; so with x'
+    # the first n - k coordinates of U^-T x, the slacks of the core at x'
+    # are those of the set at x, and U (G(x) - I) U^T = (G_core(x') - I) + 0
+    p = SPLITTING_SETS[name]
+    split = fl.split_weakly_convex(p)
+    u, r = split.unimodular_change, p.n - split.k
+    assert split.k > 0
+    if name == "tilted":
+        assert u != tuple(map(tuple, pl.identity_matrix(p.n)))
+    core = split.projected_set
+    center, margin = pl.max_margin_point(core)
+    assert margin > 0
+    rng = random.Random(name)
+    # each core slack moves by at most 0.99 of the margin
+    radius = 0.99 * float(margin) / max(sum(map(abs, f.eta))
+                                        for f in core.facets)
+    xs = []
+    for _ in range(8):
+        y = [float(c) + rng.uniform(-radius, radius) for c in center]
+        y += [rng.uniform(-3, 3) for _ in range(split.k)]
+        xs.append([float(sum(Fraction(a) * b for a, b in zip(col, y)))
+                   for col in zip(*u)])  # U^T y
+    u_inv_t = list(zip(*pl.rational_inverse([list(row) for row in u])))
+    cores = [[float(sum(a * Fraction(v) for a, v in zip(row, x)))
+              for row in u_inv_t[:r]] for x in xs]
+    g = kp.hessian_metric(kp.interior_point(p, xs).require_all())
+    g_core = kp.hessian_metric(kp.interior_point(core, cores).require_all())
+    # relative to U G U^T: an entry of G - I carries the rounding of G's
+    um = np.array(u, dtype=float)
+    for gx, gc in zip(g, g_core):
+        lhs = um @ (np.array(gx) - np.eye(p.n)) @ um.T
+        rhs = np.zeros((p.n, p.n))
+        rhs[:r, :r] = np.array(gc) - np.eye(r)
+        scale = np.max(np.abs(um @ np.array(gx) @ um.T))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale

@@ -22,7 +22,8 @@ from toriccut.errors import (
 )
 
 from conftest import (
-    FIXTURES, cube, delzant_polygon, determinant, f1, f2, f3, f4, f5,
+    FIXTURES, cube, delzant_cone, delzant_polygon, determinant, f1, f2, f3,
+    f4, f5,
     f5_lift_cone, halfspace_r3, lens_cone, orthant, pyramid, random_set,
     simplex, slab, write_document,
 )
@@ -408,6 +409,19 @@ def test_one_lp_per_new_vertex(monkeypatch):
                         or original(p, indices, *rank))
     assert len(fl.active_faces(random_set(6, 12, 1))) == 922
     assert len(calls) == 102
+
+
+def test_cone_lines_need_no_lp(monkeypatch):
+    # on a cone whose conormals span R^3, a pair of facets cuts out a line
+    # through the apex; <r, x> > 0 off the apex, so the line meets the
+    # cone at most in the ray through its point on the slice <r, x> = 1.
+    # Of the 276 LPs the enumeration once took here, 254 went to such pairs
+    calls = []
+    original = pl.feasible
+    monkeypatch.setattr(pl, "feasible",
+                        lambda *a, **k: calls.append(a) or original(*a, **k))
+    assert len(fl.active_faces(delzant_cone(24))) == 49
+    assert len(calls) == 22
 
 
 @pytest.mark.parametrize("make, face", [(lens_cone, (1, 2)),
