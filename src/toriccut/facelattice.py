@@ -108,8 +108,9 @@ def face_witness(p: PolyhedralSet, indices, rank: int | None = None):
     face meeting the cone only at the origin reports None. When the
     conormals of a cone do not span R^n, a nonzero integer vector of their
     kernel pairs to zero with all of them, so it lies on every face and is
-    the witness. `rank` is the rank of a cone's conormals when the caller
-    has it (an enumeration computes it once).
+    the witness. When they span, the LP runs on the slice <r, x> = 1
+    (`reeb_candidate`), which meets every ray. `rank`, the rank of the
+    conormals, is passed by a caller that has it, as an enumeration does.
     """
     cons = [(f.eta, EQ if i in indices else LE, f.kappa)
             for i, f in enumerate(p.facets, start=1)]
@@ -142,26 +143,19 @@ def _tight_facets(rows, point):
 def _equation_point(p: PolyhedralSet, combo, rank: int | None = None):
     """What the equations <x, eta_i> = kappa_i, i in I, decide alone.
 
-    Returns (True, x) when they cut out the single point x (in p or not),
-    (True, None) when they have no solution or cut out only the apex of a
-    cone, and (False, None) when their solutions form a line or more. On a
-    cone whose conormals span R^n (`rank` n) a line through the apex is
-    decided too: <r, x> > 0 on the cone off the apex, so the line meets it
-    at most in the ray through the line's one point x on the slice
-    <r, x> = 1 of `face_witness`, returned in p or not, or None off it.
+    On a cone whose conormals span R^n (`rank` n) the slice <r, x> = 1 of
+    `face_witness` is one more equation: <r, x> > 0 on the cone off the
+    apex, so F_I has a nonzero point exactly when it has one on the slice.
+    Returns (True, x) when the equations cut out the single point x (in p
+    or not), (True, None) when they have no solution, as on a face of rank
+    n of such a cone, and (False, None) when their solutions form a line or
+    more, which only an LP settles.
     """
-    solvable, x = polylattice.rational_solve(
-        [(*p.facets[i - 1].eta, p.facets[i - 1].kappa) for i in combo], p.n)
-    if not solvable or x is not None:
-        return True, None if p.kind == CONE else x
-    kernel = intlinalg.integer_kernel_basis(
-        [p.facets[i - 1].eta for i in combo], p.n
-    ) if rank == p.n and len(combo) >= p.n - 1 else ()
-    if len(kernel) != 1:  # a plane or more, or not such a cone
-        return False, None
-    d = kernel[0]
-    height = sum(a * v for a, v in zip(reeb_candidate(p), d))
-    return True, tuple(Fraction(v, height) for v in d) if height else None
+    rows = [(*p.facets[i - 1].eta, p.facets[i - 1].kappa) for i in combo]
+    if rank == p.n:
+        rows.append((*reeb_candidate(p), 1))
+    solvable, x = polylattice.rational_solve(rows, p.n)
+    return not solvable or x is not None, x
 
 
 def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
@@ -177,12 +171,13 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
     nonempty with witness w and need no test. A candidate I + j (j past
     the last index of I) is built only from a key I, and only when every
     subset that drops one facet is a key, since a superset of an empty face
-    is empty. A candidate no witness covers is settled by its equations
-    when they fix a single point or have none, or a line through the apex
-    of a cone whose conormals span R^n, and by one LP otherwise, so LPs go
-    only to candidates of rank below n (n - 1 on such a cone) that no
-    witness found so far lies on. Faces found by one witness share its
-    Cover, so one rank and index is taken per distinct witness.
+    is empty. A candidate no witness covers is settled by its equations,
+    with the slice of `face_witness` among them on a cone whose conormals
+    span R^n, when they fix a single point or have none, and by one LP
+    otherwise, so LPs go only to candidates of rank below n (below n - 1 on
+    such a cone) that no witness found so far lies on. Faces found by one
+    witness share its Cover, so one rank and index is taken per distinct
+    witness.
 
     Raises:
         ScaleLimitExceeded: when more than FACE_CANDIDATE_BUDGET candidates

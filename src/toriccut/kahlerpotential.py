@@ -37,9 +37,9 @@ class InteriorPoints(NamedTuple):
     logarithm; l_infinity[k] is the sum of the slacks of that row. `inside`
     marks which input rows they are. worst_slack is the smallest slack of
     each input row; of a masked row, worst_facet (0-based, else None) names
-    it, the first among equal ones, a NaN slack first of all. The float
-    conormals (one row per facet) ride along so downstream operations need
-    only the batch.
+    it, the first among equal ones, a NaN slack first of all, else the
+    first +inf in a row at the margin. The float conormals (one per facet)
+    ride along so downstream operations need only the batch.
     """
 
     x: list[list[float]]
@@ -53,8 +53,9 @@ class InteriorPoints(NamedTuple):
 
     def rejection(self, row: int) -> NotInterior:
         """The error of an input row that is not interior."""
-        return NotInterior(f"facet {self.worst_facet[row] + 1} slack "
-                           f"{self.worst_slack[row]:.3e} below margin")
+        slack = self.worst_slack[row]
+        return NotInterior(f"facet {self.worst_facet[row] + 1} slack " + (
+            "overflows" if slack == math.inf else f"{slack:.3e} below margin"))
 
     def require_all(self) -> InteriorPoints:
         """The batch itself, when every input row is interior.
@@ -81,8 +82,8 @@ def _row_sums(columns) -> list[float]:
 
 def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     """Slacks of a batch of points in R^n, with the strictly interior rows
-    selected. A row whose smallest slack is below INTERIOR_MARGIN or NaN (a
-    NaN or inf coordinate gives NaN slacks) is masked out, not raised:
+    selected. A row with a slack below INTERIOR_MARGIN, NaN (a NaN or inf
+    coordinate gives NaN slacks) or +inf is masked out, not raised:
     `InteriorPoints.rejection` gives its error and `require_all` raises it.
 
     Raises:
@@ -103,14 +104,18 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     totals = _row_sums(slacks)
     worst_slack = list(map(min, *slacks, repeat(math.inf)))
     # a NaN slack makes the total NaN; min skips it unless it comes first
-    inside = [v >= INTERIOR_MARGIN and not math.isnan(total)
+    inside = [v >= INTERIOR_MARGIN and total < math.inf
               for v, total in zip(worst_slack, totals)]
-    outside = list(map(operator.not_, inside))
     worst = [None] * len(totals)
-    for k, row in zip(compress(range(len(totals)), outside),
-                      compress(zip(*slacks), outside)):
+    for k in compress(range(len(totals)), list(map(operator.not_, inside))):
+        row = [col[k] for col in slacks]
         if math.isnan(totals[k]):  # a NaN slack counts as the smallest
             worst_slack[k] = next(filter(math.isnan, row), worst_slack[k])
+        elif worst_slack[k] >= INTERIOR_MARGIN:  # a total of +inf, from a
+            if math.inf not in row:  # +inf slack or a sum that overflows
+                inside[k] = True
+                continue
+            worst_slack[k] = math.inf
         worst[k] = row.index(worst_slack[k])  # by identity for a NaN
     l_values = [list(compress(col, inside)) for col in slacks]
     return InteriorPoints(

@@ -303,19 +303,14 @@ def _simplex(rows, n, margin, cap=False):
         else:
             tab.pop()
             basic.pop()
-            if art in basic:
+            if art in basic:  # its row is nonzero on a nonbasic slack
                 r = basic.index(art)
-                s = next((k for k in range(1, len(nonbasic))
-                          if nonbasic[k] >= n and tab[r][k]), None)
-                if s is None:
-                    del tab[r], basic[r]
-                else:
-                    tb.pivot(r, s)
-            if art in nonbasic:
-                k = nonbasic.index(art)
-                for row in tab:
-                    del row[k]
-                del nonbasic[k]
+                tb.pivot(r, next(k for k in range(1, len(nonbasic))
+                                 if nonbasic[k] >= n and tab[r][k]))
+            k = nonbasic.index(art)
+            for row in tab:
+                del row[k]
+            del nonbasic[k]
     if status == "optimal" and margin:
         if n in basic:
             obj = list(tab[basic.index(n)])

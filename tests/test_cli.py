@@ -201,6 +201,23 @@ def test_exit_code_domain_errors(tmp_path):
                     "--target=0.5"])[0] == 3
 
 
+def test_invert_needs_a_strict_interior(tmp_path, capsys):
+    # x <= 0 and -x <= 0: the set is the point 0, with no interior to start
+    # the Newton solve in
+    point = write_document(tmp_path / "point.json",
+                           polylattice.polyhedral_set(1, [((1,), 0),
+                                                          ((-1,), 0)]))
+    assert run_cli(["invert", point, "--target=0.5"]) == (3, "")
+    assert "set has no strict interior" in capsys.readouterr().err
+
+
+def test_default_tolerances_are_the_newton_defaults():
+    # a document without tolerances solves as `invert_legendre` does alone
+    assert cli.DEFAULT_TOLERANCES == {
+        "newton_tol": legendreinverse.NEWTON_TOL,
+        "newton_max_iter": legendreinverse.NEWTON_MAX_ITER}
+
+
 def test_exit_code_scale_limit(tmp_path, capsys):
     # every command but potential and metric meets both gates on the
     # loaded set, before any exact work, so classify cannot report one as
@@ -787,6 +804,25 @@ def test_overflowing_pairing_is_quiet(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_infinite_slack_is_not_interior(tmp_path):
+    # on -x1 - x2 <= 0 the slack 0 - (-1e308 - 1e308) overflows to +inf:
+    # the row is outside, as a NaN or negative slack is
+    path = write_document(tmp_path / "half_plane.json",
+                          polylattice.polyhedral_set(2, [((-1, -1), 0)]))
+    points = tmp_path / "huge.txt"
+    points.write_text("1e308 1e308\n0.5 0.5\n", encoding="utf-8")
+    header = "x1,x2,sp,guillemin,gtilde1,gtilde2\n"
+    assert run_cli(["potential", path, "--points", str(points)]) == (
+        0, header + "1e+308,1e+308,NA,NA,NA,NA\n0.5,0.5,-0.25,-0.5,0.5,0.5\n")
+    code, out = run_cli(["metric", path, "--points", str(points)])
+    assert code == 0
+    assert json.loads(out)["report"]["metric"]["points"][0] == {
+        "x": [1e308, 1e308], "error": "facet 1 slack overflows"}
+    assert run_cli(["potential", path,
+                    "--grid=1e308:1.5e308:2,1e308:1.5e308:2"]) == (
+        0, header + "# skipped: 4\n")
+
+
 JSON_VALUES = st.recursive(
     st.one_of(st.sampled_from([-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf,
                                -math.inf, 2**64 + 1, -(2**70), True, False,
@@ -948,13 +984,13 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1392),
+    (["invert", "f2.json", "--target=6,6"], 1387),
     (["potential", "f2.json", "--points", "f2_points.txt"], 1366),
     (["metric", "f2.json", "--points", "f2_points.txt"], 1366),
-    (["validate", "f2.json"], 1394),
-    (["classify", "f4.json"], 1469),
-    (["cut", "f2.json"], 1607),
-    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1698),
+    (["validate", "f2.json"], 1384),
+    (["classify", "f4.json"], 1459),
+    (["cut", "f2.json"], 1597),
+    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1688),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])
 def test_compile_budget(argv, budget):
@@ -1061,6 +1097,7 @@ def test_help_prints_usage(argv, capsys):
     (["validate"], "INPUT is required"),
     (["invert", "--target=1"], "INPUT is required"),
     (["validate", "f1.json", "f2.json"], "unexpected argument"),
+    (["potential", "f1.json", "--grid=a:1:3"], "bad axis spec"),
 ])
 def test_bad_argv_exits_2(argv, message, capsys):
     argv = [data(arg) if arg.endswith(".json") else arg for arg in argv]
@@ -1227,9 +1264,9 @@ AMBIENT_F1_FACET = '{"x": [0.0], "theta": [0.3], "z": [0, [1, 0]]}'
 
 @pytest.mark.parametrize("name, expected", [
     ("lens", {"convexity_class": 1, "rational_rank": 2,
-              "lattice_rank_index": 2, "hermite_transform": 2}),
+              "lattice_rank_index": 2, "hermite_transform": 1}),
     ("halfspace_r3",
-     {"hermite_normal_form": 8, "hermite_transform": 3,
+     {"hermite_normal_form": 7, "hermite_transform": 2,
       "lattice_rank_index": 2, "convexity_class": 1, "rational_rank": 3}),
     ("slab",
      {"hermite_normal_form": 6, "hermite_transform": 1,
@@ -1245,9 +1282,10 @@ def test_classify_computes_each_rank_once(monkeypatch, name, expected):
     # rows of the conormals and one transform of them, and needs no
     # convexity class of its projected set; lens's other rank is the
     # enumeration's. A rank and index takes two Hermite forms, a transform
-    # one; the enumeration takes a transform for the line through the apex
-    # of a cone that no LP witness lies on (a ray of lens, and the
-    # half-line that halfspace_r3 projects to) in place of an LP. f1 and f2 run cut --ambient at a point of facet 1: the kernel
+    # one; the enumeration takes none, since the slice <r, x> = 1 settles a
+    # line through the apex of a cone (a ray of lens, and the half-line
+    # that halfspace_r3 projects to) among the equations of the face. f1
+    # and f2 run cut --ambient at a point of facet 1: the kernel
     # and the angle reduction take a transform each, the covers and the
     # stabilizer a rank and index each; on f2 the gauge lattice is read off
     # the one inverse of the projection, with no second kernel or

@@ -138,11 +138,30 @@ def test_extreme_rays_match_subset_walk_on_random_cones():
 
 
 def test_ray_witnesses_are_the_lp_points_on_random_cones():
-    # the enumeration settles a line through the apex without an LP; the
-    # point it takes on each ray face is the one the slice LP of
-    # `face_witness` finds there
+    # with the slice <r, x> = 1 among them, the equations of a face settle
+    # it without an LP when they have at most one solution: the face is
+    # empty exactly when the slice LP of `face_witness` finds no point, and
+    # otherwise that one solution is the LP's point. The point the
+    # enumeration takes on each ray face is the LP's too
+    cones = random_pointed_cones(200, 20261018)
+    decided = 0
+    for p in cones:
+        if len(p.facets) > 7:
+            continue
+        for combo in itertools.chain.from_iterable(
+                itertools.combinations(range(1, len(p.facets) + 1), size)
+                for size in range(len(p.facets) + 1)):
+            settled, x = fl._equation_point(p, combo, p.n)
+            if settled:
+                inside = x is not None and all(
+                    sum(a * v for a, v in zip(f.eta, x)) <= f.kappa
+                    for f in p.facets)
+                assert fl.face_witness(p, combo) == (
+                    x if inside else None), (p, combo)
+                decided += 1
+    assert decided > 3000
     checked = 0
-    for p in random_pointed_cones(200, 20261018) + [delzant_cone(8)]:
+    for p in cones + [delzant_cone(8)]:
         for face, cover in fl.active_faces(p).items():
             etas = [p.facets[i - 1].eta for i in face]
             if etas and pl.rational_rank(etas) == p.n - 1:
