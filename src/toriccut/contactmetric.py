@@ -5,10 +5,9 @@ The structure is torus-invariant, so a point enters through its moment
 coordinate x alone, on any level of the cone. `induced_acm_structure`
 builds it in closed form from x, G and G^-1, and the entries of G grow
 like 1/slack, so no absolute tolerance suits every cone. Each entry of
-each identity is judged instead against gamma_k = k u / (1 - k u), the
-bound on k roundings of unit roundoff u (Higham 2002, Accuracy and
-Stability of Numerical Algorithms, section 3.1), times the sum of the
-magnitudes of its terms. The terms are expanded through the closed form
+each identity is judged instead against gamma_k (`floatbase.gamma`), the
+bound on k roundings of unit roundoff, times the sum of the magnitudes of
+its terms. The terms are expanded through the closed form
 down to x, G and G^-1: the closed form and the identities run once more
 on `Magnitude`s of those inputs, so the cancellations of the closed form
 count at the size of what cancelled, and a quotient counts the relative
@@ -19,15 +18,12 @@ command loads this module.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from . import kahlerpotential, polylattice
 from .contactcone import _require_cone
 from .errors import IdentityViolation, PointOutside, ZeroPoint
-from .floatbase import dot
-
-BOUNDARY_TOL = 1e-12
+from .floatbase import dot, gamma
 
 
 class AlmostContactMetric(NamedTuple):
@@ -46,6 +42,10 @@ class AlmostContactMetric(NamedTuple):
 def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
     """Scale a nonzero cone point onto the unit sphere; idempotent.
 
+    x violates facet i when <eta_i, x> exceeds gamma_k times
+    sum_j |eta_ij x_j| (`floatbase.gamma`); k = n + 1 counts the float
+    x_j and the n products and sums of `dot`.
+
     Raises:
         ZeroPoint: the apex has no direction.
         PointOutside: x is not in the cone.
@@ -56,7 +56,7 @@ def normalize_moment(p: polylattice.PolyhedralSet, x) -> tuple[float, ...]:
     if norm == 0.0:
         raise ZeroPoint("cannot normalize the apex")
     for i, f in enumerate(p.facets, start=1):
-        if dot(f.eta, v) > BOUNDARY_TOL * norm:
+        if dot(f.eta, v) > gamma(p.n + 1) * dot(map(abs, f.eta), map(abs, v)):
             raise PointOutside(f"facet {i} violated")
     return tuple(c / norm for c in v)
 
@@ -234,13 +234,11 @@ def verify_structure(structure, size) -> None:
         IdentityViolation: an entry exceeds its bound (or is NaN); names
             the identity, the entry, its residual and the bound.
     """
-    k = 3 * len(structure[0].xi) + 9
-    u = sys.float_info.epsilon / 2
-    gamma = k * u / (1 - k * u)
+    rounding = gamma(3 * len(structure[0].xi) + 9)
     for (name, residuals), sizes in zip(identities(*structure).items(),
                                         identities(*size).values()):
         for entry, (residual, bound) in enumerate(zip(residuals, sizes)):
-            if not abs(residual) <= gamma * bound:
+            if not abs(residual) <= rounding * bound:
                 raise IdentityViolation(
                     f"{name}: entry {entry} residual {residual!r} exceeds "
-                    f"{gamma * bound!r}")
+                    f"{rounding * bound!r}")

@@ -6,8 +6,8 @@ their residual angle reduction, stabilizer data at boundary points, and
 the freeness table for stepwise cutting.
 
 The slacks and angles are plain Python floats, the projection exact.
-`floatbase.dot` and `float_facets` are imported where they run, so plain
-`cut` loads no float module and `cut --ambient` loads only `floatbase`.
+`floatbase` is imported in the functions that run it, so plain `cut`
+loads no float module and `cut --ambient` loads only `floatbase`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import NamedTuple
 from . import facelattice, intlinalg, polylattice
 from .errors import NotOnLevel
 
-ACTIVITY_TOL = 1e-9
-LEVEL_TOL = 1e-9
 # snapping moves an angle by up to SEAM_TOL; kept well below the 1e-9
 # angle accuracy so that a snapped angle still meets it after rounding
 SEAM_TOL = 1e-10
@@ -78,20 +76,6 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
     return DelzantKernel(tuple(tuple(row) for row in pi),
                          tuple(tuple(row) for row in u[len(image):]),
                          image == polylattice.identity_matrix(p.n))
-
-
-def _level_slacks(p: polylattice.PolyhedralSet, a: AmbientPoint):
-    """The float slacks of a.x, one per facet, or None when some |z_i|^2
-    is not within LEVEL_TOL of the i-th; |z|^2 is a product, so a modulus
-    past 1e154 squares to inf, which is off, and does not raise, and a NaN
-    slack (inf - inf) is off too."""
-    from .floatbase import dot, float_facets
-    etas, kappas = float_facets(p)
-    slacks = [kappa - dot(eta, a.x) for eta, kappa in zip(etas, kappas)]
-    if not all(abs(abs(z) * abs(z) - s) <= LEVEL_TOL
-               for z, s in zip(a.z, slacks)):
-        return None
-    return slacks
 
 
 def stabilizer(p: polylattice.PolyhedralSet,
@@ -163,27 +147,36 @@ def canonical_representative(p: polylattice.PolyhedralSet,
                              a: AmbientPoint) -> CutPoint:
     """Gauge-fixed quotient point for an ambient point on the zero level.
 
+    Facet i is on the level when ||z_i|^2 - l_i| is within gamma_k times
+    |kappa_i| + sum_j |eta_ij x_j| + |z_i|^2 (`floatbase.gamma`), and
+    active when |l_i| is. k = n + 4 counts the roundings on the path: the
+    float kappa_i, the n products and sums of `dot` (an inner product of
+    length n is within gamma_n), the subtraction, and |z_i| with its
+    square. A bound past the float range puts the point off the level.
     Rotating each nonzero z_i onto the positive real axis spends the phase
     t_i = -arg(z_i), which shifts theta by t_i times the i-th conormal.
     Phases over active facets stay free and are quotiented out by the
-    angle reduction. The active facets are those of slack below
-    ACTIVITY_TOL; the level test has rejected a slack below -LEVEL_TOL.
+    angle reduction.
 
     Raises:
         NotOnLevel: the moduli of z do not match the slacks.
         ScaleLimitExceeded: as `floatbase.float_facets`.
     """
-    slacks = _level_slacks(p, a)
-    if slacks is None:
-        raise NotOnLevel("|z_i|^2 does not match the facet slacks")
-    active = polylattice.FaceIndexSet(
-        i for i, s in enumerate(slacks, start=1) if s < ACTIVITY_TOL)
+    from .floatbase import dot, float_facets, gamma
+    etas, kappas = float_facets(p)
+    rounding, active = gamma(p.n + 4), []
     theta = [float(v) for v in a.theta]
-    for i, (f, z) in enumerate(zip(p.facets, a.z), start=1):
-        if i in active or z == 0:
-            continue
-        phase = cmath.phase(z)
-        theta = [t - phase * e for t, e in zip(theta, f.eta)]
+    for i, (eta, kappa, z) in enumerate(zip(etas, kappas, a.z), start=1):
+        slack, square = kappa - dot(eta, a.x), abs(z) * abs(z)
+        bound = rounding * (abs(kappa) + dot(map(abs, eta), map(abs, a.x))
+                            + square)
+        if not abs(square - slack) <= bound < math.inf:
+            raise NotOnLevel("|z_i|^2 does not match the facet slacks")
+        if abs(slack) <= bound:
+            active.append(i)
+        elif z:
+            theta = [t - cmath.phase(z) * e for t, e in zip(theta, eta)]
+    active = polylattice.FaceIndexSet(active)
     return CutPoint(a.x, active, _reduce_theta(p, theta, active))
 
 

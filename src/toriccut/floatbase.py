@@ -24,6 +24,13 @@ def dot(u, v) -> float:
     return acc
 
 
+def gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: k roundings move a value by at
+    most gamma_k times the sum of the magnitudes of its terms (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    return k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+
 def combinations(columns, coefficient_rows) -> list[list[float]]:
     """For each coefficient vector c, sum_k c[k] columns[k] over the rows,
     with the bits of `dot(c, row)`. Such a sum starts at 0.0 and so is

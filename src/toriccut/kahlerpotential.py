@@ -37,9 +37,9 @@ class InteriorPoints(NamedTuple):
     logarithm; l_infinity[k] is the sum of the slacks of that row. `inside`
     marks which input rows they are. worst_slack is the smallest slack of
     each input row; of a masked row, worst_facet (0-based, else None) names
-    it, the first among equal ones, a NaN slack first of all, else the
-    first +inf in a row at the margin. The float conormals (one per facet)
-    ride along so downstream operations need only the batch.
+    it, the first among equal ones, a NaN slack first of all, else, as
+    +inf, the largest where the total overflows. The float conormals (one
+    per facet) ride along so downstream operations need only the batch.
     """
 
     x: list[list[float]]
@@ -83,7 +83,7 @@ def _row_sums(columns) -> list[float]:
 def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     """Slacks of a batch of points in R^n, with the strictly interior rows
     selected. A row with a slack below INTERIOR_MARGIN, NaN (a NaN or inf
-    coordinate gives NaN slacks) or +inf is masked out, not raised:
+    coordinate gives NaN slacks) or a total of +inf is masked out, not raised:
     `InteriorPoints.rejection` gives its error and `require_all` raises it.
 
     Raises:
@@ -111,11 +111,9 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
         row = [col[k] for col in slacks]
         if math.isnan(totals[k]):  # a NaN slack counts as the smallest
             worst_slack[k] = next(filter(math.isnan, row), worst_slack[k])
-        elif worst_slack[k] >= INTERIOR_MARGIN:  # a total of +inf, from a
-            if math.inf not in row:  # +inf slack or a sum that overflows
-                inside[k] = True
-                continue
-            worst_slack[k] = math.inf
+        elif worst_slack[k] >= INTERIOR_MARGIN:  # a total past the range
+            worst[k], worst_slack[k] = row.index(max(row)), math.inf
+            continue
         worst[k] = row.index(worst_slack[k])  # by identity for a NaN
     l_values = [list(compress(col, inside)) for col in slacks]
     return InteriorPoints(

@@ -43,6 +43,11 @@ GOLDEN = Path(__file__).parent / "golden"
 AMBIENT_F1 = ('{"x": [0.5], "theta": [0.3], '
               '"z": [[0.4926460386775457, 0.507247356400526], '
               '[0.651288474745862, -0.275360350564871]]}')
+# a point on the level of [0, 10^12], its z written to 17 digits; the level
+# is checked to rounding, relative to the size of the terms
+AMBIENT_F1_TERA = ('{"x": [300000000000.0], "theta": [0.3], '
+                   '"z": [[418921.31890730531, 352852.55924389139], '
+                   '[379505.74298767722, -745637.57351636398]]}')
 # a point of f2 on facet 1 alone: the angle reduction runs with 0 < r < n
 AMBIENT_F2_FACET = ('{"x": [0.0, 0.4], "theta": [0.3, 0.2], '
                     '"z": [0, 0.6324555320336759, 0.7745966692414834]}')
@@ -92,6 +97,8 @@ GOLDEN_CASES = [
     ("cut_f1_plain.json", ["cut", "f1.json"], 0),
     ("cut_f1_ambient.json",
      ["cut", "f1.json", "--ambient", AMBIENT_F1], 0),
+    ("cut_f1_tera_ambient.json",
+     ["cut", "f1_tera.json", "--ambient", AMBIENT_F1_TERA], 0),
     ("cut_f2_plain.json", ["cut", "f2.json"], 0),
     ("cut_f5_plain.json", ["cut", "f5.json"], 0),
     ("cut_f5_lift_plain.json", ["cut", "f5_lift.json"], 0),
@@ -971,6 +978,32 @@ def test_submodules_are_the_package_modules():
     assert len(set(_SUBMODULES)) == len(_SUBMODULES)
 
 
+IMPORTED_LINES = """
+import sys
+import toriccut.cli
+loaded = [module.__file__ for name, module in sys.modules.items()
+          if name.partition(".")[0] == "toriccut"]
+print(sorted(name for name in sys.modules
+             if name.partition(".")[0] == "toriccut"))
+print(sum(len(open(path, "rb").readlines()) for path in loaded))
+"""
+
+
+def test_cli_import_budget():
+    # bench/run.py times setup_s as exactly `python -c "import toriccut.cli"`,
+    # which without bytecode caches compiles these four modules. Its timer
+    # waits with sleeps that double up to 50 ms, so a few milliseconds more
+    # of import can move the reading by tens of milliseconds
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_LINES],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, lines = proc.stdout.splitlines()
+    assert names == repr(["toriccut", "toriccut.cli", "toriccut.errors",
+                          "toriccut.polylattice"])
+    assert int(lines) <= 830
+
+
 COMPILED_LINES = """
 import contextlib, io, sys
 import toriccut.cli
@@ -984,12 +1017,12 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1387),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1366),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1366),
+    (["invert", "f2.json", "--target=6,6"], 1394),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1371),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1371),
     (["validate", "f2.json"], 1384),
     (["classify", "f4.json"], 1459),
-    (["cut", "f2.json"], 1597),
+    (["cut", "f2.json"], 1590),
     (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1688),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])

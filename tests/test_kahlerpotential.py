@@ -165,7 +165,7 @@ class TestInteriorPoint:
     def test_infinite_slack_rows_masked(self):
         # <eta_2, x> overflows to -inf and the slack to +inf, which names
         # facet 2; a slack below the margin is still named first, and finite
-        # slacks whose sum alone overflows stay interior
+        # slacks whose sum alone overflows name the largest of them
         p = pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0), ((1, 0), 1)])
         pts = kp.interior_point(p, [[0.5, 1e308], [2.0, 1e308], [0.5, 0.5]])
         assert pts.inside == [False, False, True]
@@ -174,8 +174,12 @@ class TestInteriorPoint:
         assert str(pts.rejection(1)) == (
             "facet 3 slack -1.000e+00 below margin")
         wide = pl.polyhedral_set(1, [((1,), 10**308), ((-1,), 10**308)])
-        pts = kp.interior_point(wide, [[0.0]])
-        assert pts.inside == [True] and pts.l_infinity == [math.inf]
+        # (the slacks of every point sum to 2e308)
+        pts = kp.interior_point(wide, [[0.0], [1e300]])
+        assert pts.inside == [False, False]
+        assert pts.worst_facet == [0, 1]
+        assert [str(pts.rejection(row)) for row in (0, 1)] == [
+            f"facet {i} slack overflows" for i in (1, 2)]
 
     def test_batch_shape_checked(self):
         for bad in ([0.5], [[0.5, 0.5]], [[[0.5]]]):
@@ -223,13 +227,15 @@ def reference_inverse(g):
 def reference_worst(slack_rows):
     """(worst facet, worst slack) of a masked row as the full scan named
     them: the first NaN slack, else the first facet of smallest slack when
-    it is below the margin, else the first slack of +inf."""
+    it is below the margin, else the first facet of largest slack, reported
+    as +inf: the slacks then sum past the float range."""
     out = []
     for row in slack_rows:
         nans = [i for i, v in enumerate(row) if math.isnan(v)]
         worst = nans[0] if nans else row.index(min(row))
         if not nans and row[worst] >= kp.INTERIOR_MARGIN:
-            worst = row.index(math.inf)
+            out.append((row.index(max(row)), math.inf))
+            continue
         out.append((worst, math.nan if nans else row[worst]))
     return out
 
