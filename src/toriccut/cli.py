@@ -182,7 +182,7 @@ def _emit(value, newline: str, out: list) -> None:
     """Append to out the text that json.dumps(value, sort_keys=True,
     indent=2) writes, where newline breaks the line and indents it as the
     line that value starts on; keys must be strings. Rationals are written
-    as strings, faces as index lists and a callable leaf f as f(newline)."""
+    as strings and a callable leaf f as f(newline)."""
     if isinstance(value, (dict, list, tuple)):
         if hasattr(value, "_fields"):
             # a record would lose its field names: payloads spell them out
@@ -209,8 +209,6 @@ def _emit(value, newline: str, out: list) -> None:
         out.append(newline + brackets[1])
     elif isinstance(value, Fraction):
         out.append(encode_basestring_ascii(str(value)))
-    elif isinstance(value, polylattice.FaceIndexSet):
-        _emit([int(i) for i in value], newline, out)
     elif callable(value):
         out.append(value(newline))
     else:  # a scalar: json.dumps writes it alike with and without indent

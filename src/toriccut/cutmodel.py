@@ -38,7 +38,7 @@ class CutPoint(NamedTuple):
     """Quotient point: base point, active facets, canonical angle vector."""
 
     x: tuple
-    active: polylattice.FaceIndexSet
+    active: tuple[int, ...]
     theta: tuple[float, ...]
 
 
@@ -79,16 +79,19 @@ def delzant_kernel(p: polylattice.PolyhedralSet) -> DelzantKernel:
 
 
 def stabilizer(p: polylattice.PolyhedralSet,
-               active: polylattice.FaceIndexSet) -> Stabilizer:
+               active: tuple[int, ...]) -> Stabilizer:
     """Generators of the subtorus fixing the fibers where the facets of
-    `active`, a `CutPoint`'s, are tight: their conormals.
+    `active`, a `CutPoint`'s, are tight: their conormals. An index below
+    1 raises ValueError.
 
     Their rank and the index of their lattice in its saturation come off
     the Hermite normal form; the saturation flag records whether they form
     a basis of a saturated sublattice, which is what smoothness of the
     quotient needs. An empty family is vacuously saturated.
     """
-    gens = tuple(p.facets[i - 1].eta for i in active.indices)
+    if any(i < 1 for i in active):
+        raise ValueError("facet indices are 1-based")
+    gens = tuple(p.facets[i - 1].eta for i in active)
     rank, index = intlinalg.lattice_rank_index(gens)
     return Stabilizer(gens, rank, (rank, index) == (len(gens), 1))
 
@@ -112,7 +115,7 @@ def _babai_reduce(v, basis_vectors):
 
 
 def _reduce_theta(p: polylattice.PolyhedralSet, theta,
-                  active: polylattice.FaceIndexSet) -> tuple[float, ...]:
+                  active: tuple[int, ...]) -> tuple[float, ...]:
     """Canonical angle representative modulo the residual gauge freedom.
 
     Active conormals act with free phases, so theta is only defined modulo
@@ -127,7 +130,7 @@ def _reduce_theta(p: polylattice.PolyhedralSet, theta,
     """
     from .floatbase import dot
     v = [float(c) % TWO_PI for c in theta]
-    if len(active) > 0:
+    if active:
         perp = intlinalg.integer_kernel_basis(
             [list(p.facets[i - 1].eta) for i in active])
         if not perp:  # the conormals span: every angle is gauge
@@ -152,7 +155,7 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     active when |l_i| is. k = n + 4 counts the roundings on the path: the
     float kappa_i, the n products and sums of `dot` (an inner product of
     length n is within gamma_n), the subtraction, and |z_i| with its
-    square. A bound past the float range puts the point off the level.
+    square. A modulus or bound past the float range puts it off the level.
     Rotating each nonzero z_i onto the positive real axis spends the phase
     t_i = -arg(z_i), which shifts theta by t_i times the i-th conormal.
     Phases over active facets stay free and are quotiented out by the
@@ -167,7 +170,11 @@ def canonical_representative(p: polylattice.PolyhedralSet,
     rounding, active = gamma(p.n + 4), []
     theta = [float(v) for v in a.theta]
     for i, (eta, kappa, z) in enumerate(zip(etas, kappas, a.z), start=1):
-        slack, square = kappa - dot(eta, a.x), abs(z) * abs(z)
+        try:
+            modulus = abs(z)
+        except OverflowError:  # |z_i| past the float range
+            modulus = math.inf
+        slack, square = kappa - dot(eta, a.x), modulus * modulus
         bound = rounding * (abs(kappa) + dot(map(abs, eta), map(abs, a.x))
                             + square)
         if not abs(square - slack) <= bound < math.inf:
@@ -176,7 +183,7 @@ def canonical_representative(p: polylattice.PolyhedralSet,
             active.append(i)
         elif z:
             theta = [t - cmath.phase(z) * e for t, e in zip(theta, eta)]
-    active = polylattice.FaceIndexSet(active)
+    active = tuple(active)
     return CutPoint(a.x, active, _reduce_theta(p, theta, active))
 
 
@@ -201,6 +208,5 @@ def freeness_table(p: polylattice.PolyhedralSet):
         free = cover.saturated or intlinalg.lattice_rank_index(
             [p.facets[i - 1].eta for i in key]) == (len(key), 1)
         for j in key:
-            rows[polylattice.FaceIndexSet(i for i in key if i != j)].append(
-                (j, free))
+            rows[tuple(i for i in key if i != j)].append((j, free))
     return [(face, j, free) for face, row in rows.items() for j, free in row]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import intlinalg, polylattice
 from .errors import NotUnimodular, ScaleLimitExceeded
-from .polylattice import CONE, EQ, LE, LT, FaceIndexSet, PolyhedralSet
+from .polylattice import CONE, EQ, LE, LT, PolyhedralSet
 
 # candidate faces one enumeration may examine; each costs at most one
 # feasibility solve, so a larger set exits 4 instead of running for minutes
@@ -52,9 +52,9 @@ class UnimodularityReport(NamedTuple):
     simple_vertices: bool
     simple_witness: tuple[Fraction, ...] | None
     saturated_faces: bool
-    saturated_witness: FaceIndexSet | None
+    saturated_witness: tuple[int, ...] | None
     # the Cover of every active face, which the checks read
-    covers: dict[FaceIndexSet, Cover]
+    covers: dict[tuple[int, ...], Cover]
 
     @property
     def is_unimodular(self) -> bool:
@@ -158,14 +158,15 @@ def _equation_point(p: PolyhedralSet, combo, rank: int | None = None):
     return not solvable or x is not None, x
 
 
-def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
+def active_faces(p: PolyhedralSet) -> dict[tuple[int, ...], Cover]:
     """All subsets I of facets whose face F_I meets the set, with a point.
 
-    Maps each such I to the Cover of an exact witness point of F_I
-    (`cover.witness`), in order of size, then lexicographically. Includes
-    the empty set when the set itself is nonempty. For cones the apex is
-    excluded, so a face is listed only if it contains a nonzero point; so
-    a subset of facets cuts out a nonempty face exactly when it is a key.
+    Maps each such I, the increasing tuple of its 1-based indices, to the
+    Cover of an exact witness point of F_I (`cover.witness`), in order of
+    size, then lexicographically. Includes the empty set when the set
+    itself is nonempty. For cones the apex is excluded, so a face is listed
+    only if it contains a nonzero point; so a subset of facets cuts out a
+    nonempty face exactly when it is a key.
 
     Every witness w covers all subsets of its active set A(w): they are
     nonempty with witness w and need no test. A candidate I + j (j past
@@ -215,7 +216,7 @@ def active_faces(p: PolyhedralSet) -> dict[FaceIndexSet, Cover]:
                 cover = Cover(w, len(etas), tight_rank,
                               (tight_rank, index) == (len(etas), 1))
                 witnesses.append((tight, cover))
-            found[FaceIndexSet(combo)] = cover
+            found[combo] = cover
             keys.append((combo, mask))
         known = {mask for _, mask in keys}
         level = []
@@ -243,7 +244,7 @@ def unimodularity_report(p: PolyhedralSet) -> UnimodularityReport:
     saturated, saturated_witness = True, None
     covers = active_faces(p)
     for fi, cover in covers.items():
-        if not fi.indices:
+        if not fi:
             continue
         if cover.saturated or (cover.rank == cover.tight and not saturated):
             rank = len(fi)

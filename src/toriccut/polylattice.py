@@ -76,44 +76,6 @@ def check_scale(p: PolyhedralSet) -> None:
                                  f"supported bound {DEFAULT_MAX_CONSTRAINTS}")
 
 
-class FaceIndexSet:
-    """Subset of facet indices, 1-based, stored sorted and deduplicated.
-
-    Not a tuple: a face never compares equal to a plain tuple of indices.
-    """
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        idx = tuple(sorted(set(int(i) for i in indices)))
-        if idx and idx[0] < 1:
-            raise ValueError("facet indices are 1-based")
-        object.__setattr__(self, "indices", idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FaceIndexSet is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        if isinstance(other, FaceIndexSet):
-            return self.indices == other.indices
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"FaceIndexSet(indices={self.indices!r})"
-
-    def __contains__(self, item):
-        return item in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-
 class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: tuple[Fraction, ...] | None

@@ -390,9 +390,11 @@ def small_documents(draw):
     """A random general set or cone in R^n, n <= 3, with 1 to 6 facets of
     conormals in [-2, 2]^n (zero conormals included) and offsets small or
     up to 10^400, past the float range, as a document; with a point in
-    R^n and a target for the commands that take one, and the angles and
-    moduli of an ambient point over that point, up to 1e308. A modulus
-    None puts z_i on the level."""
+    R^n and a target for the commands that take one, and the angles of an
+    ambient point over that point, up to 1e308, with its z: a phase puts
+    z_i on the level at that angle, and a pair gives its real and
+    imaginary parts, each up to 1.7e308, so |z_i| may pass the float
+    range."""
     n = draw(st.integers(1, 3))
     cone = draw(st.booleans())
     offsets = st.integers(-3, 3) | st.integers(-10**400, 10**400)
@@ -404,10 +406,11 @@ def small_documents(draw):
     coordinates = st.lists(st.integers(-12, 12), min_size=n, max_size=n)
     point = [v / 4 for v in draw(coordinates)]
     theta = draw(st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n))
-    moduli = draw(st.lists(st.none() | st.floats(0, 1e308),
-                           min_size=len(facets), max_size=len(facets)))
-    return (doc, point, [float(v) for v in draw(coordinates)], theta,
-            moduli)
+    # the edges of the range, where |z_i| leaves it, drawn as often as the rest
+    part = st.floats(-1.7e308, 1.7e308) | st.sampled_from([-1.7e308, 1.7e308])
+    z = draw(st.lists(st.floats(-math.pi, math.pi) | st.tuples(part, part),
+                      min_size=len(facets), max_size=len(facets)))
+    return (doc, point, [float(v) for v in draw(coordinates)], theta, z)
 
 
 F2_FACETS = [([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)]
@@ -415,31 +418,34 @@ F2_FACETS = [([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)]
 
 @settings(max_examples=60, deadline=None)
 @given(small_documents())
-# large finite angles and moduli at points of f2, and a conormal entry and
-# an offset past the float range
+# large finite angles and moduli at points of f2 and f1, and a conormal
+# entry and an offset past the float range
 @example((_document(F2_FACETS), [0.0, 0.4], [1.0, 1.0], [1e308, 1e308],
-          [None] * 3))
+          [0.0] * 3))
 @example((_document(F2_FACETS), [0.2, 0.4], [1.0, 1.0], [0.0, 0.0],
-          [1e200, None, None]))
+          [(1e200, 0.0), 0.0, 0.0]))
+@example((_document([([-1], 0), ([1], 1)]), [0.5], [0.5], [0.0],
+          [(1.7e308, 1.7e308), (0.5, 0.0)]))
 @example((_document([([-1], 0), ([1], "1e400")]), [0.5], [0.5], [0.0],
-          [None] * 2))
+          [0.0] * 2))
 @example((_document([([-1], 0), ([10**400], 1)]), [0.0], [0.5], [0.0],
-          [None] * 2))
+          [0.0] * 2))
 def test_random_sets_keep_the_exit_contract(tmp_path_factory, case):
     # every command form on every small set ends with a contract code,
     # never with a traceback
-    doc, x, target, theta, moduli = case
+    doc, x, target, theta, zs = case
     work = tmp_path_factory.getbasetemp()
     path, points = work / "random_set.json", work / "random_points.txt"
     path.write_text(json.dumps(doc), encoding="utf-8")
     points.write_text(" ".join(map(repr, x)) + "\n", encoding="utf-8")
     z = []
-    for facet, modulus in zip(doc["facets"], moduli):
-        if modulus is None:
+    for facet, entry in zip(doc["facets"], zs):
+        if isinstance(entry, float):  # on the level, at the phase entry
             slack = Fraction(facet["kappa"]) - sum(
                 e * Fraction(v) for e, v in zip(facet["eta"], x))
             modulus = math.sqrt(min(max(slack, 0), sys.float_info.max))
-        z.append([modulus, 0.0])
+            entry = (modulus * math.cos(entry), modulus * math.sin(entry))
+        z.append(list(entry))
     ambient = json.dumps({"x": x, "theta": theta, "z": z})
     grid = ",".join(["-2:2:3"] * len(x))
     for argv in (["validate"], ["classify"], ["cut"],
@@ -848,8 +854,7 @@ def test_render_matches_json_dumps(value):
 
 def test_render_refuses_records():
     # a record is a tuple: flattened, its field names would be lost
-    face = polylattice.FaceIndexSet((2, 1))
-    assert _render({"face": face, "w": (Fraction(1, 2),)}) == json.dumps(
+    assert _render({"face": (1, 2), "w": (Fraction(1, 2),)}) == json.dumps(
         {"face": [1, 2], "w": ["1/2"]}, sort_keys=True, indent=2)
     with pytest.raises(TypeError, match="ConvexityReport"):
         _render({"convexity": facelattice.ConvexityReport(2, 0, "x")})
@@ -1001,7 +1006,7 @@ def test_cli_import_budget():
     names, lines = proc.stdout.splitlines()
     assert names == repr(["toriccut", "toriccut.cli", "toriccut.errors",
                           "toriccut.polylattice"])
-    assert int(lines) <= 830
+    assert int(lines) <= 790
 
 
 COMPILED_LINES = """
@@ -1017,13 +1022,13 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1394),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1371),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1371),
-    (["validate", "f2.json"], 1384),
-    (["classify", "f4.json"], 1459),
-    (["cut", "f2.json"], 1590),
-    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1688),
+    (["invert", "f2.json", "--target=6,6"], 1354),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1331),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1331),
+    (["validate", "f2.json"], 1345),
+    (["classify", "f4.json"], 1420),
+    (["cut", "f2.json"], 1560),
+    (["cut", "f2.json", "--ambient", AMBIENT_F2_FACET], 1658),
 ], ids=["invert", "potential", "metric", "validate", "classify", "cut",
         "cut-ambient"])
 def test_compile_budget(argv, budget):

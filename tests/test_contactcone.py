@@ -165,7 +165,7 @@ def test_ray_witnesses_are_the_lp_points_on_random_cones():
         for face, cover in fl.active_faces(p).items():
             etas = [p.facets[i - 1].eta for i in face]
             if etas and pl.rational_rank(etas) == p.n - 1:
-                assert cover.witness == fl.face_witness(p, face.indices), p
+                assert cover.witness == fl.face_witness(p, face), p
                 checked += 1
     assert checked > 200
 

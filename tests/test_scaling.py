@@ -64,7 +64,7 @@ def cut_verdict(p, x, theta, z):
         rep = cm.canonical_representative(p, cm.ambient_point(x, theta, z))
     except NotOnLevel:
         return "off"
-    return (rep.active.indices, cm.stabilizer(p, rep.active),
+    return (rep.active, cm.stabilizer(p, rep.active),
             [t.hex() for t in rep.theta])
 
 
