@@ -19,7 +19,7 @@ from .cli import (EXIT_OK, InputError, LoadedDocument, _expect, _finite,
                   _render, _write_report)
 from .errors import ScaleLimitExceeded
 
-# a larger --grid exits 4 before any point is built
+# more --grid or --points points exit 4 before any is built or evaluated
 GRID_POINT_LIMIT = 10**6
 # points evaluated and written per chunk of `potential`
 CSV_CHUNK_ROWS = 4096
@@ -37,24 +37,28 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _load_points(path: str, n: int) -> list[list[float]]:
+    points = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
+            for lineno, line in enumerate(handle, start=1):
+                if not (stripped := line.strip()) or stripped[0] == "#":
+                    continue
+                if len(points) == GRID_POINT_LIMIT:  # the rest is not read
+                    raise ScaleLimitExceeded(
+                        f"--points: {path} holds more than the limit of "
+                        f"{GRID_POINT_LIMIT} points")
+                fields = stripped.split("," if "," in stripped else None)
+                try:  # an empty field, as "0.2,,0.3" or a trailing comma
+                    values = [float(piece) for piece in fields]
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: bad point") from exc
+                _expect(len(values) == n,
+                        f"{path}:{lineno}: expected {n} coordinates")
+                _expect(_finite(values),
+                        f"{path}:{lineno}: coordinates must be finite")
+                points.append(values)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    points = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split("," if "," in stripped else None)
-        try:  # an empty field, as in "0.2,,0.3" or a trailing comma, is bad
-            values = [float(piece) for piece in fields]
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: bad point") from exc
-        _expect(len(values) == n, f"{path}:{lineno}: expected {n} coordinates")
-        _expect(_finite(values), f"{path}:{lineno}: coordinates must be finite")
-        points.append(values)
     return points
 
 
@@ -110,6 +114,7 @@ def cmd_potential(doc: LoadedDocument, points=None, grid=None) -> int:
         total = len(rows)
     else:
         rows, total = _parse_grid(grid, p.n)
+    floatbase.float_facets(p)  # a set past the float range: no header either
     header = ([f"x{i}" for i in range(1, p.n + 1)] + ["sp", "guillemin"]
               + [f"gtilde{i}" for i in range(1, p.n + 1)])
     sys.stdout.write(",".join(header) + "\n")

@@ -31,15 +31,13 @@ INTERIOR_MARGIN = 1e-12
 class InteriorPoints(NamedTuple):
     """A batch of points with its strictly interior rows and their slacks.
 
-    x, l_values and log_values hold the interior rows only, in input order
-    and by column: x[c][k] is coordinate c of the k-th interior row,
-    l_values[i][k] = kappa_i - <x_k, eta_i> > 0 and log_values[i][k] its
-    logarithm; l_infinity[k] is the sum of the slacks of that row. `inside`
-    marks which input rows they are. worst_slack is the smallest slack of
-    each input row; of a masked row, worst_facet (0-based, else None) names
-    it, the first among equal ones, a NaN slack first of all, else, as
-    +inf, the largest where the total overflows. The float conormals (one
-    per facet) ride along so downstream operations need only the batch.
+    slacks[i][k] = kappa_i - <x_k, eta_i> is the slack of input row k at
+    facet i, and `inside` marks the strictly interior rows. x, l_values and
+    log_values hold those rows only, in input order and by column: x[c][k]
+    is coordinate c of the k-th interior row, l_values[i][k] > 0 its slack
+    and log_values[i][k] the logarithm; l_infinity[k] is the sum of its
+    slacks. The float conormals (one per facet) ride along so downstream
+    operations need only the batch.
     """
 
     x: list[list[float]]
@@ -48,14 +46,19 @@ class InteriorPoints(NamedTuple):
     l_infinity: list[float]
     etas: list[list[float]]
     inside: list[bool]
-    worst_facet: list[int | None]
-    worst_slack: list[float]
+    slacks: list[list[float]]
 
     def rejection(self, row: int) -> NotInterior:
-        """The error of an input row that is not interior."""
-        slack = self.worst_slack[row]
-        return NotInterior(f"facet {self.worst_facet[row] + 1} slack " + (
-            "overflows" if slack == math.inf else f"{slack:.3e} below margin"))
+        """The error of a masked input row: its first NaN slack (`index`
+        finds it by identity), else its first smallest one below the margin,
+        else its first largest one, as its slacks then sum past the range."""
+        slacks = [col[row] for col in self.slacks]
+        worst = next(filter(math.isnan, slacks), min(slacks))
+        if worst >= INTERIOR_MARGIN:
+            return NotInterior(
+                f"facet {slacks.index(max(slacks)) + 1} slack overflows")
+        return NotInterior(f"facet {slacks.index(worst) + 1} slack "
+                           f"{worst:.3e} below margin")
 
     def require_all(self) -> InteriorPoints:
         """The batch itself, when every input row is interior.
@@ -102,25 +105,15 @@ def interior_point(p: polylattice.PolyhedralSet, x) -> InteriorPoints:
     slacks = [[kappa - d for d in dots] for kappa, dots in
               zip(kappas, combinations(cols, etas))]
     totals = _row_sums(slacks)
-    worst_slack = list(map(min, *slacks, repeat(math.inf)))
     # a NaN slack makes the total NaN; min skips it unless it comes first
-    inside = [v >= INTERIOR_MARGIN and total < math.inf
-              for v, total in zip(worst_slack, totals)]
-    worst = [None] * len(totals)
-    for k in compress(range(len(totals)), list(map(operator.not_, inside))):
-        row = [col[k] for col in slacks]
-        if math.isnan(totals[k]):  # a NaN slack counts as the smallest
-            worst_slack[k] = next(filter(math.isnan, row), worst_slack[k])
-        elif worst_slack[k] >= INTERIOR_MARGIN:  # a total past the range
-            worst[k], worst_slack[k] = row.index(max(row)), math.inf
-            continue
-        worst[k] = row.index(worst_slack[k])  # by identity for a NaN
+    inside = [v >= INTERIOR_MARGIN and total < math.inf for v, total in
+              zip(map(min, *slacks, repeat(math.inf)), totals)]
     l_values = [list(compress(col, inside)) for col in slacks]
     return InteriorPoints(
         x=[list(compress(col, inside)) for col in cols], l_values=l_values,
         log_values=[list(map(math.log, col)) for col in l_values],
         l_infinity=list(compress(totals, inside)), etas=etas, inside=inside,
-        worst_facet=worst, worst_slack=worst_slack)
+        slacks=slacks)
 
 
 def half_entropy(pts: InteriorPoints) -> list[float]:

@@ -17,6 +17,9 @@ from .floatbase import chart_jacobian, dot, float_facets, floats, gradient
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 200
+# a larger max_iter exits 4: at n = 8 and 64 facets an iteration took up to
+# 15 ms on a 2-vCPU host, where a solve that never converges ends in ~30 s
+NEWTON_MAX_ITER_LIMIT = 2000
 BOUNDARY_FRACTION = 0.95
 CHART_SLACK = 1e-3
 LOG_SLACK_FLOOR = -1e6  # below it, e^u has over 1.4 million bits
@@ -199,6 +202,8 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
     not fall. It ends at a residual below tol in its own chart.
 
     Raises:
+        ScaleLimitExceeded: max_iter exceeds NEWTON_MAX_ITER_LIMIT; checked
+            before any exact work.
         ValueError: y does not have n coordinates.
         NotInterior: the set is empty or has no strict interior.
         NoConvergence: after max_iter iterations above tolerance, when
@@ -206,6 +211,9 @@ def invert_legendre(p: polylattice.PolyhedralSet, y,
             Newton system.
         NotInterior, ScaleLimitExceeded: see `_solution`.
     """
+    if max_iter > NEWTON_MAX_ITER_LIMIT:
+        raise ScaleLimitExceeded(f"newton_max_iter {max_iter} exceeds the "
+                                 f"limit of {NEWTON_MAX_ITER_LIMIT}")
     yv = [float(v) for v in y]
     if len(yv) != p.n:
         raise ValueError(f"expected a target in R^{p.n}")

@@ -432,7 +432,8 @@ F2_FACETS = [([-1, 0], 0), ([0, -1], 0), ([1, 1], 1)]
           [0.0] * 2))
 def test_random_sets_keep_the_exit_contract(tmp_path_factory, case):
     # every command form on every small set ends with a contract code,
-    # never with a traceback
+    # never with a traceback: either one `toric: ` line on stderr and
+    # nothing on stdout, or, at exit 0 or 3, one whole report on stdout
     doc, x, target, theta, zs = case
     work = tmp_path_factory.getbasetemp()
     path, points = work / "random_set.json", work / "random_points.txt"
@@ -451,17 +452,59 @@ def test_random_sets_keep_the_exit_contract(tmp_path_factory, case):
     for argv in (["validate"], ["classify"], ["cut"],
                  ["cut", "--ambient", ambient],
                  ["potential", f"--grid={grid}"],
+                 ["potential", "--points", str(points)],
                  ["metric", "--points", str(points)],
                  ["invert", "--target=" + ",".join(map(repr, target))]):
-        with redirect_stderr(io.StringIO()):
-            code, _ = run_cli([argv[0], str(path), *argv[1:]])
-        assert code in (0, 2, 3, 4, 5), (argv, doc)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli([argv[0], str(path), *argv[1:]])
+        err = err.getvalue()
+        if err:  # one line and nothing on stdout
+            assert code in (2, 3, 4, 5), (argv, doc)
+            assert err.startswith("toric: ") and err.count("\n") == 1 and (
+                err.endswith("\n")), (argv, doc, err)
+            assert out == "", (argv, doc)
+        else:
+            assert code in (0, 3), (argv, doc)
+            assert_whole_report(argv, out)
+
+
+def assert_whole_report(argv, out):
+    """out is the whole report of the command: one JSON document, or for
+    `potential` a CSV whose rows all have the header's fields, closed by
+    the count of skipped points for a grid."""
+    assert out.endswith("\n"), argv
+    if argv[0] != "potential":
+        assert "report" in json.loads(out), argv
+        return
+    header, *rows = out.splitlines()
+    if argv[1].startswith("--grid"):
+        assert rows.pop().startswith("# skipped: "), argv
+    assert header.startswith("x1,") and all(
+        row.count(",") == header.count(",") for row in rows), argv
 
 
 def test_exit_code_no_convergence():
     code, _ = run_cli(["invert", data("f1_maxiter1.json"),
                        "--target", "40.0"])
     assert code == 5
+
+
+def test_newton_max_iter_is_bounded(tmp_path, monkeypatch, capsys):
+    limit = legendreinverse.NEWTON_MAX_ITER_LIMIT
+    doc = json.loads((DATA / "f2.json").read_text(encoding="utf-8"))
+    doc["options"] = {"tolerances": {"newton_max_iter": limit}}
+    path = tmp_path / "at_limit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["invert", str(path), "--target", "0.3,0.2"])
+    assert code == 0 and json.loads(out)["report"]["invert"]["iterations"]
+    # past the bound the solve is refused before any exact work
+    over = data("f1_maxiter_over.json")
+    assert load_document(over).tolerances["newton_max_iter"] == limit + 1
+    monkeypatch.setattr(polylattice, "max_margin_point", None)
+    assert run_cli(["invert", over, "--target", "0.3"]) == (4, "")
+    assert capsys.readouterr().err == (
+        f"toric: newton_max_iter {limit + 1} exceeds the limit of {limit}\n")
 
 
 def test_potential_boundary_row_reports_na():
@@ -756,6 +799,38 @@ def test_points_row_with_an_empty_field_exits_2(tmp_path, capsys):
             assert f"{points}:2: bad point" in capsys.readouterr().err
 
 
+def test_points_file_past_the_limit_exits_4(tmp_path, monkeypatch,
+                                            capsys):
+    # the file is read up to the point past the limit (the bad line after
+    # it is never reached), and no row is evaluated
+    monkeypatch.setattr(floatreports, "GRID_POINT_LIMIT", 3)
+    points = tmp_path / "many.txt"
+    points.write_text("# four points\n0.1 0.1\n\n0.2 0.2\n0.3 0.3\n"
+                      "0.4 0.4\nnot a point\n", encoding="utf-8")
+    at_limit = tmp_path / "three.txt"
+    at_limit.write_text("0.1 0.1\n0.2 0.2\n# a comment\n0.3 0.3\n\n",
+                        encoding="utf-8")
+    for command in ("potential", "metric"):
+        assert run_cli([command, data("f2.json"), "--points",
+                        str(at_limit)])[0] == 0
+    monkeypatch.setattr(kahlerpotential, "interior_point", None)
+    for command in ("potential", "metric"):
+        assert run_cli([command, data("f2.json"), "--points",
+                        str(points)]) == (4, "")
+        assert capsys.readouterr().err == (
+            f"toric: --points: {points} holds more than the limit of 3 "
+            "points\n")
+
+
+def test_points_file_not_utf8_exits_2(tmp_path, capsys):
+    points = tmp_path / "latin1.txt"
+    points.write_bytes(b"0.1 0.1\n\xff\n")
+    for command in ("potential", "metric"):
+        assert run_cli([command, data("f2.json"), "--points",
+                        str(points)]) == (2, "")
+        assert f"cannot read {points}" in capsys.readouterr().err
+
+
 def test_potential_chunks_are_invisible(monkeypatch, tmp_path):
     # chunks of 1 and 7 rows write the bytes of the default chunk, on a grid
     # with skipped points and on points with NA rows among interior ones
@@ -1022,9 +1097,9 @@ print(sum(len(open(path, "rb").readlines()) for path in loaded))
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["invert", "f2.json", "--target=6,6"], 1354),
-    (["potential", "f2.json", "--points", "f2_points.txt"], 1331),
-    (["metric", "f2.json", "--points", "f2_points.txt"], 1331),
+    (["invert", "f2.json", "--target=6,6"], 1367),
+    (["potential", "f2.json", "--points", "f2_points.txt"], 1329),
+    (["metric", "f2.json", "--points", "f2_points.txt"], 1329),
     (["validate", "f2.json"], 1345),
     (["classify", "f4.json"], 1420),
     (["cut", "f2.json"], 1560),

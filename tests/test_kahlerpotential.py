@@ -13,6 +13,7 @@ from mpmath import mp, mpf, log as mplog
 
 from toriccut import facelattice as fl
 from toriccut import floatbase as fb
+from toriccut import floatreports as fr
 from toriccut import kahlerpotential as kp
 from toriccut import legendreinverse as li
 from toriccut import polylattice as pl
@@ -169,7 +170,6 @@ class TestInteriorPoint:
         p = pl.polyhedral_set(2, [((-1, 0), 0), ((-1, -2), 0), ((1, 0), 1)])
         pts = kp.interior_point(p, [[0.5, 1e308], [2.0, 1e308], [0.5, 0.5]])
         assert pts.inside == [False, False, True]
-        assert pts.worst_facet == [1, 2, None]
         assert str(pts.rejection(0)) == "facet 2 slack overflows"
         assert str(pts.rejection(1)) == (
             "facet 3 slack -1.000e+00 below margin")
@@ -177,7 +177,6 @@ class TestInteriorPoint:
         # (the slacks of every point sum to 2e308)
         pts = kp.interior_point(wide, [[0.0], [1e300]])
         assert pts.inside == [False, False]
-        assert pts.worst_facet == [0, 1]
         assert [str(pts.rejection(row)) for row in (0, 1)] == [
             f"facet {i} slack overflows" for i in (1, 2)]
 
@@ -240,6 +239,19 @@ def reference_worst(slack_rows):
     return out
 
 
+def masked_messages(p, xs, pts):
+    """The error `rejection` gives for each masked row of the batch, and
+    the one that `reference_worst` names from the row's per-point slacks."""
+    masked = [k for k, ok in enumerate(pts.inside) if not ok]
+    slack_rows = [[float(f.kappa) - in_order(
+        float(e) * v for e, v in zip(f.eta, xs[k])) for f in p.facets]
+        for k in masked]
+    return [str(pts.rejection(k)) for k in masked], [
+        f"facet {facet + 1} slack " + (
+            "overflows" if slack == math.inf else f"{slack:.3e} below margin")
+        for facet, slack in reference_worst(slack_rows)]
+
+
 COLUMN_SETS = [("f1", f1), ("f2", f2), ("f3", f3), ("f4", f4), ("f5", f5),
                ("slab", slab), ("cube3", lambda: cube(3)),
                ("one_facet", lambda: pl.polyhedral_set(2, [((1, 1), 1)]))]
@@ -296,17 +308,32 @@ class TestColumnMetric:
         assert bits(data.G_inv) == bits(reference_inverse(expected))
         assert bits(kp.hessian_metric_inverse(expected[:1])) == bits(
             reference_inverse(expected[:1]))
-        # the worst facet is looked for in the masked rows only
-        masked = [k for k, ok in enumerate(pts.inside) if not ok]
-        slack_rows = [[float(f.kappa) - in_order(
-            float(e) * v for e, v in zip(f.eta, xs[k])) for f in p.facets]
-            for k in masked]
-        for k, (facet, slack) in zip(masked, reference_worst(slack_rows)):
-            assert pts.worst_facet[k] == facet
-            assert pts.worst_slack[k] == slack or (
-                math.isnan(pts.worst_slack[k]) and math.isnan(slack))
-        assert all(pts.worst_facet[k] is None
-                   for k, ok in enumerate(pts.inside) if ok)
+        # each masked row names the facet the full scan names
+        got, expected = masked_messages(p, xs, pts)
+        assert got == expected
+
+    def test_grid_chunk_rejections(self):
+        # one chunk of the f2 grid that `potential` evaluates, with NaN and
+        # +-inf rows and rows whose slacks sum past the float range after
+        # it (to NaN on the triangle, to +inf on the quadrant): every masked
+        # row gives the error of the full scan
+        nan, inf = float("nan"), float("inf")
+        grid, _ = fr._parse_grid("-0.01:1.01:300,-0.01:1.01:300", 2)
+        xs = [list(row) for row in itertools.islice(grid, fr.CSV_CHUNK_ROWS)]
+        xs += [[nan, 0.5], [0.5, nan], [nan, nan], [inf, 0.1], [-inf, 0.1],
+               [0.1, -inf], [inf, -inf], [1.7e308, 1e308], [1e308, 1e308],
+               [1e308, 1.5e308], [-1e308, 0.5]]
+        messages = set()
+        for p in (f2(), f4()):
+            pts = kp.interior_point(p, xs)
+            assert 0 < sum(pts.inside) < fr.CSV_CHUNK_ROWS
+            assert not any(pts.inside[fr.CSV_CHUNK_ROWS:])
+            got, expected = masked_messages(p, xs, pts)
+            assert got == expected
+            messages.update(got)
+        assert {"facet 1 slack nan below margin", "facet 1 slack overflows",
+                "facet 2 slack overflows", "facet 3 slack -inf below margin",
+                "facet 2 slack -1.000e-02 below margin"} <= messages
 
     @pytest.mark.parametrize("name, fix", COLUMN_SETS[:8],
                              ids=[name for name, _ in COLUMN_SETS[:8]])
@@ -771,15 +798,18 @@ def batch_set(name):
 
 def evaluate(p, xs):
     """Every output of the float layer on a batch: per input row the mask
-    and the smallest slack, per interior row each value and tensor."""
+    and the slacks, the error of each masked row, and per interior row each
+    value and tensor."""
     data = kp.point_data(p, xs)
     pts = data.points
-    per_input = [pts.inside, pts.worst_facet, pts.worst_slack]
+    per_input = [pts.inside, list(zip(*pts.slacks))]
+    errors = [str(pts.rejection(k)) for k, ok in enumerate(pts.inside)
+              if not ok]
     per_interior = [list(zip(*pts.x)), list(zip(*pts.l_values)),
                     list(zip(*pts.log_values)), pts.l_infinity,
                     kp.symplectic_potential(pts), kp.guillemin_potential(pts),
                     gradient_rows(pts), data.G, data.G_inv]
-    return per_input, per_interior
+    return per_input, errors, per_interior
 
 
 def in_order(terms):
@@ -827,19 +857,20 @@ class TestBatches:
             st.lists(st.floats(-1.5, 1.5), min_size=p.n, max_size=p.n),
             min_size=1, max_size=12))
         xs = center + np.array(offsets)
-        per_input, per_interior = evaluate(p, xs)
+        per_input, errors, per_interior = evaluate(p, xs)
         k = 0
         for i in range(len(xs)):
-            one_input, one_interior = evaluate(p, xs[i:i + 1])
+            one_input, one_errors, one_interior = evaluate(p, xs[i:i + 1])
             for batch, single in zip(per_input, one_input):
                 assert bits(batch[i]) == bits(single[0])
             if not per_input[0][i]:
+                assert one_errors == [errors[i - k]]
                 assert all(len(single) == 0 for single in one_interior)
                 continue
             for batch, single in zip(per_interior, one_interior):
                 assert bits(batch[k]) == bits(single[0])
             k += 1
-        assert k == len(per_interior[0])
+        assert k == len(per_interior[0]) == len(xs) - len(errors)
 
     @pytest.mark.parametrize("name", sorted(BATCH_SETS))
     def test_batch_matches_single_point_formulas(self, name):
@@ -867,7 +898,6 @@ def solution_batch(p, res):
     for i, u in zip(res.chart_facets, res.log_slacks):
         l[i] = math.exp(u)
     assert all(v > 0 for v in l)
-    worst = l.index(min(l))
     logs = [math.log(v) for v in l]
     for i, u in zip(res.chart_facets, res.log_slacks):
         logs[i] = u
@@ -875,8 +905,7 @@ def solution_batch(p, res):
                              l_values=[[v] for v in l],
                              log_values=[[v] for v in logs],
                              l_infinity=[in_order(l)], etas=etas,
-                             inside=[True], worst_facet=[worst],
-                             worst_slack=[l[worst]])
+                             inside=[True], slacks=[[v] for v in l])
 
 
 @settings(max_examples=80, deadline=None)
